@@ -25,14 +25,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .measures import (MomentSequence, ReferenceMeasure, integrate,
-                       make_moment_sequence, moments)
+from .measures import MomentSequence, ReferenceMeasure, integrate, moments
 from .momentmat import (SemialgebraicSet, half_degree, localizing_matrix,
                         moment_matrix)
 from .orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
                          cd_kernel, ortho_expansion_poly)
-from .polyring import (Polynomial, coeff_vector, enumerate_basis,
-                       monomial_values, vector_to_poly)
+from .polyring import (MonomialBasis, Polynomial, coeff_vector, enumerate_basis,
+                       vector_to_poly)
 from .sdp import (SdpBlock, SdpOptions, SdpProblem, SdpSolution, SdpStatus,
                   gen_eig_min, solve_sdp)
 
@@ -52,10 +51,15 @@ class HierarchyError(RuntimeError):
 
 @dataclass
 class SosCertificate:
-    """lam + sum_j psi_j g_j with psi_j = v' Q_j v from the dual Gram blocks."""
+    """lam + sum_j psi_j g_j with psi_j = v' Q_j v from the dual Gram blocks.
+
+    ``basis`` indexes the relaxation's moments (degree 2t); every product
+    psi_j g_j lies in its span.
+    """
 
     lam: float
     multipliers: List[Tuple[Polynomial, int, np.ndarray]]  # (g_j, order, Gram Q_j)
+    basis: MonomialBasis
 
     def multiplier_poly(self, j: int) -> Polynomial:
         g, s, Q = self.multipliers[j]
@@ -69,11 +73,18 @@ class SosCertificate:
         return psi
 
     def residual(self, f: Polynomial) -> float:
-        """Max coefficient deviation of f - lam - sum psi_j g_j."""
-        r = f - Polynomial.constant(f.n, self.lam)
-        for j, (g, _, _) in enumerate(self.multipliers):
-            r = r - self.multiplier_poly(j) * g
-        return max((abs(c) for c in r.terms.values()), default=0.0)
+        """Max coefficient deviation of f - lam - sum psi_j g_j.
+
+        The coefficients of psi_j g_j are sum_gamma g_gamma * <A_gamma, Q_j>,
+        one bincount of Q_j over each index table: the solver's dual map.
+        """
+        r = coeff_vector(f, self.basis)
+        r[self.basis.position((0,) * f.n)] -= self.lam
+        for g, s, Q in self.multipliers:
+            for gamma, cg in g.terms.items():
+                r -= cg * np.bincount(self.basis.sum_index(s, gamma).ravel(), Q.ravel(),
+                                      minlength=len(r))
+        return float(np.max(np.abs(r)))
 
 
 @dataclass
@@ -122,19 +133,9 @@ def _moment_blocks(B: SemialgebraicSet, t: int, basis2t) -> List[SdpBlock]:
         s = t - half_degree(g)
         if s < 0:
             raise ValueError(f"order {t} too small for constraint of degree {g.degree}")
-        bas = enumerate_basis(B.n, s)
-        d = len(bas)
-        coeffs = np.zeros((N, d, d))
-        for a in range(d):
-            for bcol in range(a, d):
-                for gamma, cg in g.terms.items():
-                    k = basis2t.position(tuple(
-                        x + z + w for x, z, w in
-                        zip(bas.exponents[a], bas.exponents[bcol], gamma)))
-                    coeffs[k, a, bcol] += cg
-                    if bcol != a:
-                        coeffs[k, bcol, a] += cg
-        blocks.append(SdpBlock(const=np.zeros((d, d)), coeffs=coeffs))
+        blocks.append(SdpBlock.from_terms(
+            math.comb(B.n + s, s), N,
+            [(cg, basis2t.sum_index(s, gamma)) for gamma, cg in g.terms.items()]))
     return blocks
 
 
@@ -161,13 +162,14 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
     sol = solve_sdp(prob, opts)
     if sol.status is not SdpStatus.OPTIMAL:
         raise HierarchyError(t, f"SDP solver returned {sol.status.value}")
-    y = make_moment_sequence(f.n, 2 * t, sol.y)
+    y = MomentSequence(f.n, 2 * t, sol.y, basis2t)
     rho = float(c @ sol.y)
     gs = [Polynomial.constant(B.n, 1.0)] + list(B.constraints)
     cert = SosCertificate(
         lam=float(sol.eq_multipliers[0]),
         multipliers=[(g, t - half_degree(g), sol.dual_blocks[j])
-                     for j, g in enumerate(gs)])
+                     for j, g in enumerate(gs)],
+        basis=basis2t)
     result = LowerBoundResult(t=t, rho=rho, f=f, y=y, certificate=cert, solution=sol)
     result.extraction = certify_and_extract(result, B, rank_tol=rank_tol)
     if measure is not None:
@@ -218,17 +220,9 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet,
     U = Q[:, -rank:]
     G = U.T @ Mlow @ U
     n = y.n
-    bas_low = enumerate_basis(n, t - 1)
     Ns = []
     for i in range(n):
-        e_i = tuple(1 if k == i else 0 for k in range(n))
-        m = len(bas_low)
-        Mi = np.empty((m, m))
-        for a in range(m):
-            for b in range(m):
-                Mi[a, b] = y.value(tuple(
-                    x + z + v for x, z, v in
-                    zip(bas_low.exponents[a], bas_low.exponents[b], e_i)))
+        Mi = localizing_matrix(y, Polynomial.variable(n, i), t - 1).matrix
         Ns.append(np.linalg.solve(G, U.T @ Mi @ U))
 
     # simultaneous diagonalization via a fixed random combination

@@ -31,16 +31,9 @@ def localizing_matrix(y: MomentSequence, g: Polynomial, s: int) -> LocalizingMat
         raise ValueError(
             f"moment sequence too short: need degree {2 * s + g.degree}, have {y.t}")
     basis = enumerate_basis(y.n, s)
-    m = len(basis)
-    M = np.zeros((m, m))
-    for i, a in enumerate(basis):
-        for j in range(i, m):
-            b = basis.exponents[j]
-            v = 0.0
-            for gamma, c in g.terms.items():
-                v += c * y.value(tuple(x + z + w for x, z, w in zip(a, b, gamma)))
-            M[i, j] = v
-            M[j, i] = v
+    M = np.zeros((len(basis), len(basis)))
+    for gamma, c in g.terms.items():
+        M += c * y.values[y.basis.sum_index(s, gamma)]
     return LocalizingMatrix(g, s, basis, M)
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .measures import (CountingHypercube, MomentSequence, ReferenceMeasure,
                        UniformBox, moments)
+from .momentmat import moment_matrix
 from .polyring import (MonomialBasis, Polynomial, coeff_vector, enumerate_basis,
                        monomial_values, vector_to_poly)
 
@@ -56,17 +57,7 @@ class OrthoBasis:
 
 def gram_matrix(measure: ReferenceMeasure, t: int) -> np.ndarray:
     """G(alpha, beta) = int x^(alpha+beta) dmu, indices over N^n_t."""
-    y = moments(measure, 2 * t)
-    basis = enumerate_basis(measure.n, t)
-    m = len(basis)
-    G = np.empty((m, m))
-    for i, a in enumerate(basis):
-        for j in range(i, m):
-            b = basis.exponents[j]
-            v = y.value(tuple(p + q for p, q in zip(a, b)))
-            G[i, j] = v
-            G[j, i] = v
-    return G
+    return moment_matrix(moments(measure, 2 * t), t).matrix
 
 
 def _check_gram_conditioning(measure: ReferenceMeasure, t: int, G: np.ndarray) -> None:

@@ -9,6 +9,7 @@ exactly one canonical ordering in the whole package.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -36,12 +37,36 @@ class MonomialBasis:
         alphas.sort(key=grlex_key)
         self.exponents: Tuple[Exponent, ...] = tuple(alphas)
         self._position: Dict[Exponent, int] = {a: i for i, a in enumerate(alphas)}
+        self._sum_index: Dict[Tuple[int, Exponent], np.ndarray] = {}
 
     def position(self, alpha: Exponent) -> int:
         try:
             return self._position[tuple(alpha)]
         except KeyError:
             raise ValueError(f"monomial {alpha} not in basis (n={self.n}, t={self.t})")
+
+    def sum_index(self, s: int, gamma: Sequence[int] | None = None) -> np.ndarray:
+        """Table idx[a, b] = position(alpha_a + alpha_b + gamma) over |alpha| <= s.
+
+        Rows and columns follow the degree-s basis, which is a prefix of this
+        one because graded-lex order does not depend on the degree bound.  A
+        localizing matrix is then sum_gamma g_gamma * y[idx_gamma].  Tables
+        are cached per (s, gamma) and returned read-only.
+        """
+        gamma = (0,) * self.n if gamma is None else tuple(int(v) for v in gamma)
+        if len(gamma) != self.n or any(v < 0 for v in gamma):
+            raise ValueError(f"bad exponent {gamma} for dimension {self.n}")
+        if s < 0 or 2 * s + sum(gamma) > self.t:
+            raise ValueError(f"order {s} with shift {gamma} exceeds basis degree {self.t}")
+        table = self._sum_index.get((s, gamma))
+        if table is None:
+            m = math.comb(self.n + s, s)
+            alphas = np.array(self.exponents[:m]).reshape(m, self.n)
+            sums = alphas[:, None, :] + alphas[None, :, :] + np.array(gamma, dtype=int)
+            table = _grlex_rank(sums)
+            table.flags.writeable = False
+            self._sum_index[(s, gamma)] = table
+        return table
 
     def __len__(self) -> int:
         return len(self.exponents)
@@ -54,6 +79,26 @@ class MonomialBasis:
 
     def __repr__(self) -> str:
         return f"MonomialBasis(n={self.n}, t={self.t}, size={len(self)})"
+
+
+def _grlex_rank(alphas: np.ndarray) -> np.ndarray:
+    """Graded-lex positions of the exponents along the last axis, in closed form.
+
+    Before alpha come the C(n+d-1, n) monomials of lower degree d = |alpha|,
+    then, for each i < n-1, the C(r_i + k_i - 1, k_i) monomials of degree d
+    that agree with alpha before i and are larger at i, where
+    r_i = alpha_{i+1} + ... + alpha_n and k_i = n-1-i.
+    """
+    n = alphas.shape[-1]
+    tail = np.cumsum(alphas[..., ::-1], axis=-1)[..., ::-1]   # tail[i] = sum_{j>=i}
+    top = int(tail[..., 0].max(initial=0)) + n
+    binom = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(top)],
+                     dtype=np.intp)
+    rank = binom[n + tail[..., 0] - 1, n]
+    for i in range(n - 1):
+        k = n - 1 - i
+        rank = rank + binom[tail[..., i + 1] + k - 1, k]
+    return rank
 
 
 def enumerate_basis(n: int, t: int) -> MonomialBasis:
@@ -202,10 +247,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_string()!r})"
-
-
-def poly_eval(p: Polynomial, x: Sequence[float]) -> float:
-    return p(x)
 
 
 def coeff_vector(p: Polynomial, basis: MonomialBasis) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: small-scale semidefinite solver and eigensolvers.
+"""Linear-algebra kernel: semidefinite solver and eigensolvers.
 
 The SDP solved here is
 
@@ -9,6 +9,15 @@ with Nesterov-Todd scaling on the PSD blocks.  Slack blocks S_j track the
 affine maps, dual blocks Z_j are their multipliers; at optimality the Z_j are
 the Gram matrices of the SOS certificate and the equality multiplier is the
 certified lower bound.
+
+Each block stores its coefficient matrices A_kj as a sparse index pattern
+(for moment and localizing blocks, one table of moment positions per term of
+g_j), not as a dense (N, d, d) tensor.  The solver touches them only through
+A(y) = sum_k y_k A_k and A*(Z) = (<A_k, Z>)_k, both one bincount over the
+pattern, and through the Schur complement tr(A_k W^-1 A_l W^-1), built in
+O(N d^3) from the pattern as in Fujisawa, Kojima and Nakata, "Exploiting
+sparsity in primal-dual interior-point methods for semidefinite programming"
+(Math. Prog. 1997).
 
 Everything is deterministic: identical inputs and options give identical
 iterates within one build.
@@ -31,30 +40,112 @@ class SdpStatus(enum.Enum):
     NUMERICAL_FAILURE = "numerical_failure"
 
 
-@dataclass
 class SdpBlock:
-    """Affine symmetric map y -> const + sum_k y_k coeffs[k], required PSD."""
+    """Affine symmetric map y -> const + sum_k y_k A_k, required PSD.
 
-    const: np.ndarray   # (d, d)
-    coeffs: np.ndarray  # (N, d, d)
+    The coefficient matrices A_k are stored as one sparse pattern, never as a
+    dense (N, d, d) tensor: entry e adds val[e] to A_{var[e]} at the flat
+    position pos[e] = a*d + b, and repeated entries add up.  The pattern is
+    symmetric: it lists (a, b) and (b, a) alike.
 
-    def __post_init__(self):
-        self.const = np.asarray(self.const, dtype=float)
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        d = self.const.shape[0]
-        if self.const.shape != (d, d) or self.coeffs.shape[1:] != (d, d):
+    ``SdpBlock(const, coeffs)`` converts dense (N, d, d) coefficients once;
+    ``SdpBlock.from_terms`` builds moment and localizing blocks from integer
+    index tables.  The solver only uses the three pattern operators
+    ``apply``, ``adjoint`` and ``schur``.
+    """
+
+    def __init__(self, const, coeffs):
+        const = np.asarray(const, dtype=float)
+        coeffs = np.asarray(coeffs, dtype=float)
+        d = const.shape[0]
+        if const.shape != (d, d) or coeffs.ndim != 3 or coeffs.shape[1:] != (d, d):
             raise ValueError("inconsistent block shapes")
-        if not np.allclose(self.const, self.const.T):
+        if not np.allclose(const, const.T):
             raise ValueError("block constant matrix must be symmetric")
-        if not np.allclose(self.coeffs, np.transpose(self.coeffs, (0, 2, 1))):
+        if not np.allclose(coeffs, np.transpose(coeffs, (0, 2, 1))):
             raise ValueError("block coefficient matrices must be symmetric")
+        k, a, b = np.nonzero(coeffs)
+        self._set_pattern(const, coeffs.shape[0], k, a * d + b, coeffs[k, a, b])
+
+    @classmethod
+    def from_terms(cls, dim: int, num_vars: int, terms) -> "SdpBlock":
+        """Block of side dim with zero constant and linear part sum_i w_i * y[idx_i].
+
+        Each term is a weight w_i and a symmetric (dim, dim) table idx_i of
+        variable indices, so A_k holds w_i wherever idx_i equals k.
+        """
+        tables = [np.asarray(idx) for _, idx in terms]
+        for idx in tables:
+            if idx.shape != (dim, dim) or not np.array_equal(idx, idx.T):
+                raise ValueError("index tables must be symmetric and of the block's shape")
+            if idx.min() < 0 or idx.max() >= num_vars:
+                raise ValueError("block variable index out of range")
+        blk = cls.__new__(cls)
+        blk._set_pattern(np.zeros((dim, dim)), num_vars,
+                         np.asarray(tables, dtype=np.intp).ravel(),
+                         np.tile(np.arange(dim * dim), len(tables)),
+                         np.repeat([float(w) for w, _ in terms], dim * dim))
+        return blk
+
+    def _set_pattern(self, const, num_vars, var, pos, val):
+        d = const.shape[0]
+        var = np.asarray(var, dtype=np.intp)
+        pos = np.asarray(pos, dtype=np.intp)
+        self.const = const
+        self.num_vars = num_vars
+        self.var, self.pos, self.val = var, pos, np.asarray(val, dtype=float)
+
+        # Schur complement plan.  Scatter: row (a, l) of the stacked products
+        # A_l W^-1 sums val * W^-1[b] over the entries (l, a, b).
+        a, b = np.divmod(pos, d)
+        row = a * num_vars + var
+        order = np.argsort(row, kind="stable")
+        rows, self._scatter_starts = np.unique(row[order], return_index=True)
+        self._scatter_a, self._scatter_l = np.divmod(rows, num_vars)
+        self._scatter_src, self._scatter_val = b[order], self.val[order]
+        # Reduce: <A_k, B> over the upper triangle, off-diagonals counted twice
+        # (B = W^-1 A_l W^-1 is symmetric), grouped by k.
+        upper = np.flatnonzero(a <= b)
+        upper = upper[np.argsort(var[upper], kind="stable")]
+        self._reduce_vars, self._reduce_starts = np.unique(var[upper], return_index=True)
+        self._reduce_pos = pos[upper]
+        self._reduce_val = np.where(a[upper] == b[upper], 1.0, 2.0) * self.val[upper]
 
     @property
     def dim(self) -> int:
         return self.const.shape[0]
 
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """The linear part sum_k y_k A_k."""
+        d = self.dim
+        return np.bincount(self.pos, self.val * y[self.var], minlength=d * d).reshape(d, d)
+
     def at(self, y: np.ndarray) -> np.ndarray:
-        return self.const + np.einsum("k,kab->ab", y, self.coeffs)
+        return self.const + self.apply(y)
+
+    def adjoint(self, Z: np.ndarray) -> np.ndarray:
+        """The vector (<A_k, Z>)_k."""
+        return np.bincount(self.var, self.val * Z.ravel()[self.pos], minlength=self.num_vars)
+
+    def schur(self, Winv: np.ndarray) -> np.ndarray:
+        """The matrix (tr(A_k Winv A_l Winv))_kl for symmetric Winv, in O(N d^3).
+
+        Scatter rows of Winv into X[a, :, l] = (A_l Winv)[a, :], multiply
+        every A_l Winv by Winv in one matmul, and sum the products' entries
+        onto k through the pattern.
+        """
+        d, N = self.dim, self.num_vars
+        X = np.zeros((d, d, N))
+        X[self._scatter_a, :, self._scatter_l] = np.add.reduceat(
+            self._scatter_val[:, None] * Winv[self._scatter_src],
+            self._scatter_starts, axis=0)
+        B = (Winv @ X.reshape(d, d * N)).reshape(d * d, N)
+        del X
+        G = B[self._reduce_pos]
+        G *= self._reduce_val[:, None]
+        M = np.zeros((N, N))
+        M[self._reduce_vars] = np.add.reduceat(G, self._reduce_starts, axis=0)
+        return M
 
 
 @dataclass
@@ -72,7 +163,7 @@ class SdpProblem:
         if not self.blocks:
             raise ValueError("at least one PSD block is required")
         for blk in self.blocks:
-            if blk.coeffs.shape[0] != N:
+            if blk.num_vars != N:
                 raise ValueError("block coefficient count != number of variables")
         if self.eq_lhs.shape != (self.eq_rhs.shape[0], N):
             raise ValueError("equality constraint shapes inconsistent")
@@ -167,7 +258,7 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
     dims = [blk.dim for blk in blocks]
     total_dim = sum(dims)
 
-    data_scale = max(1.0, max(float(np.max(np.abs(blk.coeffs), initial=0.0)) for blk in blocks),
+    data_scale = max(1.0, max(float(np.max(np.abs(blk.val), initial=0.0)) for blk in blocks),
                      max(float(np.max(np.abs(blk.const), initial=0.0)) for blk in blocks))
     cost_scale = max(1.0, float(np.max(np.abs(c), initial=0.0)))
 
@@ -189,7 +280,7 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
         rp = b - E @ y
         rd = c - E.T @ nu
         for j, blk in enumerate(blocks):
-            rd = rd - np.einsum("kab,ab->k", blk.coeffs, Z[j])
+            rd = rd - blk.adjoint(Z[j])
         mu = sum(float(np.sum(S[j] * Z[j])) for j in range(nb)) / total_dim
 
         pobj = float(c @ y)
@@ -217,44 +308,55 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
         try:
             scalings = [_nt_scaling(S[j], Z[j]) for j in range(nb)]
 
-            # scaled coefficient matrices and Schur complement
-            Gflat = []
+            # Schur complement M_kl = sum_j tr(A_kj W_j^-1 A_lj W_j^-1)
             Hres = []
             M = np.zeros((N, N))
             for j, blk in enumerate(blocks):
-                R, Rinv, lam = scalings[j]
-                G = np.einsum("ab,kbc,dc->kad", Rinv, blk.coeffs, Rinv)
-                Gf = G.reshape(N, -1)
-                M += Gf @ Gf.T
-                Gflat.append(Gf)
+                Rinv = scalings[j][1]
+                M += blk.schur(Rinv.T @ Rinv)
                 Hres.append(Rinv @ Rres[j] @ Rinv.T)
+            M = 0.5 * (M + M.T)
             Mfac = _chol_regularized(M)
             MiE = sla.cho_solve(Mfac, E.T)
             Schur_nu = E @ MiE
+
+            def kkt(h, r):
+                """(dy, dnu) with M dy - E'dnu = h and E dy = r."""
+                Mih = sla.cho_solve(Mfac, h)
+                dnu = np.linalg.solve(Schur_nu, r - E @ Mih)
+                return Mih + MiE @ dnu, dnu
 
             def newton(Dmats):
                 Cs = []
                 h = -rd.copy()
                 for j in range(nb):
-                    _, _, lam = scalings[j]
+                    _, Rinv, lam = scalings[j]
                     Cj = 2.0 * Dmats[j] / (lam[:, None] + lam[None, :])
                     Cs.append(Cj)
-                    h += Gflat[j] @ (Cj - Hres[j]).ravel()
-                Mih = sla.cho_solve(Mfac, h)
-                dnu = np.linalg.solve(Schur_nu, rp - E @ Mih)
-                dy = Mih + MiE @ dnu
-                dS, dZ, dtS, dtZ = [], [], [], []
-                for j, blk in enumerate(blocks):
-                    R, Rinv, _ = scalings[j]
-                    dSj = Rres[j] + np.einsum("k,kab->ab", dy, blk.coeffs)
-                    dtSj = Rinv @ dSj @ Rinv.T
-                    dtZj = Cs[j] - dtSj
-                    dZj = Rinv.T @ dtZj @ Rinv
-                    dS.append(dSj)
-                    dZ.append(dZj)
-                    dtS.append(0.5 * (dtSj + dtSj.T))
-                    dtZ.append(0.5 * (dtZj + dtZj.T))
-                return dy, dnu, dS, dZ, dtS, dtZ
+                    h += blocks[j].adjoint(Rinv.T @ (Cj - Hres[j]) @ Rinv)
+
+                def directions(dy):
+                    dS, dtS, dZ = [], [], []
+                    for j, blk in enumerate(blocks):
+                        Rinv = scalings[j][1]
+                        dS.append(Rres[j] + blk.apply(dy))
+                        dtS.append(Rinv @ dS[j] @ Rinv.T)
+                        dZ.append(Rinv.T @ (Cs[j] - dtS[j]) @ Rinv)
+                    return dS, dtS, dZ
+
+                # M is built from W^-1, so its rounding errors grow like
+                # cond(W) as mu -> 0 and dZ stops satisfying the dual equation
+                # A*(dZ) + E'dnu = rd; one step of iterative refinement against
+                # that equation keeps the dual residual at rounding level.
+                dy, dnu = kkt(h, rp)
+                _, _, dZ = directions(dy)
+                err = rd - E.T @ dnu - sum(blk.adjoint(dZ[j]) for j, blk in enumerate(blocks))
+                ddy, ddnu = kkt(-err, rp - E @ dy)
+                dy, dnu = dy + ddy, dnu + ddnu
+                dS, dtS, dZ = directions(dy)
+                dtZ = [Cs[j] - dtS[j] for j in range(nb)]
+                return (dy, dnu, dS, dZ, [0.5 * (m + m.T) for m in dtS],
+                        [0.5 * (m + m.T) for m in dtZ])
 
             # predictor (affine scaling direction)
             D_aff = [np.diag(-scalings[j][2] ** 2) for j in range(nb)]
@@ -346,10 +448,13 @@ def dump_sdp(prob: SdpProblem) -> str:
             for bcol in range(a, blk.dim):
                 if blk.const[a, bcol] != 0.0:
                     lines.append(f"const {j} {a} {bcol} {float(blk.const[a, bcol])!r}")
-        for k in range(prob.num_vars):
-            for a in range(blk.dim):
-                for bcol in range(a, blk.dim):
-                    v = blk.coeffs[k, a, bcol]
-                    if v != 0.0:
-                        lines.append(f"coeff {j} {k} {a} {bcol} {float(v)!r}")
+        d = blk.dim
+        a, bcol = np.divmod(blk.pos, d)
+        upper = a <= bcol
+        keys, inverse = np.unique((blk.var * d + a)[upper] * d + bcol[upper],
+                                  return_inverse=True)
+        for key, v in zip(keys.tolist(), np.bincount(inverse, blk.val[upper]).tolist()):
+            if v != 0.0:
+                k, ab = divmod(key, d * d)
+                lines.append(f"coeff {j} {k} {ab // d} {ab % d} {v!r}")
     return "\n".join(lines) + "\n"

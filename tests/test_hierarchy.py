@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import random_polynomial
 
+from cdmos.cli import parse_problem
 from cdmos.hierarchy import (certify_and_extract, lower_bound,
                              min_relaxation_order, reconstruct_density,
                              sandwich_sweep, smoothed_objective, upper_bound)
@@ -51,6 +54,26 @@ class TestLowerBound:
         r = lower_bound(X, UNIT_INTERVAL, 1)
         assert r.certificate.residual(X) <= 1e-6
         assert r.certificate.lam == pytest.approx(-1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("case", ["box_bilinear", "hypercube"])
+    def test_residual_matches_polynomial_reassembly(self, case):
+        # oracle: rebuild f - lam - sum psi_j g_j from Polynomial objects
+        if case == "box_bilinear":
+            pf = parse_problem((Path(__file__).parents[1] / "problems"
+                                / "box_bilinear.txt").read_text())
+            f, B, orders = pf.objective, pf.semialgebraic_set(), range(1, 4)
+        else:
+            f = X1 * X2 + 0.5 * X1 - 0.3 * X2
+            B = SemialgebraicSet(2, (X1 * X1 - 1.0, 1.0 - X1 * X1,
+                                     X2 * X2 - 1.0, 1.0 - X2 * X2))
+            orders = range(1, 3)
+        for t in orders:
+            cert = lower_bound(f, B, t).certificate
+            r = f - Polynomial.constant(f.n, cert.lam)
+            for j, (g, _, _) in enumerate(cert.multipliers):
+                r = r - cert.multiplier_poly(j) * g
+            expected = max((abs(c) for c in r.terms.values()), default=0.0)
+            assert cert.residual(f) == pytest.approx(expected, abs=1e-13)
 
     def test_sigma_populated_with_measure(self):
         r = lower_bound(X, UNIT_INTERVAL, 1, measure=UNIT_MEASURE)
@@ -238,6 +261,20 @@ class TestHypercube:
         assert r.sigma is None and r.density_error is not None
         u = upper_bound(X1 * X2, m, 1)
         assert u.u == pytest.approx(-1.0, abs=1e-10)
+
+    def test_dual_residual_at_rounding_level(self):
+        # +-1 max-cut instances: as mu -> 0 the Newton steps must keep the
+        # dual equation satisfied to rounding, well inside the 1e-8 tolerance
+        n = 6
+        x = [Polynomial.variable(n, i) for i in range(n)]
+        B = SemialgebraicSet(n, tuple(1.0 - v * v for v in x))
+        for seed in range(8):
+            signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(n, n))
+            f = Polynomial.zero(n)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    f = f + signs[i, j] * x[i] * x[j]
+            assert lower_bound(f, B, 1).solution.dual_residual <= 1e-9
 
     def test_min_relaxation_order(self):
         B = SemialgebraicSet(2, (X1 * X1 - 1.0,))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import random_polynomial
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdmos.measures import (UniformBox, dirac_moments, make_moment_sequence,
                             moments)
@@ -65,6 +67,25 @@ class TestLocalizingMatrix:
         expected = (a * localizing_matrix(y1, g, s).matrix +
                     b * localizing_matrix(y2, g, s).matrix)
         np.testing.assert_allclose(M, expected, atol=1e-12)
+
+    @given(n=st.integers(1, 3), s=st.integers(0, 2), extra=st.integers(0, 2),
+           terms=st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                                 st.floats(-1.0, 1.0), max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_definition(self, n, s, extra, terms, seed):
+        # M[a, b] = sum_gamma g_gamma y_{alpha_a + alpha_b + gamma}, looked up
+        # one monomial at a time, on moment sequences longer than needed too
+        g = Polynomial(n, {gamma[:n]: c for gamma, c in terms.items()})
+        t = 2 * s + g.degree + extra
+        rng = np.random.default_rng(seed)
+        y = make_moment_sequence(n, t, rng.standard_normal(len(enumerate_basis(n, t))))
+        basis = enumerate_basis(n, s)
+        expected = np.array([[sum(c * y.value(tuple(p + q + r for p, q, r in zip(a, b, gamma)))
+                                  for gamma, c in g.terms.items())
+                              for b in basis] for a in basis]).reshape(len(basis), len(basis))
+        np.testing.assert_allclose(localizing_matrix(y, g, s).matrix, expected,
+                                   rtol=1e-13, atol=1e-13)
 
     def test_too_short_moment_sequence(self):
         y = moments(UniformBox((-1.0,), (1.0,)), 2)

@@ -37,6 +37,14 @@ class TestEnumerateBasis:
         for i, alpha in enumerate(b):
             assert b.position(alpha) == i
 
+    def test_sum_index_bounds(self):
+        b = enumerate_basis(2, 4)
+        assert b.sum_index(1, (0, 2))[2, 2] == b.position((0, 4))
+        with pytest.raises(ValueError, match="exceeds"):
+            b.sum_index(2, (1, 0))
+        with pytest.raises(ValueError, match="bad exponent"):
+            b.sum_index(1, (1,))
+
     def test_strictly_increasing(self):
         b = enumerate_basis(2, 4)
         keys = [grlex_key(a) for a in b]

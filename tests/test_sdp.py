@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from cdmos.polyring import enumerate_basis
 from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, dump_sdp,
                        gen_eig_min, solve_sdp, sym_eig)
 
@@ -115,6 +116,55 @@ class TestSolveSdp:
         sol = solve_sdp(prob, SdpOptions(max_iter=100))
         assert sol.status in (SdpStatus.INFEASIBLE, SdpStatus.MAX_ITER)
         assert sol.status is not SdpStatus.OPTIMAL
+
+
+def dense_and_pattern_blocks(rng):
+    """Random small blocks, each with its dense (N, d, d) coefficient tensor."""
+    N, d = 9, 5
+    coeffs = rng.standard_normal((N, d, d)) * (rng.random((N, d, d)) < 0.4)
+    coeffs = coeffs + coeffs.transpose(0, 2, 1)
+    yield SdpBlock(np.zeros((d, d)), coeffs), coeffs
+    # localizing-style block of g = 1.5 - 0.5 x1 + 2 x2^2 at order 1 in two
+    # variables; the constant term appears twice, so its (k, a, b) entries
+    # repeat across terms
+    basis = enumerate_basis(2, 4)
+    terms = [(1.0, basis.sum_index(1)), (-0.5, basis.sum_index(1, (1, 0))),
+             (2.0, basis.sum_index(1, (0, 2))), (0.5, basis.sum_index(1))]
+    coeffs = np.zeros((len(basis), 3, 3))
+    for w, idx in terms:
+        for a in range(3):
+            for b in range(3):
+                coeffs[idx[a, b], a, b] += w
+    yield SdpBlock.from_terms(3, len(basis), terms), coeffs
+
+
+class TestPatternOperators:
+    """apply, adjoint and schur against the dense formulas they replace."""
+
+    @staticmethod
+    def assert_close(got, ref):
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_against_dense_formulas(self, rng):
+        for blk, coeffs in dense_and_pattern_blocks(rng):
+            N, d = coeffs.shape[:2]
+            y = rng.standard_normal(N)
+            X = rng.standard_normal((d, d))
+            Z = X + X.T
+            W = X @ X.T + d * np.eye(d)
+            Winv = np.linalg.inv(W)
+            self.assert_close(blk.apply(y), np.einsum("k,kab->ab", y, coeffs))
+            self.assert_close(blk.adjoint(Z), np.einsum("kab,ab->k", coeffs, Z))
+            ref = np.array([[np.trace(Winv @ Ak @ Winv @ Al) for Al in coeffs]
+                            for Ak in coeffs])
+            self.assert_close(blk.schur(Winv), ref)
+
+    def test_from_terms_validation(self):
+        basis = enumerate_basis(1, 2)
+        with pytest.raises(ValueError, match="symmetric"):
+            SdpBlock.from_terms(2, 3, [(1.0, np.array([[0, 1], [2, 2]]))])
+        with pytest.raises(ValueError, match="out of range"):
+            SdpBlock.from_terms(2, 2, [(1.0, basis.sum_index(1))])
 
 
 class TestSymEig:
