@@ -14,6 +14,6 @@ from .orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
 from .polyring import (MonomialBasis, Polynomial, coeff_vector, enumerate_basis,
                        parse_polynomial, vector_to_poly)
 from .sdp import (SdpBlock, SdpOptions, SdpProblem, SdpSolution, SdpStatus,
-                  gen_eig_min, solve_sdp, sym_eig)
+                  gen_eig_min, solve_sdp)
 
 __version__ = "0.1.0"

@@ -19,9 +19,7 @@ solved (NotCertified is not a failure).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -32,7 +30,7 @@ from .hierarchy import (LowerBoundResult, SweepRow, lower_bound,
                         min_relaxation_order, sandwich_sweep, upper_bound)
 from .measures import CountingHypercube, ReferenceMeasure, UniformBox
 from .momentmat import SemialgebraicSet
-from .orthobasis import OrthoBasis, build_basis, cd_kernel
+from .orthobasis import build_basis, cd_kernel, christoffel
 from .polyring import (PolyParseError, Polynomial, enumerate_basis,
                        parse_polynomial)
 from .sdp import SdpOptions
@@ -251,7 +249,7 @@ class RunReport:
                     if lb.density_basis is not None:
                         r["christoffel"] = [
                             {"point": list(xi),
-                             "value": 1.0 / cd_kernel(lb.density_basis, xi, xi)}
+                             "value": christoffel(lb.density_basis, xi)}
                             for xi, _ in ex.minimizers]
                 else:
                     r["exactness"] = "not_certified"
@@ -320,15 +318,7 @@ def run(pf: ProblemFile, max_order: Optional[int] = None,
     eff_tol = tol if tol is not None else pf.tol
     opts = SdpOptions(tol=eff_tol) if eff_tol is not None else None
 
-    threads = int(os.environ.get("CDMOS_THREADS", "1"))
-    orders = list(range(t_lo, t_hi + 1))
-    if threads > 1 and len(orders) > 1:
-        def one(t):
-            return sandwich_sweep(f, B, pf.measure, t, t_min=t, opts=opts)[0]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, orders))
-    else:
-        rows = sandwich_sweep(f, B, pf.measure, t_hi, t_min=t_lo, opts=opts)
+    rows = sandwich_sweep(f, B, pf.measure, t_hi, t_min=t_lo, opts=opts)
     return RunReport(problem=pf, rows=rows,
                      density_order=_pick_density_order(rows))
 
@@ -355,15 +345,12 @@ def sample_density(report: RunReport, grid_n: int) -> List[dict]:
     axes = [np.linspace(a, b, grid_n) for a, b in zip(lo, hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    from .orthobasis import ortho_expansion_poly
-    sigma_poly = ortho_expansion_poly(lb.sigma, basis)
-    out = []
-    for p in pts:
-        x = tuple(float(v) for v in p)
-        out.append({"x": list(x),
-                    "sigma": sigma_poly(x),
-                    "kernel_diag": cd_kernel(basis, x, x)})
-    return out
+    T = basis.eval_all(pts)
+    sigma = (T @ lb.sigma).tolist()
+    kernel_diag = np.einsum("ij,ij->i", T, T).tolist()
+    del T  # free the (k, m) table before the row dicts are built: it sets peak memory
+    return [{"x": x, "sigma": s, "kernel_diag": k}
+            for x, s, k in zip(pts.tolist(), sigma, kernel_diag)]
 
 
 def density_csv(rows: List[dict], n: int) -> str:

@@ -29,7 +29,7 @@ from .measures import MomentSequence, ReferenceMeasure, integrate, moments
 from .momentmat import (SemialgebraicSet, half_degree, localizing_matrix,
                         moment_matrix)
 from .orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
-                         cd_kernel, ortho_expansion_poly)
+                         christoffel, ortho_expansion_poly)
 from .polyring import (MonomialBasis, Polynomial, coeff_vector, enumerate_basis,
                        vector_to_poly)
 from .sdp import (SdpBlock, SdpOptions, SdpProblem, SdpSolution, SdpStatus,
@@ -276,7 +276,7 @@ def reconstruct_density(r: LowerBoundResult, basis: OrthoBasis) -> DensityRecons
     christoffel_at: Dict[Tuple[float, ...], float] = {}
     if r.extraction is not None and r.extraction.certified:
         for xi, _ in r.extraction.minimizers:
-            christoffel_at[xi] = 1.0 / cd_kernel(basis, xi, xi)
+            christoffel_at[xi] = christoffel(basis, xi)
     return DensityReconstruction(sigma=sigma, sigma_poly=sigma_poly,
                                  christoffel_at=christoffel_at)
 

@@ -13,7 +13,8 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .polyring import MonomialBasis, Polynomial, enumerate_basis
+from .polyring import (MonomialBasis, Polynomial, enumerate_basis,
+                       monomial_values)
 
 
 @dataclass(frozen=True)
@@ -103,28 +104,16 @@ def moments(measure: ReferenceMeasure, t: int) -> MomentSequence:
     n = measure.n
     uni = coordinate_moments(measure, t)
     basis = enumerate_basis(n, t)
-    values = np.empty(len(basis))
-    for i, alpha in enumerate(basis):
-        v = 1.0
-        for j, a in enumerate(alpha):
-            v *= uni[j][a]
-        values[i] = v
+    values = np.ones(len(basis))
+    for j in range(n):
+        values *= uni[j][basis.array[:, j]]
     return MomentSequence(n, t, values, basis)
 
 
 def dirac_moments(x: Sequence[float], t: int) -> MomentSequence:
     """Moments of the Dirac measure at x: y_alpha = x^alpha."""
-    x = [float(v) for v in x]
-    n = len(x)
-    basis = enumerate_basis(n, t)
-    values = np.empty(len(basis))
-    for i, alpha in enumerate(basis):
-        m = 1.0
-        for xi, ai in zip(x, alpha):
-            if ai:
-                m *= xi ** ai
-        values[i] = m
-    return MomentSequence(n, t, values, basis)
+    basis = enumerate_basis(len(x), t)
+    return MomentSequence(basis.n, t, monomial_values(basis, x), basis)
 
 
 def integrate(p: Polynomial, y: MomentSequence) -> float:

@@ -1,15 +1,11 @@
 """Orthonormal polynomial bases, the Christoffel-Darboux kernel, and the
 Christoffel function for the built-in reference measures.
 
-Two construction routes are provided and cross-validated in the tests:
-
-* Cholesky of the Gram (moment) matrix: fully general but ill-conditioned at
-  higher degree, since the Gram matrix is Hankel-like.
-* Tensorized univariate three-term recurrences: stable, available for the
-  built-in product measures only.
-
-Both yield the unique lower-triangular change-of-basis matrix with positive
-diagonal, so they agree whenever both apply.
+Both built-in measures are products of univariate measures, so the basis is
+the tensor product of univariate orthonormal families built by three-term
+recurrences.  The result is the unique lower-triangular change-of-basis
+matrix with positive diagonal; the tests check it against the Cholesky
+factor of the Gram (moment) matrix.
 """
 
 from __future__ import annotations
@@ -21,12 +17,11 @@ import numpy as np
 
 from .measures import (CountingHypercube, MomentSequence, ReferenceMeasure,
                        UniformBox, moments)
-from .momentmat import moment_matrix
-from .polyring import (MonomialBasis, Polynomial, coeff_vector, enumerate_basis,
-                       monomial_values, vector_to_poly)
+from .momentmat import localizing_matrix, moment_matrix
+from .polyring import (MonomialBasis, Polynomial, enumerate_basis, monomial_values,
+                       vector_to_poly)
 
 DEFAULT_DEGREE_CAP = 8
-GRAM_CONDITION_LIMIT = 1e12
 
 
 class BasisConstructionError(RuntimeError):
@@ -46,9 +41,10 @@ class OrthoBasis:
     def n(self) -> int:
         return self.basis.n
 
-    def eval_all(self, x: Sequence[float]) -> np.ndarray:
-        """Vector (T_alpha(x)) over the graded-lex basis."""
-        return self.D @ monomial_values(self.basis, x)
+    def eval_all(self, x) -> np.ndarray:
+        """Vector (T_alpha(x)) over the graded-lex basis; for a (k, n) array of
+        points, the (k, m) array of these vectors."""
+        return (self.D @ monomial_values(self.basis, x).T).T
 
     def ortho_polynomial(self, alpha) -> Polynomial:
         i = self.basis.position(alpha)
@@ -58,34 +54,6 @@ class OrthoBasis:
 def gram_matrix(measure: ReferenceMeasure, t: int) -> np.ndarray:
     """G(alpha, beta) = int x^(alpha+beta) dmu, indices over N^n_t."""
     return moment_matrix(moments(measure, 2 * t), t).matrix
-
-
-def _check_gram_conditioning(measure: ReferenceMeasure, t: int, G: np.ndarray) -> None:
-    basis = enumerate_basis(measure.n, t)
-    if np.linalg.cond(G) <= GRAM_CONDITION_LIMIT:
-        return
-    # locate the smallest degree whose principal block is already bad
-    for s in range(t + 1):
-        size = sum(1 for a in basis if sum(a) <= s)
-        if np.linalg.cond(G[:size, :size]) > GRAM_CONDITION_LIMIT:
-            raise BasisConstructionError(
-                f"Gram matrix numerically singular at degree {s} "
-                f"(measure {type(measure).__name__}, requested t={t})")
-    raise BasisConstructionError(
-        f"Gram matrix numerically singular at degree {t}")
-
-
-def _cholesky_basis(measure: ReferenceMeasure, t: int) -> np.ndarray:
-    G = gram_matrix(measure, t)
-    _check_gram_conditioning(measure, t, G)
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        raise BasisConstructionError(
-            f"Gram matrix numerically singular at degree {t} "
-            f"(measure {type(measure).__name__})")
-    # D = L^{-1}: lower triangular with positive diagonal, D G D' = I
-    return np.linalg.solve(L, np.eye(len(G)))
 
 
 def _legendre_univariate(lo: float, hi: float, t: int) -> np.ndarray:
@@ -121,7 +89,10 @@ def _hypercube_univariate(t: int) -> np.ndarray:
     return T
 
 
-def _tensor_basis(measure: ReferenceMeasure, t: int) -> np.ndarray:
+def _tensor_basis(measure: ReferenceMeasure, basis: MonomialBasis) -> np.ndarray:
+    """D[alpha, beta] = prod_k uni_k[alpha_k, beta_k] where beta <= alpha
+    componentwise, and 0.0 elsewhere."""
+    t = basis.t
     if isinstance(measure, UniformBox):
         uni = [_legendre_univariate(lo, hi, t) for lo, hi in zip(measure.lo, measure.hi)]
     elif isinstance(measure, CountingHypercube):
@@ -129,44 +100,25 @@ def _tensor_basis(measure: ReferenceMeasure, t: int) -> np.ndarray:
     else:
         raise BasisConstructionError(
             f"no tensorized construction for measure kind {type(measure).__name__}")
-    basis = enumerate_basis(measure.n, t)
-    m = len(basis)
-    D = np.zeros((m, m))
-    for i, alpha in enumerate(basis):
-        for j, beta in enumerate(basis):
-            if any(b > a for a, b in zip(alpha, beta)):
-                continue
-            v = 1.0
-            for k, (a, b) in enumerate(zip(alpha, beta)):
-                v *= uni[k][a, b]
-            D[i, j] = v
-    return D
+    E = basis.array
+    D = np.ones((len(basis), len(basis)))
+    for k in range(basis.n):
+        D *= uni[k][E[:, None, k], E[None, :, k]]
+    below = (E[None, :, :] <= E[:, None, :]).all(axis=2)
+    return np.where(below, D, 0.0)
 
 
-def build_basis(measure: ReferenceMeasure, t: int, method: str = "auto",
-                degree_cap: int = DEFAULT_DEGREE_CAP) -> OrthoBasis:
-    """Orthonormal basis up to degree t for the given reference measure.
-
-    method: "auto" (tensorized when available), "tensor", or "cholesky".
-    """
+def build_basis(measure: ReferenceMeasure, t: int) -> OrthoBasis:
+    """Orthonormal basis up to degree t for the given reference measure."""
     if t < 0:
         raise ValueError(f"degree bound must be >= 0, got {t}")
-    if t > degree_cap:
+    if t > DEFAULT_DEGREE_CAP:
         raise BasisConstructionError(
-            f"degree {t} exceeds cap {degree_cap}; float64 Cholesky degrades "
-            "beyond this (raise degree_cap explicitly to override)")
-    if method == "cholesky":
-        D = _cholesky_basis(measure, t)
-    elif method == "tensor":
-        D = _tensor_basis(measure, t)
-    elif method == "auto":
-        if isinstance(measure, (UniformBox, CountingHypercube)):
-            D = _tensor_basis(measure, t)
-        else:
-            D = _cholesky_basis(measure, t)
-    else:
-        raise ValueError(f"unknown construction method {method!r}")
-    return OrthoBasis(measure, t, enumerate_basis(measure.n, t), D)
+            f"degree {t} exceeds cap {DEFAULT_DEGREE_CAP}; the monomial "
+            "coefficients of T_alpha grow with the degree, so float64 "
+            "evaluation loses accuracy beyond this")
+    basis = enumerate_basis(measure.n, t)
+    return OrthoBasis(measure, t, basis, _tensor_basis(measure, basis))
 
 
 def to_ortho_coords(y: MomentSequence, B: OrthoBasis) -> np.ndarray:
@@ -201,21 +153,10 @@ def reproduce(B: OrthoBasis, p: Polynomial, x: Sequence[float]) -> float:
         raise ValueError(f"dimension mismatch: {p.n} vs {B.n}")
     if p.degree > B.t:
         raise ValueError(f"degree {p.degree} exceeds kernel degree {B.t}")
-    mom = moments(B.measure, B.t + p.degree)
-    # s_alpha = int p T_alpha dmu = sum_beta D[alpha, beta] sum_gamma p_gamma y_{beta+gamma}
-    s = np.empty(len(B.basis))
-    for i, _ in enumerate(B.basis):
-        acc = 0.0
-        row = B.D[i]
-        for j, beta in enumerate(B.basis):
-            if row[j] == 0.0:
-                continue
-            inner = 0.0
-            for gamma, c in p.terms.items():
-                inner += c * mom.value(tuple(a + b for a, b in zip(beta, gamma)))
-            acc += row[j] * inner
-        s[i] = acc
-    return float(B.eval_all(x) @ s)
+    # Column 0 of M_t(p y) is (int p x^beta dmu)_beta, so D times it is
+    # (int p T_alpha dmu)_alpha.
+    py = localizing_matrix(moments(B.measure, 2 * B.t + p.degree), p, B.t).matrix[:, 0]
+    return float(B.eval_all(x) @ B.D @ py)
 
 
 def christoffel(B: OrthoBasis, x: Sequence[float]) -> float:

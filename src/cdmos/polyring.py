@@ -3,7 +3,10 @@
 Monomials are exponent tuples (one non-negative int per variable).  Every
 matrix built downstream (moment matrices, change-of-basis, SDP blocks) is
 indexed by the graded lexicographic enumeration produced here, so there is
-exactly one canonical ordering in the whole package.
+exactly one canonical ordering in the whole package.  `MonomialBasis.array`,
+an `(m, n)` integer array, is the one exponent table: moments, monomial
+values, the change-of-basis matrix and the sum-index tables are array
+expressions over it.
 """
 
 from __future__ import annotations
@@ -33,10 +36,19 @@ class MonomialBasis:
             raise ValueError(f"degree bound must be >= 0, got {t}")
         self.n = n
         self.t = t
-        alphas = [a for a in itertools.product(range(t + 1), repeat=n) if sum(a) <= t]
-        alphas.sort(key=grlex_key)
-        self.exponents: Tuple[Exponent, ...] = tuple(alphas)
-        self._position: Dict[Exponent, int] = {a: i for i, a in enumerate(alphas)}
+        # Sorted variable-index multisets of size d, in lexicographic order,
+        # are the degree-d monomials in graded-lex order (x1 heaviest).
+        blocks = []
+        for d in range(t + 1):
+            flat = itertools.chain.from_iterable(
+                itertools.combinations_with_replacement(range(n), d))
+            idx = np.fromiter(flat, dtype=np.intp).reshape(math.comb(n + d - 1, d), d)
+            blocks.append((idx[:, :, None] == np.arange(n)).sum(axis=1))
+        self.array: np.ndarray = np.concatenate(blocks)
+        self.array.flags.writeable = False
+        self.exponents: Tuple[Exponent, ...] = tuple(map(tuple, self.array.tolist()))
+        self._position: Dict[Exponent, int] = dict(zip(self.exponents,
+                                                       range(len(self.exponents))))
         self._sum_index: Dict[Tuple[int, Exponent], np.ndarray] = {}
 
     def position(self, alpha: Exponent) -> int:
@@ -61,7 +73,7 @@ class MonomialBasis:
         table = self._sum_index.get((s, gamma))
         if table is None:
             m = math.comb(self.n + s, s)
-            alphas = np.array(self.exponents[:m]).reshape(m, self.n)
+            alphas = self.array[:m]
             sums = alphas[:, None, :] + alphas[None, :, :] + np.array(gamma, dtype=int)
             table = _grlex_rank(sums)
             table.flags.writeable = False
@@ -268,17 +280,15 @@ def vector_to_poly(v: np.ndarray, basis: MonomialBasis) -> Polynomial:
     return Polynomial(basis.n, {a: v[i] for i, a in enumerate(basis)})
 
 
-def monomial_values(basis: MonomialBasis, x: Sequence[float]) -> np.ndarray:
-    """The vector v_t(x) = (x^alpha) over the basis."""
-    if len(x) != basis.n:
-        raise ValueError(f"point dimension {len(x)} != basis dimension {basis.n}")
-    v = np.empty(len(basis))
-    for i, alpha in enumerate(basis):
-        m = 1.0
-        for xi, ai in zip(x, alpha):
-            if ai:
-                m *= float(xi) ** ai
-        v[i] = m
+def monomial_values(basis: MonomialBasis, x) -> np.ndarray:
+    """The vector v_t(x) = (x^alpha) over the basis; for a (k, n) array of
+    points, the (k, m) array whose rows are v_t of each point."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != basis.n:
+        raise ValueError(f"points of shape {x.shape} do not match basis dimension {basis.n}")
+    v = np.ones(x.shape[:-1] + (len(basis),))
+    for j in range(basis.n):
+        v *= x[..., j, None] ** basis.array[:, j]
     return v
 
 

@@ -405,17 +405,6 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
         primal_residual=float(pres), dual_residual=float(dres), gap=float(gap_rel))
 
 
-def sym_eig(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(M, M.T, atol=1e-12 * max(1.0, float(np.max(np.abs(M))))):
-        raise ValueError("matrix must be symmetric")
-    w, V = np.linalg.eigh(M)
-    return w, V
-
-
 def gen_eig_min(A: np.ndarray, B: np.ndarray) -> Tuple[float, np.ndarray]:
     """Smallest lambda with A v = lambda B v, for symmetric A and SPD B.
 

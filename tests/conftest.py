@@ -1,8 +1,10 @@
-"""Shared test oracles: tensor-product Gauss-Legendre quadrature and helpers.
+"""Shared test oracles: tensor-product Gauss-Legendre quadrature, the
+Cholesky-of-Gram orthonormal basis, and helpers.
 
-The quadrature oracle lives here, not in the library: the package only ever
-uses closed-form moments, and the tests check those against numerical
-integration computed by an independent route.
+The oracles live here, not in the library: the package only ever uses
+closed-form moments and tensorized recurrences, and the tests check those
+against numerical integration and a Gram-matrix factorization computed by
+independent routes.
 """
 
 import itertools
@@ -10,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
+from cdmos.orthobasis import gram_matrix
 from cdmos.polyring import Polynomial
 
 
@@ -30,6 +33,13 @@ def box_quadrature(func, lo, hi, points=40):
             w *= axes_w[i][k]
         total += w * func(x)
     return total
+
+
+def cholesky_basis(measure, t):
+    """Change-of-basis matrix D = L^{-1} for the Gram matrix G = L L': lower
+    triangular with positive diagonal and D G D' = I."""
+    L = np.linalg.cholesky(gram_matrix(measure, t))
+    return np.linalg.solve(L, np.eye(len(L)))
 
 
 def random_polynomial(rng, n, degree, density=0.7):

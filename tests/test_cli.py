@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -232,17 +231,6 @@ class TestCommandLine:
                      "--max-order", "1"]) == 0
         doc = json.loads(out.read_text())
         assert [r["t"] for r in doc["rows"]] == [1]
-
-    def test_threaded_run_matches_serial(self, tmp_path):
-        prob = tmp_path / "p.txt"
-        prob.write_text(UNIVARIATE)
-        serial = run(parse_problem(UNIVARIATE)).to_json()
-        os.environ["CDMOS_THREADS"] = "2"
-        try:
-            threaded = run(parse_problem(UNIVARIATE)).to_json()
-        finally:
-            del os.environ["CDMOS_THREADS"]
-        assert serial == threaded
 
     def test_basis_json(self, capsys):
         assert main(["basis", "uniform_box", "2", "--grid", "3",

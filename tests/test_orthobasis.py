@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import box_quadrature, random_polynomial
+from conftest import box_quadrature, cholesky_basis, random_polynomial
 
 from cdmos.measures import (CountingHypercube, UniformBox, dirac_moments,
                             moments)
@@ -51,14 +51,9 @@ class TestBuildBasis:
         with pytest.raises(BasisConstructionError, match="degree 2"):
             build_basis(CountingHypercube(2), 2)
 
-    def test_cholesky_route_singular_gram_names_degree(self):
-        with pytest.raises(BasisConstructionError, match="degree"):
-            build_basis(CountingHypercube(1), 3, method="cholesky")
-
     def test_degree_cap(self):
         with pytest.raises(BasisConstructionError, match="cap"):
             build_basis(UNIT, 9)
-        build_basis(UNIT, 9, degree_cap=9)  # override allowed
 
     @pytest.mark.parametrize("measure,t", [
         (UNIT, 4),
@@ -66,8 +61,8 @@ class TestBuildBasis:
         (CountingHypercube(3), 1),
     ])
     def test_tensor_equals_cholesky(self, measure, t):
-        Dt = build_basis(measure, t, method="tensor").D
-        Dc = build_basis(measure, t, method="cholesky").D
+        Dt = build_basis(measure, t).D
+        Dc = cholesky_basis(measure, t)
         assert np.max(np.abs(Dt - Dc)) <= 1e-8
 
     @pytest.mark.parametrize("measure,tmax", [
@@ -125,6 +120,21 @@ class TestOrthoCoords:
 
 
 class TestKernel:
+    @pytest.mark.parametrize("measure,t", [
+        (UNIT, 5),
+        (UniformBox((0.0, -2.0), (1.5, 1.0)), 4),
+        (CountingHypercube(3), 1),
+    ])
+    def test_eval_all_batch_matches_points(self, measure, t, rng):
+        B = build_basis(measure, t)
+        X = rng.uniform(-1, 1, size=(30, measure.n))
+        T = B.eval_all(X)
+        assert T.shape == (30, len(B.basis))
+        for i, x in enumerate(X):
+            # relative to the row's scale: single entries can cancel to ~1e-2
+            ref = B.eval_all(x)
+            np.testing.assert_allclose(T[i], ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
     def test_value_at_endpoint(self):
         B = build_basis(UNIT, 2)
         assert cd_kernel(B, (-1.0,), (-1.0,)) == pytest.approx(9.0, abs=1e-10)

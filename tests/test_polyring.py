@@ -21,13 +21,16 @@ class TestEnumerateBasis:
         assert b.exponents == ((0, 0), (1, 0), (0, 1))
 
     def test_size_matches_binomial(self):
-        # brute-force enumeration oracle
-        for n, t in [(1, 5), (2, 3), (3, 4), (4, 2)]:
+        # brute-force enumeration oracle: filter the grid, sort by grlex_key
+        for n, t in itertools.product(range(1, 6), range(6)):
             brute = [a for a in itertools.product(range(t + 1), repeat=n)
                      if sum(a) <= t]
             b = enumerate_basis(n, t)
             assert len(b) == len(brute) == math.comb(n + t, t)
-            assert set(b.exponents) == set(brute)
+            assert b.exponents == tuple(sorted(brute, key=grlex_key))
+            assert b.array.tolist() == [list(a) for a in b.exponents]
+            with pytest.raises(ValueError, match="read-only"):
+                b.array[0, 0] = 1
 
     def test_three_vars_degree_four_is_35(self):
         assert len(enumerate_basis(3, 4)) == 35
@@ -158,6 +161,21 @@ class TestCoeffVector:
         v = coeff_vector(p, b)
         x = (0.3, -0.7)
         assert float(v @ monomial_values(b, x)) == pytest.approx(p(x), rel=1e-12)
+
+    def test_monomial_values_batch_rows(self, rng):
+        b = enumerate_basis(3, 4)
+        X = rng.uniform(-1.5, 1.5, size=(25, 3))
+        V = monomial_values(b, X)
+        assert V.shape == (25, len(b))
+        for i, x in enumerate(X):
+            # per-monomial loop oracle; NumPy's vectorized power may differ
+            # from Python's ** by an ulp per factor
+            oracle = [math.prod(float(xi) ** a for xi, a in zip(x, alpha))
+                      for alpha in b]
+            np.testing.assert_array_equal(V[i], monomial_values(b, x))
+            np.testing.assert_allclose(V[i], oracle, rtol=8 * np.finfo(float).eps, atol=0)
+        with pytest.raises(ValueError, match="dimension"):
+            monomial_values(b, X[:, :2])
 
     def test_degree_overflow(self):
         x = Polynomial.variable(1, 0)

@@ -5,7 +5,7 @@ import pytest
 
 from cdmos.polyring import enumerate_basis
 from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, dump_sdp,
-                       gen_eig_min, solve_sdp, sym_eig)
+                       gen_eig_min, solve_sdp)
 
 
 def single_block_problem(c, coeffs, const=None, eq=None):
@@ -165,27 +165,6 @@ class TestPatternOperators:
             SdpBlock.from_terms(2, 3, [(1.0, np.array([[0, 1], [2, 2]]))])
         with pytest.raises(ValueError, match="out of range"):
             SdpBlock.from_terms(2, 2, [(1.0, basis.sum_index(1))])
-
-
-class TestSymEig:
-    def test_identity(self):
-        w, V = sym_eig(np.eye(3))
-        np.testing.assert_allclose(w, [1, 1, 1])
-
-    def test_diagonal_sorted_ascending(self):
-        w, V = sym_eig(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(w, [1, 2, 3])
-
-    def test_reconstruction(self, rng):
-        A = rng.standard_normal((8, 8))
-        M = 0.5 * (A + A.T)
-        w, V = sym_eig(M)
-        np.testing.assert_allclose(V @ np.diag(w) @ V.T, M, atol=1e-9)
-        np.testing.assert_allclose(V.T @ V, np.eye(8), atol=1e-12)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestGenEigMin:
