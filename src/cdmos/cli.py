@@ -21,16 +21,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .hierarchy import (LowerBoundResult, SweepRow, lower_bound,
-                        min_relaxation_order, sandwich_sweep, upper_bound)
+from .hierarchy import SweepRow, min_relaxation_order, sandwich_sweep
 from .measures import CountingHypercube, ReferenceMeasure, UniformBox
 from .momentmat import SemialgebraicSet
-from .orthobasis import build_basis, cd_kernel, christoffel
+from .orthobasis import build_basis, christoffel
 from .polyring import (PolyParseError, Polynomial, enumerate_basis,
                        parse_polynomial)
 from .sdp import SdpOptions
@@ -50,9 +49,7 @@ class ProblemFileError(ValueError):
 class ProblemFile:
     var_names: List[str]
     objective: Polynomial
-    objective_text: str
     constraints: List[Polynomial]
-    constraint_texts: List[str]
     measure: Optional[ReferenceMeasure]
     box: Optional[Tuple[Tuple[float, ...], Tuple[float, ...]]]
     orders: Tuple[int, int]
@@ -129,7 +126,6 @@ def parse_problem(text: str) -> ProblemFile:
     objective = parse_poly_at(obj_text, obj_line)
 
     constraints: List[Polynomial] = []
-    constraint_texts: List[str] = []
     for ctext, lineno in constraint_lines:
         body = ctext
         if ">=" in body:
@@ -138,7 +134,6 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ProblemFileError("constraints must end in '>= 0'", lineno)
             body = lhs.strip()
         constraints.append(parse_poly_at(body, lineno))
-        constraint_texts.append(body)
 
     box = None
     if "box" in raw:
@@ -200,8 +195,7 @@ def parse_problem(text: str) -> ProblemFile:
             raise ProblemFileError("tolerance must be positive", tline)
 
     return ProblemFile(var_names=var_names, objective=objective,
-                       objective_text=obj_text, constraints=constraints,
-                       constraint_texts=constraint_texts, measure=measure,
+                       constraints=constraints, measure=measure,
                        box=box, orders=orders, tol=tol)
 
 
@@ -323,6 +317,12 @@ def run(pf: ProblemFile, max_order: Optional[int] = None,
                      density_order=_pick_density_order(rows))
 
 
+def _grid(lo: Sequence[float], hi: Sequence[float], k: int) -> np.ndarray:
+    """The (k^n, n) array of points of the regular k-per-axis grid on the box."""
+    axes = [np.linspace(a, b, k) for a, b in zip(lo, hi)]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 def sample_density(report: RunReport, grid_n: int) -> List[dict]:
     """Evaluate the signed density and diagonal kernel on a regular grid.
 
@@ -342,9 +342,7 @@ def sample_density(report: RunReport, grid_n: int) -> List[dict]:
         hi = (1.0,) * pf.n
     else:
         raise ValueError("density unavailable: no box to sample over")
-    axes = [np.linspace(a, b, grid_n) for a, b in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = _grid(lo, hi, grid_n)
     T = basis.eval_all(pts)
     sigma = (T @ lb.sigma).tolist()
     kernel_diag = np.einsum("ij,ij->i", T, T).tolist()
@@ -416,11 +414,10 @@ def _cmd_basis(args) -> int:
     else:
         lo = (-1.0,) * measure.n
         hi = (1.0,) * measure.n
-    axes = [np.linspace(a, b, args.grid) for a, b in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    samples = [{"x": [float(v) for v in p],
-                "kernel_diag": cd_kernel(basis, p, p)} for p in pts]
+    pts = _grid(lo, hi, args.grid)
+    T = basis.eval_all(pts)
+    samples = [{"x": x, "kernel_diag": k}
+               for x, k in zip(pts.tolist(), np.einsum("ij,ij->i", T, T).tolist())]
     if args.format == "json":
         doc = {"measure": type(measure).__name__, "t": args.t,
                "exponents": [list(a) for a in basis.basis],

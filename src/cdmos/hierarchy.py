@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -125,8 +125,14 @@ class DensityReconstruction:
 
 
 def _moment_blocks(B: SemialgebraicSet, t: int, basis2t) -> List[SdpBlock]:
-    """One SDP block per constraint: M_{t-d_j}(g_j y) as an affine map of y."""
-    N = len(basis2t)
+    """One SDP block per constraint: M_{t-d_j}(g_j y) as an affine map of
+    y_1..y_{N-1}, with y_0 = 1 substituted into the constant.
+
+    Position 0 of the graded-lex basis is the monomial 1, so shifting the
+    moment tables by -1 numbers the free moments from 0 and maps y_0 to the
+    index -1 that ``SdpBlock.from_terms`` reads as the constant 1.
+    """
+    N = len(basis2t) - 1
     gs = [Polynomial.constant(B.n, 1.0)] + list(B.constraints)
     blocks = []
     for g in gs:
@@ -135,7 +141,7 @@ def _moment_blocks(B: SemialgebraicSet, t: int, basis2t) -> List[SdpBlock]:
             raise ValueError(f"order {t} too small for constraint of degree {g.degree}")
         blocks.append(SdpBlock.from_terms(
             math.comb(B.n + s, s), N,
-            [(cg, basis2t.sum_index(s, gamma)) for gamma, cg in g.terms.items()]))
+            [(cg, basis2t.sum_index(s, gamma) - 1) for gamma, cg in g.terms.items()]))
     return blocks
 
 
@@ -155,18 +161,14 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
         raise ValueError(f"order {t} below minimum {min_relaxation_order(f, B)}")
     basis2t = enumerate_basis(f.n, 2 * t)
     c = coeff_vector(f, basis2t)
-    blocks = _moment_blocks(B, t, basis2t)
-    e0 = np.zeros((1, len(basis2t)))
-    e0[0, basis2t.position((0,) * f.n)] = 1.0
-    prob = SdpProblem(c=c, blocks=blocks, eq_lhs=e0, eq_rhs=np.array([1.0]))
-    sol = solve_sdp(prob, opts)
+    sol = solve_sdp(SdpProblem(c=c[1:], blocks=_moment_blocks(B, t, basis2t)), opts)
     if sol.status is not SdpStatus.OPTIMAL:
         raise HierarchyError(t, f"SDP solver returned {sol.status.value}")
-    y = MomentSequence(f.n, 2 * t, sol.y, basis2t)
-    rho = float(c @ sol.y)
+    y = MomentSequence(f.n, 2 * t, np.concatenate(([1.0], sol.y)), basis2t)
+    rho = float(c @ y.values)
     gs = [Polynomial.constant(B.n, 1.0)] + list(B.constraints)
     cert = SosCertificate(
-        lam=float(sol.eq_multipliers[0]),
+        lam=float(c[0] + sol.dual_objective),
         multipliers=[(g, t - half_degree(g), sol.dual_blocks[j])
                      for j, g in enumerate(gs)],
         basis=basis2t)
@@ -181,7 +183,7 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
             result.density_error = str(exc)
         else:
             result.density_basis = basis
-            result.sigma = basis.D @ sol.y
+            result.sigma = basis.D @ y.values
     return result
 
 
@@ -208,8 +210,8 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet,
     y, t = r.y, r.t
     if t < 1:
         return Extraction(certified=False)
-    Mt = moment_matrix(y, t).matrix
-    Mlow = moment_matrix(y, t - 1).matrix
+    Mt = moment_matrix(y, t)
+    Mlow = moment_matrix(y, t - 1)
     rank_high = _numerical_rank(Mt, rank_tol)
     rank_low = _numerical_rank(Mlow, rank_tol)
     if rank_high == 0 or rank_high != rank_low:
@@ -222,7 +224,7 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet,
     n = y.n
     Ns = []
     for i in range(n):
-        Mi = localizing_matrix(y, Polynomial.variable(n, i), t - 1).matrix
+        Mi = localizing_matrix(y, Polynomial.variable(n, i), t - 1)
         Ns.append(np.linalg.solve(G, U.T @ Mi @ U))
 
     # simultaneous diagonalization via a fixed random combination
@@ -306,8 +308,8 @@ def upper_bound(f: Polynomial, measure: ReferenceMeasure, t: int) -> UpperBoundR
     if t < 0:
         raise ValueError(f"order must be >= 0, got {t}")
     y = moments(measure, 2 * t + f.degree)
-    A = localizing_matrix(y, f, t).matrix
-    Bm = moment_matrix(y, t).matrix
+    A = localizing_matrix(y, f, t)
+    Bm = moment_matrix(y, t)
     lam, v = gen_eig_min(A, Bm)
     norm = float(v @ Bm @ v)
     basis_t = enumerate_basis(f.n, t)

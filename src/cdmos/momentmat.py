@@ -9,20 +9,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .measures import MomentSequence
-from .polyring import MonomialBasis, Polynomial, enumerate_basis
+from .polyring import Polynomial
 
 
-@dataclass
-class LocalizingMatrix:
+def localizing_matrix(y: MomentSequence, g: Polynomial, s: int) -> np.ndarray:
     """M(alpha, beta) = sum_gamma g_gamma y_{alpha+beta+gamma}, order-s index set."""
-
-    g: Polynomial
-    order: int
-    basis: MonomialBasis
-    matrix: np.ndarray
-
-
-def localizing_matrix(y: MomentSequence, g: Polynomial, s: int) -> LocalizingMatrix:
     if g.n != y.n:
         raise ValueError(f"dimension mismatch: {g.n} vs {y.n}")
     if s < 0:
@@ -30,14 +21,14 @@ def localizing_matrix(y: MomentSequence, g: Polynomial, s: int) -> LocalizingMat
     if 2 * s + g.degree > y.t:
         raise ValueError(
             f"moment sequence too short: need degree {2 * s + g.degree}, have {y.t}")
-    basis = enumerate_basis(y.n, s)
-    M = np.zeros((len(basis), len(basis)))
+    m = math.comb(y.n + s, s)
+    M = np.zeros((m, m))
     for gamma, c in g.terms.items():
         M += c * y.values[y.basis.sum_index(s, gamma)]
-    return LocalizingMatrix(g, s, basis, M)
+    return M
 
 
-def moment_matrix(y: MomentSequence, s: int) -> LocalizingMatrix:
+def moment_matrix(y: MomentSequence, s: int) -> np.ndarray:
     """The g == 1 special case of the localizing matrix."""
     return localizing_matrix(y, Polynomial.constant(y.n, 1.0), s)
 
@@ -102,7 +93,7 @@ def putinar_prefix_check(y: MomentSequence, B: SemialgebraicSet, t: int,
         s = t - half_degree(g)
         if s < 0 or 2 * s + g.degree > y.t:
             continue  # not checkable at this order with the available moments
-        M = localizing_matrix(y, g, s).matrix
+        M = localizing_matrix(y, g, s)
         lam_min = float(np.linalg.eigvalsh(M)[0])
         report.entries.append(PutinarEntry(j, s, lam_min))
     return report

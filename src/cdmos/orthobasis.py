@@ -53,7 +53,7 @@ class OrthoBasis:
 
 def gram_matrix(measure: ReferenceMeasure, t: int) -> np.ndarray:
     """G(alpha, beta) = int x^(alpha+beta) dmu, indices over N^n_t."""
-    return moment_matrix(moments(measure, 2 * t), t).matrix
+    return moment_matrix(moments(measure, 2 * t), t)
 
 
 def _legendre_univariate(lo: float, hi: float, t: int) -> np.ndarray:
@@ -155,10 +155,11 @@ def reproduce(B: OrthoBasis, p: Polynomial, x: Sequence[float]) -> float:
         raise ValueError(f"degree {p.degree} exceeds kernel degree {B.t}")
     # Column 0 of M_t(p y) is (int p x^beta dmu)_beta, so D times it is
     # (int p T_alpha dmu)_alpha.
-    py = localizing_matrix(moments(B.measure, 2 * B.t + p.degree), p, B.t).matrix[:, 0]
+    py = localizing_matrix(moments(B.measure, 2 * B.t + p.degree), p, B.t)[:, 0]
     return float(B.eval_all(x) @ B.D @ py)
 
 
 def christoffel(B: OrthoBasis, x: Sequence[float]) -> float:
     """The Christoffel function 1 / K_t(x, x); in (0, 1] under probability mu."""
-    return 1.0 / cd_kernel(B, x, x)
+    T = B.eval_all(x)
+    return 1.0 / float(T @ T)

@@ -1,14 +1,17 @@
 """Linear-algebra kernel: semidefinite solver and eigensolvers.
 
-The SDP solved here is
+The SDP solved here is in the standard form of SDPA,
 
-    min  c'y   s.t.   E y = b,   A0_j + sum_k y_k A_kj  PSD   for each block j,
+    min  c'y   s.t.   A0_j + sum_k y_k A_kj  PSD   for each block j,
 
-with y free.  The algorithm is an infeasible-start Mehrotra predictor-corrector
-with Nesterov-Todd scaling on the PSD blocks.  Slack blocks S_j track the
-affine maps, dual blocks Z_j are their multipliers; at optimality the Z_j are
-the Gram matrices of the SOS certificate and the equality multiplier is the
-certified lower bound.
+with y free and no equality constraints.  The moment relaxations substitute
+their normalization y_0 = 1 before the solve, so its terms sit in the
+constants A0_j and the solver sees y_1..y_{N-1} only.  The algorithm is an
+infeasible-start Mehrotra predictor-corrector with Nesterov-Todd scaling on
+the PSD blocks.  Slack blocks S_j track the affine maps, dual blocks Z_j are
+their multipliers; at optimality the Z_j are the Gram matrices of the SOS
+certificate, and its constant coefficient, the certified lower bound, is
+lambda = c_0 + dual objective.
 
 Each block stores its coefficient matrices A_kj as a sparse index pattern
 (for moment and localizing blocks, one table of moment positions per term of
@@ -26,7 +29,7 @@ iterates within one build.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -69,22 +72,25 @@ class SdpBlock:
 
     @classmethod
     def from_terms(cls, dim: int, num_vars: int, terms) -> "SdpBlock":
-        """Block of side dim with zero constant and linear part sum_i w_i * y[idx_i].
+        """Block of side dim equal to sum_i w_i * y[idx_i], with y[-1] read as 1.
 
         Each term is a weight w_i and a symmetric (dim, dim) table idx_i of
-        variable indices, so A_k holds w_i wherever idx_i equals k.
+        variable indices, so A_k holds w_i wherever idx_i equals k, and the
+        constant holds w_i wherever idx_i equals -1.
         """
         tables = [np.asarray(idx) for _, idx in terms]
         for idx in tables:
             if idx.shape != (dim, dim) or not np.array_equal(idx, idx.T):
                 raise ValueError("index tables must be symmetric and of the block's shape")
-            if idx.min() < 0 or idx.max() >= num_vars:
+            if idx.min() < -1 or idx.max() >= num_vars:
                 raise ValueError("block variable index out of range")
+        var = np.asarray(tables, dtype=np.intp).ravel()
+        pos = np.tile(np.arange(dim * dim), len(tables))
+        val = np.repeat([float(w) for w, _ in terms], dim * dim)
+        one = var == -1
+        const = np.bincount(pos[one], val[one], minlength=dim * dim).reshape(dim, dim)
         blk = cls.__new__(cls)
-        blk._set_pattern(np.zeros((dim, dim)), num_vars,
-                         np.asarray(tables, dtype=np.intp).ravel(),
-                         np.tile(np.arange(dim * dim), len(tables)),
-                         np.repeat([float(w) for w, _ in terms], dim * dim))
+        blk._set_pattern(const, num_vars, var[~one], pos[~one], val[~one])
         return blk
 
     def _set_pattern(self, const, num_vars, var, pos, val):
@@ -152,21 +158,15 @@ class SdpBlock:
 class SdpProblem:
     c: np.ndarray             # objective over the free variables y
     blocks: List[SdpBlock]
-    eq_lhs: np.ndarray        # (p, N)
-    eq_rhs: np.ndarray        # (p,)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
-        self.eq_lhs = np.atleast_2d(np.asarray(self.eq_lhs, dtype=float))
-        self.eq_rhs = np.atleast_1d(np.asarray(self.eq_rhs, dtype=float))
         N = self.c.shape[0]
         if not self.blocks:
             raise ValueError("at least one PSD block is required")
         for blk in self.blocks:
             if blk.num_vars != N:
                 raise ValueError("block coefficient count != number of variables")
-        if self.eq_lhs.shape != (self.eq_rhs.shape[0], N):
-            raise ValueError("equality constraint shapes inconsistent")
 
     @property
     def num_vars(self) -> int:
@@ -185,7 +185,6 @@ class SdpSolution:
     y: np.ndarray
     objective: float
     dual_objective: float
-    eq_multipliers: np.ndarray
     dual_blocks: List[np.ndarray]    # Z_j: SOS-certificate Gram matrices
     slack_blocks: List[np.ndarray]   # S_j = A0_j + sum_k y_k A_kj at the iterate
     status: SdpStatus
@@ -250,8 +249,6 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
     """Primal-dual predictor-corrector path following; see module docstring."""
     opts = opts or SdpOptions()
     c = prob.c
-    E = prob.eq_lhs
-    b = prob.eq_rhs
     N = prob.num_vars
     blocks = prob.blocks
     nb = len(blocks)
@@ -264,11 +261,9 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
 
     # "big identity" strictly feasible start
     y = np.zeros(N)
-    nu = np.zeros(b.shape[0])
     S = [10.0 * data_scale * np.eye(d) for d in dims]
     Z = [10.0 * cost_scale * np.eye(d) for d in dims]
 
-    bnorm = 1.0 + float(np.max(np.abs(b), initial=0.0))
     cnorm = 1.0 + cost_scale
 
     status = SdpStatus.MAX_ITER
@@ -277,19 +272,16 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
     for it in range(1, opts.max_iter + 1):
         # residuals
         Rres = [blk.at(y) - S[j] for j, blk in enumerate(blocks)]
-        rp = b - E @ y
-        rd = c - E.T @ nu
+        rd = c
         for j, blk in enumerate(blocks):
             rd = rd - blk.adjoint(Z[j])
         mu = sum(float(np.sum(S[j] * Z[j])) for j in range(nb)) / total_dim
 
         pobj = float(c @ y)
-        dobj = float(b @ nu) - sum(float(np.sum(blk.const * Z[j]))
-                                   for j, blk in enumerate(blocks))
+        dobj = -sum(float(np.sum(blk.const * Z[j])) for j, blk in enumerate(blocks))
         gap_abs = mu * total_dim
         gap_rel = gap_abs / (1.0 + abs(pobj) + abs(dobj))
-        pres = max(float(np.max(np.abs(rp), initial=0.0)),
-                   max(float(np.max(np.abs(Rres[j]))) for j in range(nb))) / (bnorm + data_scale)
+        pres = max(float(np.max(np.abs(Rres[j]))) for j in range(nb)) / (1.0 + data_scale)
         dres = float(np.max(np.abs(rd), initial=0.0)) / cnorm
 
         if pres <= opts.tol and dres <= opts.tol and gap_rel <= opts.tol:
@@ -317,14 +309,6 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
                 Hres.append(Rinv @ Rres[j] @ Rinv.T)
             M = 0.5 * (M + M.T)
             Mfac = _chol_regularized(M)
-            MiE = sla.cho_solve(Mfac, E.T)
-            Schur_nu = E @ MiE
-
-            def kkt(h, r):
-                """(dy, dnu) with M dy - E'dnu = h and E dy = r."""
-                Mih = sla.cho_solve(Mfac, h)
-                dnu = np.linalg.solve(Schur_nu, r - E @ Mih)
-                return Mih + MiE @ dnu, dnu
 
             def newton(Dmats):
                 Cs = []
@@ -346,21 +330,20 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
 
                 # M is built from W^-1, so its rounding errors grow like
                 # cond(W) as mu -> 0 and dZ stops satisfying the dual equation
-                # A*(dZ) + E'dnu = rd; one step of iterative refinement against
-                # that equation keeps the dual residual at rounding level.
-                dy, dnu = kkt(h, rp)
+                # A*(dZ) = rd; one step of iterative refinement against that
+                # equation keeps the dual residual at rounding level.
+                dy = sla.cho_solve(Mfac, h)
                 _, _, dZ = directions(dy)
-                err = rd - E.T @ dnu - sum(blk.adjoint(dZ[j]) for j, blk in enumerate(blocks))
-                ddy, ddnu = kkt(-err, rp - E @ dy)
-                dy, dnu = dy + ddy, dnu + ddnu
+                err = rd - sum(blk.adjoint(dZ[j]) for j, blk in enumerate(blocks))
+                dy = dy - sla.cho_solve(Mfac, err)
                 dS, dtS, dZ = directions(dy)
                 dtZ = [Cs[j] - dtS[j] for j in range(nb)]
-                return (dy, dnu, dS, dZ, [0.5 * (m + m.T) for m in dtS],
+                return (dy, dS, dZ, [0.5 * (m + m.T) for m in dtS],
                         [0.5 * (m + m.T) for m in dtZ])
 
             # predictor (affine scaling direction)
             D_aff = [np.diag(-scalings[j][2] ** 2) for j in range(nb)]
-            _, _, _, _, dtS_a, dtZ_a = newton(D_aff)
+            _, _, _, dtS_a, dtZ_a = newton(D_aff)
 
             ap = min((_max_step(scalings[j][2], dtS_a[j]) for j in range(nb)), default=np.inf)
             ad = min((_max_step(scalings[j][2], dtZ_a[j]) for j in range(nb)), default=np.inf)
@@ -379,7 +362,7 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
                 cross = dtS_a[j] @ dtZ_a[j]
                 D_cor.append(sigma * mu * np.eye(len(lam)) - np.diag(lam ** 2)
                              - 0.5 * (cross + cross.T))
-            dy, dnu, dS, dZ, dtS, dtZ = newton(D_cor)
+            dy, dS, dZ, dtS, dtZ = newton(D_cor)
         except np.linalg.LinAlgError:
             status = SdpStatus.NUMERICAL_FAILURE
             break
@@ -390,16 +373,14 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
         ad = min(1.0, opts.step_fraction * ad)
 
         y = y + ap * dy
-        nu = nu + ad * dnu
         for j in range(nb):
             S[j] = 0.5 * ((S[j] + ap * dS[j]) + (S[j] + ap * dS[j]).T)
             Z[j] = 0.5 * ((Z[j] + ad * dZ[j]) + (Z[j] + ad * dZ[j]).T)
 
     pobj = float(c @ y)
-    dobj = float(b @ nu) - sum(float(np.sum(blk.const * Z[j]))
-                               for j, blk in enumerate(blocks))
+    dobj = -sum(float(np.sum(blk.const * Z[j])) for j, blk in enumerate(blocks))
     return SdpSolution(
-        y=y, objective=pobj, dual_objective=dobj, eq_multipliers=nu,
+        y=y, objective=pobj, dual_objective=dobj,
         dual_blocks=Z, slack_blocks=[blk.at(y) for blk in blocks],
         status=status, iterations=it,
         primal_residual=float(pres), dual_residual=float(dres), gap=float(gap_rel))
@@ -423,27 +404,3 @@ def gen_eig_min(A: np.ndarray, B: np.ndarray) -> Tuple[float, np.ndarray]:
     v = sla.solve_triangular(L.T, Q[:, 0], lower=False)
     return float(w[0]), v
 
-
-def dump_sdp(prob: SdpProblem) -> str:
-    """Plain-text dump (sizes, then nonzero triplets) for external cross-checks."""
-    lines = [f"nvars {prob.num_vars}", f"nblocks {len(prob.blocks)}",
-             "blockdims " + " ".join(str(b.dim) for b in prob.blocks),
-             "objective " + " ".join(repr(float(v)) for v in prob.c)]
-    for r, row in enumerate(prob.eq_lhs):
-        ent = " ".join(f"{k}:{float(v)!r}" for k, v in enumerate(row) if v != 0.0)
-        lines.append(f"eq {r} rhs {float(prob.eq_rhs[r])!r} {ent}")
-    for j, blk in enumerate(prob.blocks):
-        for a in range(blk.dim):
-            for bcol in range(a, blk.dim):
-                if blk.const[a, bcol] != 0.0:
-                    lines.append(f"const {j} {a} {bcol} {float(blk.const[a, bcol])!r}")
-        d = blk.dim
-        a, bcol = np.divmod(blk.pos, d)
-        upper = a <= bcol
-        keys, inverse = np.unique((blk.var * d + a)[upper] * d + bcol[upper],
-                                  return_inverse=True)
-        for key, v in zip(keys.tolist(), np.bincount(inverse, blk.val[upper]).tolist()):
-            if v != 0.0:
-                k, ab = divmod(key, d * d)
-                lines.append(f"coeff {j} {k} {ab // d} {ab % d} {v!r}")
-    return "\n".join(lines) + "\n"

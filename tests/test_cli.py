@@ -242,6 +242,17 @@ class TestCommandLine:
         ks = {tuple(s["x"]): s["kernel_diag"] for s in doc["kernel_diag_samples"]}
         assert ks[(-1.0,)] == pytest.approx(9.0, abs=1e-10)
 
+    def test_basis_kernel_samples_match_pointwise_kernel(self, capsys):
+        from cdmos.orthobasis import build_basis, cd_kernel
+        assert main(["basis", "uniform_box", "4", "--dim", "2", "--grid", "7",
+                     "--lo", "-0.5", "--hi", "2", "--format", "json"]) == 0
+        samples = json.loads(capsys.readouterr().out)["kernel_diag_samples"]
+        B = build_basis(UniformBox((-0.5, -0.5), (2.0, 2.0)), 4)
+        assert len(samples) == 49
+        for s in samples:
+            x = tuple(s["x"])
+            assert s["kernel_diag"] == pytest.approx(cd_kernel(B, x, x), rel=1e-14)
+
     def test_basis_csv(self, capsys):
         assert main(["basis", "uniform_box", "1", "--grid", "2",
                      "--format", "csv"]) == 0

@@ -122,5 +122,5 @@ class TestIntegrate:
 def test_moment_matrices_psd(measure, t):
     # any t with 2t <= 6 checkable from degree-6 moments
     y = moments(measure, 2 * t)
-    M = moment_matrix(y, t).matrix
+    M = moment_matrix(y, t)
     assert np.linalg.eigvalsh(M)[0] >= -1e-9

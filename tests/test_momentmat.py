@@ -19,13 +19,13 @@ def unit_interval_set():
 class TestLocalizingMatrix:
     def test_moment_matrix_of_uniform(self):
         y = moments(UniformBox((-1.0,), (1.0,)), 4)
-        M = moment_matrix(y, 1).matrix
+        M = moment_matrix(y, 1)
         np.testing.assert_allclose(M, [[1, 0], [0, 1 / 3]], atol=1e-15)
 
     def test_vanishing_constraint_kills_dirac(self):
         x = Polynomial.variable(1, 0)
         y = dirac_moments((1.0,), 4)
-        M = localizing_matrix(y, 1.0 - x * x, 1).matrix
+        M = localizing_matrix(y, 1.0 - x * x, 1)
         np.testing.assert_allclose(M, np.zeros((2, 2)), atol=1e-14)
 
     def test_rank_one_dirac_identity(self, rng):
@@ -35,7 +35,7 @@ class TestLocalizingMatrix:
             x = tuple(rng.uniform(-1, 1, size=2))
             s = 2
             y = dirac_moments(x, 2 * s + g.degree)
-            M = localizing_matrix(y, g, s).matrix
+            M = localizing_matrix(y, g, s)
             v = monomial_values(enumerate_basis(2, s), x)
             np.testing.assert_allclose(M, g(x) * np.outer(v, v), atol=1e-12)
 
@@ -45,13 +45,13 @@ class TestLocalizingMatrix:
         for _ in range(10):
             pt = (float(rng.uniform(-1, 1)),)
             y = dirac_moments(pt, 2 * 1 + g.degree)
-            M = localizing_matrix(y, g, 1).matrix
+            M = localizing_matrix(y, g, 1)
             assert np.linalg.eigvalsh(M)[0] >= -1e-10
 
     def test_symmetry_exact(self, rng):
         g = random_polynomial(rng, 2, 3)
         y = moments(UniformBox((-1.0, -1.0), (1.0, 1.0)), 2 * 2 + g.degree)
-        M = localizing_matrix(y, g, 2).matrix
+        M = localizing_matrix(y, g, 2)
         assert (M == M.T).all()
 
     def test_linearity_in_moments(self, rng):
@@ -63,9 +63,9 @@ class TestLocalizingMatrix:
         y2 = make_moment_sequence(1, t, rng.standard_normal(len(basis)))
         a, b = 0.75, -2.5
         comb = make_moment_sequence(1, t, a * y1.values + b * y2.values)
-        M = localizing_matrix(comb, g, s).matrix
-        expected = (a * localizing_matrix(y1, g, s).matrix +
-                    b * localizing_matrix(y2, g, s).matrix)
+        M = localizing_matrix(comb, g, s)
+        expected = (a * localizing_matrix(y1, g, s) +
+                    b * localizing_matrix(y2, g, s))
         np.testing.assert_allclose(M, expected, atol=1e-12)
 
     @given(n=st.integers(1, 3), s=st.integers(0, 2), extra=st.integers(0, 2),
@@ -84,7 +84,7 @@ class TestLocalizingMatrix:
         expected = np.array([[sum(c * y.value(tuple(p + q + r for p, q, r in zip(a, b, gamma)))
                                   for gamma, c in g.terms.items())
                               for b in basis] for a in basis]).reshape(len(basis), len(basis))
-        np.testing.assert_allclose(localizing_matrix(y, g, s).matrix, expected,
+        np.testing.assert_allclose(localizing_matrix(y, g, s), expected,
                                    rtol=1e-13, atol=1e-13)
 
     def test_too_short_moment_sequence(self):

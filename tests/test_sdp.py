@@ -1,25 +1,22 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from cdmos.polyring import enumerate_basis
-from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, dump_sdp,
-                       gen_eig_min, solve_sdp)
+from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, gen_eig_min,
+                       solve_sdp)
 
 
-def single_block_problem(c, coeffs, const=None, eq=None):
+def single_block_problem(c, coeffs, const=None):
     coeffs = np.asarray(coeffs, dtype=float)
     d = coeffs.shape[1]
     blk = SdpBlock(const=np.zeros((d, d)) if const is None else const,
                    coeffs=coeffs)
-    N = len(c)
-    if eq is None:
-        E, b = np.zeros((0, N)), np.zeros(0)
-    else:
-        E, b = eq
-    return SdpProblem(c=np.asarray(c, dtype=float), blocks=[blk],
-                      eq_lhs=E, eq_rhs=b)
+    return SdpProblem(c=np.asarray(c, dtype=float), blocks=[blk])
+
+
+def correlation_problem():
+    # minimize y1 s.t. [[1, y1],[y1, 1]] PSD -> y1* = -1
+    return single_block_problem([1.0], [[[0.0, 1.0], [1.0, 0.0]]], const=np.eye(2))
 
 
 class TestSolveSdp:
@@ -30,33 +27,23 @@ class TestSolveSdp:
         assert sol.objective == pytest.approx(0.0, abs=1e-7)
 
     def test_two_by_two_correlation(self):
-        # minimize y1 s.t. [[1, y1],[y1, 1]] PSD, y0 = 1 -> y1* = -1
-        coeffs = np.zeros((2, 2, 2))
-        coeffs[0] = np.eye(2)
-        coeffs[1] = np.array([[0, 1], [1, 0]])
-        prob = single_block_problem(
-            [0.0, 1.0], coeffs,
-            eq=(np.array([[1.0, 0.0]]), np.array([1.0])))
-        sol = solve_sdp(prob)
+        sol = solve_sdp(correlation_problem())
         assert sol.status is SdpStatus.OPTIMAL
         assert sol.objective == pytest.approx(-1.0, abs=1e-6)
-        assert sol.y[1] == pytest.approx(-1.0, abs=1e-6)
+        assert sol.y[0] == pytest.approx(-1.0, abs=1e-6)
 
     def test_order_one_moment_relaxation_against_grid_oracle(self):
-        # min y1 s.t. y0=1, [[y0,y1],[y1,y2]] PSD, y0 - y2 >= 0
-        # (the order-1 relaxation of min x on [-1,1])
-        coeffs_m = np.zeros((3, 2, 2))
-        coeffs_m[0, 0, 0] = 1.0
-        coeffs_m[1, 0, 1] = coeffs_m[1, 1, 0] = 1.0
-        coeffs_m[2, 1, 1] = 1.0
-        coeffs_l = np.zeros((3, 1, 1))
-        coeffs_l[0, 0, 0] = 1.0
-        coeffs_l[2, 0, 0] = -1.0
+        # min y1 s.t. [[1,y1],[y1,y2]] PSD, 1 - y2 >= 0
+        # (the order-1 relaxation of min x on [-1,1], with y0 = 1 substituted)
+        coeffs_m = np.zeros((2, 2, 2))
+        coeffs_m[0, 0, 1] = coeffs_m[0, 1, 0] = 1.0
+        coeffs_m[1, 1, 1] = 1.0
+        coeffs_l = np.zeros((2, 1, 1))
+        coeffs_l[1, 0, 0] = -1.0
         prob = SdpProblem(
-            c=np.array([0.0, 1.0, 0.0]),
-            blocks=[SdpBlock(np.zeros((2, 2)), coeffs_m),
-                    SdpBlock(np.zeros((1, 1)), coeffs_l)],
-            eq_lhs=np.array([[1.0, 0.0, 0.0]]), eq_rhs=np.array([1.0]))
+            c=np.array([1.0, 0.0]),
+            blocks=[SdpBlock(np.diag([1.0, 0.0]), coeffs_m),
+                    SdpBlock(np.ones((1, 1)), coeffs_l)])
         sol = solve_sdp(prob)
         assert sol.status is SdpStatus.OPTIMAL
 
@@ -71,36 +58,22 @@ class TestSolveSdp:
         assert sol.objective == pytest.approx(-1.0, abs=1e-6)
 
     def test_weak_duality(self):
-        coeffs = np.zeros((2, 2, 2))
-        coeffs[0] = np.eye(2)
-        coeffs[1] = np.array([[0, 1], [1, 0]])
-        prob = single_block_problem(
-            [0.0, 1.0], coeffs,
-            eq=(np.array([[1.0, 0.0]]), np.array([1.0])))
-        sol = solve_sdp(prob)
+        sol = solve_sdp(correlation_problem())
         assert sol.dual_objective <= sol.objective + 1e-7
 
     def test_solution_block_feasibility(self):
-        coeffs = np.zeros((2, 2, 2))
-        coeffs[0] = np.eye(2)
-        coeffs[1] = np.array([[0, 1], [1, 0]])
-        prob = single_block_problem(
-            [0.0, 1.0], coeffs,
-            eq=(np.array([[1.0, 0.0]]), np.array([1.0])))
-        sol = solve_sdp(prob)
+        sol = solve_sdp(correlation_problem())
         for S in sol.slack_blocks:
             assert np.linalg.eigvalsh(S)[0] >= -10 * SdpOptions().tol
 
     def test_determinism(self):
-        coeffs = np.zeros((3, 2, 2))
-        coeffs[0, 0, 0] = 1.0
-        coeffs[1, 0, 1] = coeffs[1, 1, 0] = 1.0
-        coeffs[2, 1, 1] = 1.0
+        coeffs = np.zeros((2, 2, 2))
+        coeffs[0, 0, 1] = coeffs[0, 1, 0] = 1.0
+        coeffs[1, 1, 1] = 1.0
         def run():
             prob = SdpProblem(
-                c=np.array([0.0, 1.0, 0.25]),
-                blocks=[SdpBlock(np.zeros((2, 2)), coeffs)],
-                eq_lhs=np.array([[1.0, 0.0, 0.0]]), eq_rhs=np.array([1.0]))
+                c=np.array([1.0, 0.25]),
+                blocks=[SdpBlock(np.diag([1.0, 0.0]), coeffs)])
             return solve_sdp(prob)
         a, b = run(), run()
         assert a.iterations == b.iterations
@@ -111,31 +84,47 @@ class TestSolveSdp:
         # [y1 - 1] PSD and [-y1] PSD cannot both hold
         blk1 = SdpBlock(np.array([[-1.0]]), np.array([[[1.0]]]))
         blk2 = SdpBlock(np.array([[0.0]]), np.array([[[-1.0]]]))
-        prob = SdpProblem(c=np.array([0.0]), blocks=[blk1, blk2],
-                          eq_lhs=np.zeros((0, 1)), eq_rhs=np.zeros(0))
+        prob = SdpProblem(c=np.array([0.0]), blocks=[blk1, blk2])
         sol = solve_sdp(prob, SdpOptions(max_iter=100))
         assert sol.status in (SdpStatus.INFEASIBLE, SdpStatus.MAX_ITER)
         assert sol.status is not SdpStatus.OPTIMAL
 
 
+def dense_from_terms(dim, N, terms):
+    """Dense constant and (N, dim, dim) coefficients of sum_i w_i * y[idx_i],
+    with y[-1] read as 1."""
+    const = np.zeros((dim, dim))
+    coeffs = np.zeros((N, dim, dim))
+    for w, idx in terms:
+        for a in range(dim):
+            for b in range(dim):
+                if idx[a, b] == -1:
+                    const[a, b] += w
+                else:
+                    coeffs[idx[a, b], a, b] += w
+    return const, coeffs
+
+
 def dense_and_pattern_blocks(rng):
-    """Random small blocks, each with its dense (N, d, d) coefficient tensor."""
+    """Random small blocks, each with its dense constant and (N, d, d)
+    coefficient tensor."""
     N, d = 9, 5
     coeffs = rng.standard_normal((N, d, d)) * (rng.random((N, d, d)) < 0.4)
     coeffs = coeffs + coeffs.transpose(0, 2, 1)
-    yield SdpBlock(np.zeros((d, d)), coeffs), coeffs
+    yield SdpBlock(np.zeros((d, d)), coeffs), np.zeros((d, d)), coeffs
     # localizing-style block of g = 1.5 - 0.5 x1 + 2 x2^2 at order 1 in two
     # variables; the constant term appears twice, so its (k, a, b) entries
     # repeat across terms
     basis = enumerate_basis(2, 4)
     terms = [(1.0, basis.sum_index(1)), (-0.5, basis.sum_index(1, (1, 0))),
              (2.0, basis.sum_index(1, (0, 2))), (0.5, basis.sum_index(1))]
-    coeffs = np.zeros((len(basis), 3, 3))
-    for w, idx in terms:
-        for a in range(3):
-            for b in range(3):
-                coeffs[idx[a, b], a, b] += w
-    yield SdpBlock.from_terms(3, len(basis), terms), coeffs
+    yield (SdpBlock.from_terms(3, len(basis), terms),
+           *dense_from_terms(3, len(basis), terms))
+    # the same block with y_0 = 1 substituted: tables shifted by -1, so the
+    # entries at y_0 move into the constant
+    shifted = [(w, idx - 1) for w, idx in terms]
+    yield (SdpBlock.from_terms(3, len(basis) - 1, shifted),
+           *dense_from_terms(3, len(basis) - 1, shifted))
 
 
 class TestPatternOperators:
@@ -146,13 +135,14 @@ class TestPatternOperators:
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_against_dense_formulas(self, rng):
-        for blk, coeffs in dense_and_pattern_blocks(rng):
+        for blk, const, coeffs in dense_and_pattern_blocks(rng):
             N, d = coeffs.shape[:2]
             y = rng.standard_normal(N)
             X = rng.standard_normal((d, d))
             Z = X + X.T
             W = X @ X.T + d * np.eye(d)
             Winv = np.linalg.inv(W)
+            np.testing.assert_array_equal(blk.const, const)
             self.assert_close(blk.apply(y), np.einsum("k,kab->ab", y, coeffs))
             self.assert_close(blk.adjoint(Z), np.einsum("kab,ab->k", coeffs, Z))
             ref = np.array([[np.trace(Winv @ Ak @ Winv @ Al) for Al in coeffs]
@@ -165,6 +155,8 @@ class TestPatternOperators:
             SdpBlock.from_terms(2, 3, [(1.0, np.array([[0, 1], [2, 2]]))])
         with pytest.raises(ValueError, match="out of range"):
             SdpBlock.from_terms(2, 2, [(1.0, basis.sum_index(1))])
+        with pytest.raises(ValueError, match="out of range"):
+            SdpBlock.from_terms(2, 2, [(1.0, basis.sum_index(1) - 2)])
 
 
 class TestGenEigMin:
@@ -190,14 +182,3 @@ class TestGenEigMin:
         with pytest.raises(np.linalg.LinAlgError):
             gen_eig_min(np.eye(2), np.diag([1.0, -1.0]))
 
-
-def test_dump_round_readable():
-    coeffs = np.zeros((2, 2, 2))
-    coeffs[0] = np.eye(2)
-    coeffs[1] = np.array([[0, 1], [1, 0]])
-    prob = single_block_problem(
-        [0.0, 1.0], coeffs, eq=(np.array([[1.0, 0.0]]), np.array([1.0])))
-    text = dump_sdp(prob)
-    assert "nvars 2" in text
-    assert "blockdims 2" in text
-    assert "eq 0 rhs 1.0" in text
