@@ -227,9 +227,9 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet,
         Mi = localizing_matrix(y, Polynomial.variable(n, i), t - 1)
         Ns.append(np.linalg.solve(G, U.T @ Mi @ U))
 
-    # simultaneous diagonalization via a fixed random combination
-    rng = np.random.default_rng(20240229)
-    wts = rng.random(n) + 0.5
+    # simultaneous diagonalization via a fixed generic combination: weights
+    # in [0.5, 1.5) spread by the golden ratio, so no two coincide
+    wts = 0.5 + (np.arange(1, n + 1) * 0.6180339887498949) % 1.0
     wts /= wts.sum()
     Nc = sum(wi * Ni for wi, Ni in zip(wts, Ns))
     vals, T = np.linalg.eig(Nc)

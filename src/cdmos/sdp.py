@@ -22,6 +22,13 @@ O(N d^3) from the pattern as in Fujisawa, Kojima and Nakata, "Exploiting
 sparsity in primal-dual interior-point methods for semidefinite programming"
 (Math. Prog. 1997).
 
+The Newton systems are solved through the explicit inverse of the Schur
+complement's Cholesky factor, formed once per iteration by 2x2 block
+recursion (``_lower_inv``); each of the iteration's four solves (predictor
+and corrector, each with one refinement step) is then two matrix-vector
+products.  The NT scaling reads its inverse factor off the SVD it already
+computes, so the module needs numpy alone.
+
 Everything is deterministic: identical inputs and options give identical
 iterates within one build.
 """
@@ -33,7 +40,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 
 class SdpStatus(enum.Enum):
@@ -194,45 +200,63 @@ class SdpSolution:
     gap: float
 
 
-def _psd_cholesky(M: np.ndarray) -> np.ndarray:
-    """Cholesky of an iterate kept PD by step control; roundoff can still push
-    the smallest eigenvalue marginally negative, so retry with tiny jitter."""
-    jitter = 0.0
+def _jittered_cholesky(M: np.ndarray, floor: float) -> np.ndarray:
+    """Lower Cholesky factor of M + jitter*I, retrying with escalating jitter
+    from floor * max(1, max diag M): roundoff can push the smallest eigenvalue
+    of a positive definite M marginally negative."""
     scale = max(1.0, float(np.max(np.diag(M))))
+    jitter = 0.0
     for _ in range(6):
         try:
             return np.linalg.cholesky(M + jitter * np.eye(M.shape[0]))
         except np.linalg.LinAlgError:
-            jitter = max(10.0 * jitter, 1e-15 * scale)
-    raise np.linalg.LinAlgError("iterate lost positive definiteness")
+            jitter = max(10.0 * jitter, floor * scale)
+    raise np.linalg.LinAlgError("matrix is not numerically positive definite")
 
 
-def _chol_regularized(M: np.ndarray):
-    """Cholesky with escalating diagonal jitter; the Schur complement loses
-    definiteness to roundoff as the barrier parameter collapses."""
-    scale = max(1.0, float(np.max(np.diag(M))))
-    jitter = 0.0
-    for _ in range(6):
-        try:
-            return sla.cho_factor(M + jitter * np.eye(M.shape[0]), lower=True)
-        except np.linalg.LinAlgError:
-            jitter = max(10.0 * jitter, 1e-14 * scale)
-    raise np.linalg.LinAlgError("Schur complement factorization failed")
+_INV_LEAF = 48
+
+
+def _lower_inv(L: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix.
+
+    By 2x2 block recursion, [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1,
+    D^-1]]: above the leaves (side <= _INV_LEAF, inverted by LAPACK) the work
+    is matrix multiplication.
+    """
+    n = L.shape[0]
+    if n <= _INV_LEAF:
+        return np.tril(np.linalg.inv(L))
+    h = n // 2
+    Ai = _lower_inv(L[:h, :h])
+    Di = _lower_inv(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h] = Ai
+    out[h:, h:] = Di
+    out[h:, :h] = -Di @ (L[h:, :h] @ Ai)
+    return out
+
+
+def _chol_regularized(M: np.ndarray) -> np.ndarray:
+    """Inverse Linv of the lower Cholesky factor of the Schur complement, with
+    escalating diagonal jitter (M loses definiteness to roundoff as the
+    barrier parameter collapses); M^-1 r = Linv' (Linv r)."""
+    return _lower_inv(_jittered_cholesky(M, 1e-14))
 
 
 def _nt_scaling(S: np.ndarray, Z: np.ndarray):
-    """NT scaling factors for one block: R, R^{-1} and the scaled spectrum.
+    """NT scaling for one block: the inverse factor Rinv and the scaled spectrum.
 
-    R satisfies W = R R' with W Z W = S; in the scaled space both
-    R^{-1} S R^{-T} and R' Z R equal diag(lam).
+    With S = Ls Ls', Z = Lz Lz' and Lz' Ls = U diag(lam) V', the factor
+    Rinv = diag(lam)^-1/2 U' Lz' (as in SDPT3) equals diag(lam)^1/2 V' Ls^-1,
+    so W = R R' with W Z W = S, and both Rinv S Rinv' and R' Z R equal
+    diag(lam).
     """
-    Ls = _psd_cholesky(S)
-    Lz = _psd_cholesky(Z)
-    U, lam, Vt = np.linalg.svd(Lz.T @ Ls)
-    sq = np.sqrt(lam)
-    R = Ls @ Vt.T / sq
-    Rinv = (sq[:, None] * Vt) @ sla.solve_triangular(Ls, np.eye(len(lam)), lower=True)
-    return R, Rinv, lam
+    Ls = _jittered_cholesky(S, 1e-15)
+    Lz = _jittered_cholesky(Z, 1e-15)
+    U, lam, _ = np.linalg.svd(Lz.T @ Ls)
+    Rinv = (U / np.sqrt(lam)).T @ Lz.T
+    return Rinv, lam
 
 
 def _max_step(lam: np.ndarray, dtilde: np.ndarray) -> float:
@@ -298,23 +322,23 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
             break
 
         try:
-            scalings = [_nt_scaling(S[j], Z[j]) for j in range(nb)]
+            Rinvs, lams = zip(*[_nt_scaling(S[j], Z[j]) for j in range(nb)])
 
             # Schur complement M_kl = sum_j tr(A_kj W_j^-1 A_lj W_j^-1)
             Hres = []
             M = np.zeros((N, N))
             for j, blk in enumerate(blocks):
-                Rinv = scalings[j][1]
+                Rinv = Rinvs[j]
                 M += blk.schur(Rinv.T @ Rinv)
                 Hres.append(Rinv @ Rres[j] @ Rinv.T)
             M = 0.5 * (M + M.T)
-            Mfac = _chol_regularized(M)
+            Linv = _chol_regularized(M)
 
             def newton(Dmats):
                 Cs = []
                 h = -rd.copy()
                 for j in range(nb):
-                    _, Rinv, lam = scalings[j]
+                    Rinv, lam = Rinvs[j], lams[j]
                     Cj = 2.0 * Dmats[j] / (lam[:, None] + lam[None, :])
                     Cs.append(Cj)
                     h += blocks[j].adjoint(Rinv.T @ (Cj - Hres[j]) @ Rinv)
@@ -322,7 +346,7 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
                 def directions(dy):
                     dS, dtS, dZ = [], [], []
                     for j, blk in enumerate(blocks):
-                        Rinv = scalings[j][1]
+                        Rinv = Rinvs[j]
                         dS.append(Rres[j] + blk.apply(dy))
                         dtS.append(Rinv @ dS[j] @ Rinv.T)
                         dZ.append(Rinv.T @ (Cs[j] - dtS[j]) @ Rinv)
@@ -332,33 +356,33 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
                 # cond(W) as mu -> 0 and dZ stops satisfying the dual equation
                 # A*(dZ) = rd; one step of iterative refinement against that
                 # equation keeps the dual residual at rounding level.
-                dy = sla.cho_solve(Mfac, h)
+                dy = Linv.T @ (Linv @ h)
                 _, _, dZ = directions(dy)
                 err = rd - sum(blk.adjoint(dZ[j]) for j, blk in enumerate(blocks))
-                dy = dy - sla.cho_solve(Mfac, err)
+                dy = dy - Linv.T @ (Linv @ err)
                 dS, dtS, dZ = directions(dy)
                 dtZ = [Cs[j] - dtS[j] for j in range(nb)]
                 return (dy, dS, dZ, [0.5 * (m + m.T) for m in dtS],
                         [0.5 * (m + m.T) for m in dtZ])
 
             # predictor (affine scaling direction)
-            D_aff = [np.diag(-scalings[j][2] ** 2) for j in range(nb)]
+            D_aff = [np.diag(-lams[j] ** 2) for j in range(nb)]
             _, _, _, dtS_a, dtZ_a = newton(D_aff)
 
-            ap = min((_max_step(scalings[j][2], dtS_a[j]) for j in range(nb)), default=np.inf)
-            ad = min((_max_step(scalings[j][2], dtZ_a[j]) for j in range(nb)), default=np.inf)
+            ap = min((_max_step(lams[j], dtS_a[j]) for j in range(nb)), default=np.inf)
+            ad = min((_max_step(lams[j], dtZ_a[j]) for j in range(nb)), default=np.inf)
             ap = min(1.0, ap)
             ad = min(1.0, ad)
             mu_aff = sum(float(np.sum(
-                (np.diag(scalings[j][2]) + ap * dtS_a[j]) *
-                (np.diag(scalings[j][2]) + ad * dtZ_a[j]).T))
+                (np.diag(lams[j]) + ap * dtS_a[j]) *
+                (np.diag(lams[j]) + ad * dtZ_a[j]).T))
                 for j in range(nb)) / total_dim
             sigma = min(1.0, max(0.0, (mu_aff / mu))) ** 3
 
             # corrector
             D_cor = []
             for j in range(nb):
-                lam = scalings[j][2]
+                lam = lams[j]
                 cross = dtS_a[j] @ dtZ_a[j]
                 D_cor.append(sigma * mu * np.eye(len(lam)) - np.diag(lam ** 2)
                              - 0.5 * (cross + cross.T))
@@ -367,8 +391,8 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
-        ap = min((_max_step(scalings[j][2], dtS[j]) for j in range(nb)), default=np.inf)
-        ad = min((_max_step(scalings[j][2], dtZ[j]) for j in range(nb)), default=np.inf)
+        ap = min((_max_step(lams[j], dtS[j]) for j in range(nb)), default=np.inf)
+        ad = min((_max_step(lams[j], dtZ[j]) for j in range(nb)), default=np.inf)
         ap = min(1.0, opts.step_fraction * ap)
         ad = min(1.0, opts.step_fraction * ad)
 
@@ -389,7 +413,8 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
 def gen_eig_min(A: np.ndarray, B: np.ndarray) -> Tuple[float, np.ndarray]:
     """Smallest lambda with A v = lambda B v, for symmetric A and SPD B.
 
-    Reduced to a standard symmetric problem via the Cholesky factor of B.
+    Reduced to the standard symmetric problem for C = L^-1 A L^-T, with
+    B = L L' and L^-1 from ``_lower_inv``.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -397,10 +422,7 @@ def gen_eig_min(A: np.ndarray, B: np.ndarray) -> Tuple[float, np.ndarray]:
         L = np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError("B is not positive definite")
-    # C = L^{-1} A L^{-T}
-    Y = sla.solve_triangular(L, A, lower=True)
-    C = sla.solve_triangular(L, Y.T, lower=True).T
+    Linv = _lower_inv(L)
+    C = Linv @ A @ Linv.T
     w, Q = np.linalg.eigh(0.5 * (C + C.T))
-    v = sla.solve_triangular(L.T, Q[:, 0], lower=False)
-    return float(w[0]), v
-
+    return float(w[0]), Linv.T @ Q[:, 0]

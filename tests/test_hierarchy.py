@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,20 @@ class TestHypercube:
                 for j in range(i + 1, n):
                     f = f + signs[i, j] * x[i] * x[j]
             assert lower_bound(f, B, 1).solution.dual_residual <= 1e-9
+
+    def test_refinement_keeps_certificate_exact(self):
+        # the cube_wide benchmark shape (n = 10, signs drawn in pair order);
+        # without the refinement solve in solve_sdp the certificate residual
+        # of this draw is about 1e-9, with it about 1e-11
+        n = 10
+        x = [Polynomial.variable(n, i) for i in range(n)]
+        B = SemialgebraicSet(n, tuple(1.0 - v * v for v in x))
+        rng = np.random.default_rng([3, 1])
+        f = Polynomial.zero(n)
+        for i, j in itertools.combinations(range(n), 2):
+            f = f + float(rng.choice((-1.0, 1.0))) * x[i] * x[j]
+        r = lower_bound(f, B, 1)
+        assert r.certificate.residual(f) <= 1e-10
 
     def test_min_relaxation_order(self):
         B = SemialgebraicSet(2, (X1 * X1 - 1.0,))

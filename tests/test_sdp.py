@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cdmos
 from cdmos.polyring import enumerate_basis
-from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, gen_eig_min,
-                       solve_sdp)
+from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, _lower_inv,
+                       _nt_scaling, gen_eig_min, solve_sdp)
 
 
 def single_block_problem(c, coeffs, const=None):
@@ -157,6 +163,43 @@ class TestPatternOperators:
             SdpBlock.from_terms(2, 2, [(1.0, basis.sum_index(1))])
         with pytest.raises(ValueError, match="out of range"):
             SdpBlock.from_terms(2, 2, [(1.0, basis.sum_index(1) - 2)])
+
+
+def spd(rng, d):
+    X = rng.standard_normal((d, d))
+    return X @ X.T + d * np.eye(d)
+
+
+class TestDenseKernels:
+    # sides around the block-recursion leaf of 48, and a few levels deep
+    @pytest.mark.parametrize("d", [1, 47, 48, 49, 97, 209])
+    def test_lower_inv_against_inv(self, rng, d):
+        L = np.linalg.cholesky(spd(rng, d))
+        Linv = _lower_inv(L)
+        np.testing.assert_array_equal(Linv, np.tril(Linv))
+        ref = np.linalg.inv(L)
+        assert np.linalg.norm(Linv - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("d", [1, 4, 12])
+    def test_nt_scaling_identities(self, rng, d):
+        S, Z = spd(rng, d), spd(rng, d)
+        Rinv, lam = _nt_scaling(S, Z)
+        scale = np.linalg.norm(S) + np.linalg.norm(Z)
+        assert np.linalg.norm(Rinv @ S @ Rinv.T - np.diag(lam)) <= 1e-12 * scale
+        assert np.linalg.norm(Rinv.T @ np.diag(lam) @ Rinv - Z) <= 1e-12 * scale
+
+    def test_cli_imports_numpy_only(self):
+        # every `cdmos` run pays for what the package imports: beyond numpy
+        # itself (which loads numpy.random on numpy 1.x), only the standard
+        # library may load; scipy and numpy.random in particular may not
+        src = str(Path(cdmos.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, numpy; before = set(sys.modules); import cdmos.cli; "
+                "print(sorted(m for m in set(sys.modules) - before "
+                "if m.split('.')[0] not in sys.stdlib_module_names | {'cdmos'}))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestGenEigMin:
