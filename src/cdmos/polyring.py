@@ -337,7 +337,9 @@ def parse_polynomial(text: str, var_names: Sequence[str]) -> Polynomial:
     n = len(var_names)
     index = {name: i for i, name in enumerate(var_names)}
     tokens = _tokenize(text)
-    result = Polynomial.zero(n)
+    # summed in file order, in the term order Polynomial addition gives: a
+    # term that cancels is deleted, so one that reappears goes to the end
+    terms: Dict[Exponent, float] = {}
     i = 0
     if not tokens:
         raise PolyParseError("empty polynomial", 0)
@@ -390,5 +392,10 @@ def parse_polynomial(text: str, var_names: Sequence[str]) -> Polynomial:
         if factors == 0:
             col = tokens[i][2] if i < len(tokens) else (tokens[-1][2] if tokens else 0)
             raise PolyParseError("empty term", col)
-        result = result + Polynomial.monomial(n, tuple(exps), coeff)
-    return result
+        alpha = tuple(exps)
+        total = terms.get(alpha, 0.0) + coeff
+        if total == 0.0:
+            terms.pop(alpha, None)
+        else:
+            terms[alpha] = total
+    return Polynomial(n, terms)

@@ -15,12 +15,24 @@ lambda = c_0 + dual objective.
 
 Each block stores its coefficient matrices A_kj as a sparse index pattern
 (for moment and localizing blocks, one table of moment positions per term of
-g_j), not as a dense (N, d, d) tensor.  The solver touches them only through
-A(y) = sum_k y_k A_k and A*(Z) = (<A_k, Z>)_k, both one bincount over the
-pattern, and through the Schur complement tr(A_k W^-1 A_l W^-1), built in
-O(N d^3) from the pattern as in Fujisawa, Kojima and Nakata, "Exploiting
-sparsity in primal-dual interior-point methods for semidefinite programming"
-(Math. Prog. 1997).
+g_j), not as a dense (N, d, d) tensor.  Before the first iteration the solver
+stacks the blocks of each side d into one ``SdpBlock`` with (g, d, d) data (a
+side with one block keeps it), so every per-block step (residuals, NT
+scaling, step lengths, Newton directions, updates) is one batched numpy call
+per side; on a box, all the localizing blocks of 1 - x_i^2 share one stack.
+The solver touches the patterns only through A(y) = sum_k y_k A_k and
+A*(Z) = (<A_k, Z>)_k, both one bincount over the stack, and through the Schur
+complement sum_j tr(A_kj W_j^-1 A_lj W_j^-1), built in O(N d^3) per block
+from the pattern as in Fujisawa, Kojima and Nakata, "Exploiting sparsity in
+primal-dual interior-point methods for semidefinite programming" (Math. Prog.
+1997).  Its two sparse sums (rows of W^-1 scattered into A_l W^-1, products
+reduced onto k) are direct gathers, done in layers of distinct target rows.
+The scatter takes one layer for a moment block, whose rows are all
+distinct, and one per term of g_j for a localizing block; the reduction
+takes as many as the most upper-triangle entries any A_k has in the stack
+(7 for the side-35 moment block of four variables at order 3).  Cholesky
+jitter stays per matrix: a stack whose batched factorization fails is
+factored member by member.
 
 The Newton systems are solved through the explicit inverse of the Schur
 complement's Cholesky factor, formed once per iteration by 2x2 block
@@ -36,8 +48,9 @@ iterates within one build.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,17 +63,22 @@ class SdpStatus(enum.Enum):
 
 
 class SdpBlock:
-    """Affine symmetric map y -> const + sum_k y_k A_k, required PSD.
+    """Affine symmetric map y -> const + sum_k y_k A_k, required PSD; or a
+    stack of g such maps of one side d, acted on together.
 
     The coefficient matrices A_k are stored as one sparse pattern, never as a
     dense (N, d, d) tensor: entry e adds val[e] to A_{var[e]} at the flat
     position pos[e] = a*d + b, and repeated entries add up.  The pattern is
-    symmetric: it lists (a, b) and (b, a) alike.
+    symmetric: it lists (a, b) and (b, a) alike.  A stack has a (g, d, d)
+    constant and member j's entries sit at pos = j*d^2 + a*d + b, so apply
+    returns (g, d, d), adjoint takes (g, d, d) and sums over the members, and
+    schur sums the members' Schur complements.
 
     ``SdpBlock(const, coeffs)`` converts dense (N, d, d) coefficients once;
     ``SdpBlock.from_terms`` builds moment and localizing blocks from integer
-    index tables.  The solver only uses the three pattern operators
-    ``apply``, ``adjoint`` and ``schur``.
+    index tables; ``SdpBlock.stack`` concatenates blocks of one side.  The
+    solver only uses the three pattern operators ``apply``, ``adjoint`` and
+    ``schur``.
     """
 
     def __init__(self, const, coeffs):
@@ -95,69 +113,145 @@ class SdpBlock:
         val = np.repeat([float(w) for w, _ in terms], dim * dim)
         one = var == -1
         const = np.bincount(pos[one], val[one], minlength=dim * dim).reshape(dim, dim)
+        return cls._from_pattern(const, num_vars, var[~one], pos[~one], val[~one])
+
+    @classmethod
+    def stack(cls, blocks: Sequence["SdpBlock"]) -> "SdpBlock":
+        """The g single blocks, all of one side and variable count, as one stack."""
+        d, N = blocks[0].dim, blocks[0].num_vars
+        if any(blk.const.shape != (d, d) or blk.num_vars != N for blk in blocks):
+            raise ValueError("stacked blocks must be single blocks of one side "
+                             "and variable count")
+        return cls._from_pattern(
+            np.stack([blk.const for blk in blocks]), N,
+            np.concatenate([blk.var for blk in blocks]),
+            np.concatenate([blk.pos + j * d * d for j, blk in enumerate(blocks)]),
+            np.concatenate([blk.val for blk in blocks]))
+
+    @classmethod
+    def _from_pattern(cls, const, num_vars, var, pos, val) -> "SdpBlock":
         blk = cls.__new__(cls)
-        blk._set_pattern(const, num_vars, var[~one], pos[~one], val[~one])
+        blk._set_pattern(const, num_vars, var, pos, val)
         return blk
 
     def _set_pattern(self, const, num_vars, var, pos, val):
-        d = const.shape[0]
-        var = np.asarray(var, dtype=np.intp)
-        pos = np.asarray(pos, dtype=np.intp)
         self.const = const
         self.num_vars = num_vars
-        self.var, self.pos, self.val = var, pos, np.asarray(val, dtype=float)
-
-        # Schur complement plan.  Scatter: row (a, l) of the stacked products
-        # A_l W^-1 sums val * W^-1[b] over the entries (l, a, b).
-        a, b = np.divmod(pos, d)
-        row = a * num_vars + var
-        order = np.argsort(row, kind="stable")
-        rows, self._scatter_starts = np.unique(row[order], return_index=True)
-        self._scatter_a, self._scatter_l = np.divmod(rows, num_vars)
-        self._scatter_src, self._scatter_val = b[order], self.val[order]
-        # Reduce: <A_k, B> over the upper triangle, off-diagonals counted twice
-        # (B = W^-1 A_l W^-1 is symmetric), grouped by k.
-        upper = np.flatnonzero(a <= b)
-        upper = upper[np.argsort(var[upper], kind="stable")]
-        self._reduce_vars, self._reduce_starts = np.unique(var[upper], return_index=True)
-        self._reduce_pos = pos[upper]
-        self._reduce_val = np.where(a[upper] == b[upper], 1.0, 2.0) * self.val[upper]
+        self.var = np.asarray(var, dtype=np.intp)
+        self.pos = np.asarray(pos, dtype=np.intp)
+        self.val = np.asarray(val, dtype=float)
 
     @property
     def dim(self) -> int:
-        return self.const.shape[0]
+        return self.const.shape[-1]
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """The linear part sum_k y_k A_k."""
-        d = self.dim
-        return np.bincount(self.pos, self.val * y[self.var], minlength=d * d).reshape(d, d)
+        """The linear part sum_k y_k A_k (one matrix per stack member)."""
+        return np.bincount(self.pos, self.val * y[self.var],
+                           minlength=self.const.size).reshape(self.const.shape)
 
     def at(self, y: np.ndarray) -> np.ndarray:
         return self.const + self.apply(y)
 
     def adjoint(self, Z: np.ndarray) -> np.ndarray:
-        """The vector (<A_k, Z>)_k."""
+        """The vector (<A_k, Z>)_k, summed over the stack's members."""
         return np.bincount(self.var, self.val * Z.ravel()[self.pos], minlength=self.num_vars)
 
-    def schur(self, Winv: np.ndarray) -> np.ndarray:
-        """The matrix (tr(A_k Winv A_l Winv))_kl for symmetric Winv, in O(N d^3).
+    @functools.cached_property
+    def _schur_plan(self):
+        """Gathers for ``schur``, built on its first call.
 
-        Scatter rows of Winv into X[a, :, l] = (A_l Winv)[a, :], multiply
-        every A_l Winv by Winv in one matmul, and sum the products' entries
-        onto k through the pattern.
+        Scatter: row (j, a, l) of the stacked products A_l W_j^-1 sums
+        val * W_j^-1[b] over the entries (l, j, a, b).  Reduce: <A_k, B_j>
+        over the upper triangle, off-diagonals counted twice (B_j =
+        W_j^-1 A_l W_j^-1 is symmetric), summed onto row k.  Both sums go
+        layer by layer (``_layers``), one fancy-indexed update per layer.
+        The scatter's terms, d wide, are gathered at once; the reduction's,
+        N wide, in chunks of whole layers of at most _GATHER_FLOATS floats
+        or one layer.
         """
         d, N = self.dim, self.num_vars
-        X = np.zeros((d, d, N))
-        X[self._scatter_a, :, self._scatter_l] = np.add.reduceat(
-            self._scatter_val[:, None] * Winv[self._scatter_src],
-            self._scatter_starts, axis=0)
-        B = (Winv @ X.reshape(d, d * N)).reshape(d * d, N)
+        ja, b = np.divmod(self.pos, d)            # ja = j*d + a
+        order, layers = _layers(ja * N + self.var)
+        sja, sl = ja[order], self.var[order]
+        scatter = (sja - sja % d + b[order], self.val[order],
+                   [(s, sja[s], sl[s]) for s in layers])
+        upper = np.flatnonzero(ja % d <= b)
+        order, layers = _layers(self.var[upper])
+        upper = upper[order]
+        weight = np.where(ja[upper] % d == b[upper], 1.0, 2.0) * self.val[upper]
+        rk, rpos = self.var[upper], self.pos[upper]
+        chunks = []
+        for s in layers:
+            if chunks and (s.stop - chunks[-1][0].start) * N <= _GATHER_FLOATS:
+                chunks[-1].append(s)
+            else:
+                chunks.append([s])
+        reduce = []
+        for c in chunks:
+            lo, hi = c[0].start, c[-1].stop
+            reduce.append((rpos[lo:hi], weight[lo:hi],
+                           [(slice(s.start - lo, s.stop - lo), rk[s]) for s in c]))
+        return scatter, reduce
+
+    def schur(self, Winv: np.ndarray) -> np.ndarray:
+        """The matrix (sum_j tr(A_kj Winv_j A_lj Winv_j))_kl for symmetric Winv
+        (one matrix per stack member), in O(N d^3) per member.
+
+        Scatter rows of Winv_j into X[j, a, :, l] = (A_lj Winv_j)[a, :],
+        multiply every A_lj Winv_j by Winv_j in one batched matmul, and gather
+        the products' entries onto k through the pattern.
+        """
+        d, N = self.dim, self.num_vars
+        (src, val, targets), reduce = self._schur_plan
+        rows = Winv.reshape(-1, d)                # row j*d + b is Winv_j[b]
+        part = rows[src]
+        part *= val[:, None]
+        X = np.zeros((rows.shape[0], d, N))
+        for i, (s, ja, l) in enumerate(targets):
+            if i:
+                X[ja, :, l] += part[s]
+            else:
+                X[ja, :, l] = part[s]
+        g = rows.shape[0] // d
+        B = np.matmul(Winv.reshape(g, d, d), X.reshape(g, d, d * N)).reshape(g * d * d, N)
         del X
-        G = B[self._reduce_pos]
-        G *= self._reduce_val[:, None]
         M = np.zeros((N, N))
-        M[self._reduce_vars] = np.add.reduceat(G, self._reduce_starts, axis=0)
+        for c, (pos, weight, layers) in enumerate(reduce):
+            G = B[pos]
+            G *= weight[:, None]
+            for i, (s, k) in enumerate(layers):
+                if c or i:
+                    M[k] += G[s]
+                else:
+                    M[k] = G[s]
         return M
+
+
+# Largest reduction gather in floats (128 KiB), unless one layer is larger.
+# Bigger temporaries come from fresh pages on every call: gathering all
+# layers at once made box_dense (N = 209) slower than one gather per layer.
+_GATHER_FLOATS = 1 << 14
+
+
+def _layers(key):
+    """Order the entries into layers in which no key repeats.
+
+    Layer i holds the i-th entry, in the entries' order, of every key that
+    has more than i entries.  Returns the entry order, layer by layer and by
+    key within a layer, and the layers' slices of it.  A fancy-indexed
+    assignment or += over one layer then touches each target once, so the
+    layers sum the entries per key without ``np.add.at`` or ``reduceat``.
+    """
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = sorted_key[1:] != sorted_key[:-1]
+    idx = np.arange(len(key))
+    rank = idx - np.maximum.accumulate(np.where(new, idx, 0))
+    ends = np.cumsum(np.bincount(rank)).tolist()
+    return order[np.argsort(rank, kind="stable")], [
+        slice(s, e) for s, e in zip([0] + ends[:-1], ends)]
 
 
 @dataclass
@@ -244,29 +338,53 @@ def _chol_regularized(M: np.ndarray) -> np.ndarray:
     return _lower_inv(_jittered_cholesky(M, 1e-14))
 
 
+def _stack_cholesky(M: np.ndarray, floor: float) -> np.ndarray:
+    """Lower Cholesky factors of a matrix or a (g, d, d) stack, jittered per
+    matrix: the batched factorization is tried first, and if any member is
+    not numerically positive definite the members are factored one by one by
+    ``_jittered_cholesky``, so only the members that need jitter get it."""
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        d = M.shape[-1]
+        return np.stack([_jittered_cholesky(m, floor)
+                         for m in M.reshape(-1, d, d)]).reshape(M.shape)
+
+
 def _nt_scaling(S: np.ndarray, Z: np.ndarray):
-    """NT scaling for one block: the inverse factor Rinv and the scaled spectrum.
+    """NT scaling for a block or a stack: the inverse factors Rinv and the
+    scaled spectra.
 
     With S = Ls Ls', Z = Lz Lz' and Lz' Ls = U diag(lam) V', the factor
     Rinv = diag(lam)^-1/2 U' Lz' (as in SDPT3) equals diag(lam)^1/2 V' Ls^-1,
     so W = R R' with W Z W = S, and both Rinv S Rinv' and R' Z R equal
     diag(lam).
     """
-    Ls = _jittered_cholesky(S, 1e-15)
-    Lz = _jittered_cholesky(Z, 1e-15)
-    U, lam, _ = np.linalg.svd(Lz.T @ Ls)
-    Rinv = (U / np.sqrt(lam)).T @ Lz.T
+    Ls = _stack_cholesky(S, 1e-15)
+    Lz = _stack_cholesky(Z, 1e-15)
+    U, lam, _ = np.linalg.svd(Lz.mT @ Ls)
+    Rinv = (U / np.sqrt(lam)[..., None, :]).mT @ Lz.mT
     return Rinv, lam
 
 
 def _max_step(lam: np.ndarray, dtilde: np.ndarray) -> float:
-    """sup {a : diag(lam) + a*dtilde PSD}, via the Lam^{-1/2}-scaled spectrum."""
+    """sup {a : diag(lam) + a*dtilde PSD}, via the Lam^{-1/2}-scaled spectrum,
+    over every member of a stack."""
     s = 1.0 / np.sqrt(lam)
-    w = np.linalg.eigvalsh(s[:, None] * dtilde * s[None, :])
-    wmin = w[0]
+    w = np.linalg.eigvalsh(s[..., :, None] * dtilde * s[..., None, :])
+    wmin = float(w[..., 0].min())
     if wmin >= 0.0:
         return np.inf
     return -1.0 / wmin
+
+
+def _diag(lam: np.ndarray) -> np.ndarray:
+    """diag(lam) for each row of a (g, d) stack of vectors."""
+    return lam[..., :, None] * np.eye(lam.shape[-1])
+
+
+def _sym(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.mT)
 
 
 def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolution:
@@ -275,9 +393,19 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
     c = prob.c
     N = prob.num_vars
     blocks = prob.blocks
-    nb = len(blocks)
-    dims = [blk.dim for blk in blocks]
-    total_dim = sum(dims)
+    total_dim = sum(blk.dim for blk in blocks)
+
+    # one stack per block side, in order of first appearance; every block
+    # step below is one batched call per stack.  A side with one block keeps
+    # that block: on small problems the (1, d, d) stack's extra overhead
+    # shows in the solve time.
+    sides = {}
+    for j, blk in enumerate(blocks):
+        sides.setdefault(blk.dim, []).append(j)
+    members = list(sides.values())
+    stacks = [blocks[js[0]] if len(js) == 1 else SdpBlock.stack([blocks[j] for j in js])
+              for js in members]
+    ns = len(stacks)
 
     data_scale = max(1.0, max(float(np.max(np.abs(blk.val), initial=0.0)) for blk in blocks),
                      max(float(np.max(np.abs(blk.const), initial=0.0)) for blk in blocks))
@@ -285,8 +413,8 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
 
     # "big identity" strictly feasible start
     y = np.zeros(N)
-    S = [10.0 * data_scale * np.eye(d) for d in dims]
-    Z = [10.0 * cost_scale * np.eye(d) for d in dims]
+    S = [10.0 * data_scale * np.broadcast_to(np.eye(blk.dim), blk.const.shape) for blk in stacks]
+    Z = [10.0 * cost_scale * np.broadcast_to(np.eye(blk.dim), blk.const.shape) for blk in stacks]
 
     cnorm = 1.0 + cost_scale
 
@@ -295,17 +423,17 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
     pres = dres = gap_rel = np.inf
     for it in range(1, opts.max_iter + 1):
         # residuals
-        Rres = [blk.at(y) - S[j] for j, blk in enumerate(blocks)]
+        Rres = [blk.at(y) - S[s] for s, blk in enumerate(stacks)]
         rd = c
-        for j, blk in enumerate(blocks):
-            rd = rd - blk.adjoint(Z[j])
-        mu = sum(float(np.sum(S[j] * Z[j])) for j in range(nb)) / total_dim
+        for s, blk in enumerate(stacks):
+            rd = rd - blk.adjoint(Z[s])
+        mu = sum(float(np.sum(S[s] * Z[s])) for s in range(ns)) / total_dim
 
         pobj = float(c @ y)
-        dobj = -sum(float(np.sum(blk.const * Z[j])) for j, blk in enumerate(blocks))
+        dobj = -sum(float(np.sum(blk.const * Z[s])) for s, blk in enumerate(stacks))
         gap_abs = mu * total_dim
         gap_rel = gap_abs / (1.0 + abs(pobj) + abs(dobj))
-        pres = max(float(np.max(np.abs(Rres[j]))) for j in range(nb)) / (1.0 + data_scale)
+        pres = max(float(np.max(np.abs(Rres[s]))) for s in range(ns)) / (1.0 + data_scale)
         dres = float(np.max(np.abs(rd), initial=0.0)) / cnorm
 
         if pres <= opts.tol and dres <= opts.tol and gap_rel <= opts.tol:
@@ -322,34 +450,28 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
             break
 
         try:
-            Rinvs, lams = zip(*[_nt_scaling(S[j], Z[j]) for j in range(nb)])
+            Rinvs, lams = zip(*[_nt_scaling(S[s], Z[s]) for s in range(ns)])
 
             # Schur complement M_kl = sum_j tr(A_kj W_j^-1 A_lj W_j^-1)
-            Hres = []
             M = np.zeros((N, N))
-            for j, blk in enumerate(blocks):
-                Rinv = Rinvs[j]
-                M += blk.schur(Rinv.T @ Rinv)
-                Hres.append(Rinv @ Rres[j] @ Rinv.T)
+            for s, blk in enumerate(stacks):
+                M += blk.schur(Rinvs[s].mT @ Rinvs[s])
             M = 0.5 * (M + M.T)
             Linv = _chol_regularized(M)
+            Hres = [Rinvs[s] @ Rres[s] @ Rinvs[s].mT for s in range(ns)]
 
             def newton(Dmats):
                 Cs = []
                 h = -rd.copy()
-                for j in range(nb):
-                    Rinv, lam = Rinvs[j], lams[j]
-                    Cj = 2.0 * Dmats[j] / (lam[:, None] + lam[None, :])
-                    Cs.append(Cj)
-                    h += blocks[j].adjoint(Rinv.T @ (Cj - Hres[j]) @ Rinv)
+                for s in range(ns):
+                    Rinv, lam = Rinvs[s], lams[s]
+                    Cs.append(2.0 * Dmats[s] / (lam[..., :, None] + lam[..., None, :]))
+                    h += stacks[s].adjoint(Rinv.mT @ (Cs[s] - Hres[s]) @ Rinv)
 
                 def directions(dy):
-                    dS, dtS, dZ = [], [], []
-                    for j, blk in enumerate(blocks):
-                        Rinv = Rinvs[j]
-                        dS.append(Rres[j] + blk.apply(dy))
-                        dtS.append(Rinv @ dS[j] @ Rinv.T)
-                        dZ.append(Rinv.T @ (Cs[j] - dtS[j]) @ Rinv)
+                    dS = [Rres[s] + blk.apply(dy) for s, blk in enumerate(stacks)]
+                    dtS = [Rinvs[s] @ dS[s] @ Rinvs[s].mT for s in range(ns)]
+                    dZ = [Rinvs[s].mT @ (Cs[s] - dtS[s]) @ Rinvs[s] for s in range(ns)]
                     return dS, dtS, dZ
 
                 # M is built from W^-1, so its rounding errors grow like
@@ -358,54 +480,48 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
                 # equation keeps the dual residual at rounding level.
                 dy = Linv.T @ (Linv @ h)
                 _, _, dZ = directions(dy)
-                err = rd - sum(blk.adjoint(dZ[j]) for j, blk in enumerate(blocks))
+                err = rd - sum(blk.adjoint(dZ[s]) for s, blk in enumerate(stacks))
                 dy = dy - Linv.T @ (Linv @ err)
                 dS, dtS, dZ = directions(dy)
-                dtZ = [Cs[j] - dtS[j] for j in range(nb)]
-                return (dy, dS, dZ, [0.5 * (m + m.T) for m in dtS],
-                        [0.5 * (m + m.T) for m in dtZ])
+                dtZ = [Cs[s] - dtS[s] for s in range(ns)]
+                return dy, dS, dZ, [_sym(m) for m in dtS], [_sym(m) for m in dtZ]
 
             # predictor (affine scaling direction)
-            D_aff = [np.diag(-lams[j] ** 2) for j in range(nb)]
-            _, _, _, dtS_a, dtZ_a = newton(D_aff)
+            _, _, _, dtS_a, dtZ_a = newton([_diag(-lam ** 2) for lam in lams])
 
-            ap = min((_max_step(lams[j], dtS_a[j]) for j in range(nb)), default=np.inf)
-            ad = min((_max_step(lams[j], dtZ_a[j]) for j in range(nb)), default=np.inf)
-            ap = min(1.0, ap)
-            ad = min(1.0, ad)
-            mu_aff = sum(float(np.sum(
-                (np.diag(lams[j]) + ap * dtS_a[j]) *
-                (np.diag(lams[j]) + ad * dtZ_a[j]).T))
-                for j in range(nb)) / total_dim
+            ap = min(1.0, min(_max_step(lams[s], dtS_a[s]) for s in range(ns)))
+            ad = min(1.0, min(_max_step(lams[s], dtZ_a[s]) for s in range(ns)))
+            mu_aff = sum(float(np.sum((_diag(lams[s]) + ap * dtS_a[s]) *
+                                      (_diag(lams[s]) + ad * dtZ_a[s]).mT))
+                         for s in range(ns)) / total_dim
             sigma = min(1.0, max(0.0, (mu_aff / mu))) ** 3
 
             # corrector
-            D_cor = []
-            for j in range(nb):
-                lam = lams[j]
-                cross = dtS_a[j] @ dtZ_a[j]
-                D_cor.append(sigma * mu * np.eye(len(lam)) - np.diag(lam ** 2)
-                             - 0.5 * (cross + cross.T))
+            D_cor = [_diag(sigma * mu - lams[s] ** 2) - _sym(dtS_a[s] @ dtZ_a[s])
+                     for s in range(ns)]
             dy, dS, dZ, dtS, dtZ = newton(D_cor)
         except np.linalg.LinAlgError:
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
-        ap = min((_max_step(lams[j], dtS[j]) for j in range(nb)), default=np.inf)
-        ad = min((_max_step(lams[j], dtZ[j]) for j in range(nb)), default=np.inf)
-        ap = min(1.0, opts.step_fraction * ap)
-        ad = min(1.0, opts.step_fraction * ad)
+        ap = min(1.0, opts.step_fraction * min(_max_step(lams[s], dtS[s]) for s in range(ns)))
+        ad = min(1.0, opts.step_fraction * min(_max_step(lams[s], dtZ[s]) for s in range(ns)))
 
         y = y + ap * dy
-        for j in range(nb):
-            S[j] = 0.5 * ((S[j] + ap * dS[j]) + (S[j] + ap * dS[j]).T)
-            Z[j] = 0.5 * ((Z[j] + ad * dZ[j]) + (Z[j] + ad * dZ[j]).T)
+        for s in range(ns):
+            S[s] = _sym(S[s] + ap * dS[s])
+            Z[s] = _sym(Z[s] + ad * dZ[s])
 
     pobj = float(c @ y)
-    dobj = -sum(float(np.sum(blk.const * Z[j])) for j, blk in enumerate(blocks))
+    dobj = -sum(float(np.sum(blk.const * Z[s])) for s, blk in enumerate(stacks))
+    dual_blocks = [None] * len(blocks)
+    for js, Zs in zip(members, Z):
+        d = Zs.shape[-1]
+        for j, Zj in zip(js, Zs.reshape(-1, d, d)):
+            dual_blocks[j] = Zj.copy()
     return SdpSolution(
         y=y, objective=pobj, dual_objective=dobj,
-        dual_blocks=Z, slack_blocks=[blk.at(y) for blk in blocks],
+        dual_blocks=dual_blocks, slack_blocks=[blk.at(y) for blk in blocks],
         status=status, iterations=it,
         primal_residual=float(pres), dual_residual=float(dres), gap=float(gap_rel))
 

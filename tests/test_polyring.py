@@ -194,6 +194,13 @@ class TestParsing:
         b = parse_polynomial("3 x1 ^ 2 x2", ["x1", "x2"])
         assert a == b
 
+    def test_repeated_terms_sum_in_file_order(self):
+        # x2 repeats and keeps its place; x1 cancels and reappears at the end;
+        # the constant cancels for good; a zero term adds nothing
+        p = parse_polynomial("2 x1 + x2 - 3 + x1 x2 - 2 x1 + 0.5 x2 + 0 x1^2 + 4 x1 + 3",
+                             ["x1", "x2"])
+        assert list(p.terms.items()) == [((0, 1), 1.5), ((1, 1), 1.0), ((1, 0), 4.0)]
+
     def test_unknown_variable(self):
         with pytest.raises(PolyParseError, match="x3"):
             parse_polynomial("x1 + x3", ["x1", "x2"])

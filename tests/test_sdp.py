@@ -8,8 +8,8 @@ import pytest
 
 import cdmos
 from cdmos.polyring import enumerate_basis
-from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, _lower_inv,
-                       _nt_scaling, gen_eig_min, solve_sdp)
+from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, _jittered_cholesky,
+                       _lower_inv, _nt_scaling, _stack_cholesky, gen_eig_min, solve_sdp)
 
 
 def single_block_problem(c, coeffs, const=None):
@@ -86,6 +86,20 @@ class TestSolveSdp:
         assert (a.y == b.y).all()
         assert a.objective == b.objective
 
+    def test_blocks_returned_in_callers_order(self):
+        c, blocks = interleaved_problem()
+        assert [blk.dim for blk in blocks] == [3, 1, 3, 1]
+        sol = solve_sdp(SdpProblem(c=c, blocks=blocks))
+        perm = [3, 2, 0, 1]
+        psol = solve_sdp(SdpProblem(c=c, blocks=[blocks[j] for j in perm]))
+        assert sol.status is SdpStatus.OPTIMAL and psol.status is SdpStatus.OPTIMAL
+        assert np.max(np.abs(sol.y - psol.y)) <= 1e-10
+        for got in (sol.dual_blocks, sol.slack_blocks):
+            assert [m.shape for m in got] == [(blk.dim, blk.dim) for blk in blocks]
+        for i, j in enumerate(perm):
+            assert np.max(np.abs(sol.dual_blocks[j] - psol.dual_blocks[i])) <= 1e-10
+            assert np.max(np.abs(sol.slack_blocks[j] - psol.slack_blocks[i])) <= 1e-10
+
     def test_infeasible_pair(self):
         # [y1 - 1] PSD and [-y1] PSD cannot both hold
         blk1 = SdpBlock(np.array([[-1.0]]), np.array([[[1.0]]]))
@@ -94,6 +108,25 @@ class TestSolveSdp:
         sol = solve_sdp(prob, SdpOptions(max_iter=100))
         assert sol.status in (SdpStatus.INFEASIBLE, SdpStatus.MAX_ITER)
         assert sol.status is not SdpStatus.OPTIMAL
+
+
+def interleaved_problem():
+    """A small SDP in three variables whose blocks have sides 3, 1, 3, 1.
+
+    The first block, a correlation matrix in y, keeps the feasible set
+    bounded; the others are random but strictly feasible at y = 0, so the
+    data are generic and the optimal y and dual blocks are unique.
+    """
+    rng = np.random.default_rng(7)
+    corr = np.zeros((3, 3, 3))
+    for k, (a, b) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        corr[k, a, b] = corr[k, b, a] = 1.0
+    X = rng.standard_normal((3, 3, 3))
+    return rng.standard_normal(3), [
+        SdpBlock(np.eye(3), corr),
+        SdpBlock([[0.5]], rng.standard_normal((3, 1, 1))),
+        SdpBlock(np.eye(3), 0.5 * (X + X.mT)),
+        SdpBlock([[0.8]], rng.standard_normal((3, 1, 1)))]
 
 
 def dense_from_terms(dim, N, terms):
@@ -155,6 +188,49 @@ class TestPatternOperators:
                             for Ak in coeffs])
             self.assert_close(blk.schur(Winv), ref)
 
+    def test_stack_matches_members(self, rng):
+        # moment and 2-term localizing blocks of one side, y_0 substituted
+        basis = enumerate_basis(2, 4)
+        N = len(basis) - 1
+        tables = [[(1.0, basis.sum_index(1))],
+                  [(1.0, basis.sum_index(1)), (-1.0, basis.sum_index(1, (2, 0)))],
+                  [(1.0, basis.sum_index(1)), (-1.0, basis.sum_index(1, (0, 2)))]]
+        blocks = [SdpBlock.from_terms(3, N, [(w, idx - 1) for w, idx in terms])
+                  for terms in tables]
+        dense = [dense_from_terms(3, N, [(w, idx - 1) for w, idx in terms])
+                 for terms in tables]
+        stack = SdpBlock.stack(blocks)
+        y = rng.standard_normal(N)
+        X = rng.standard_normal((3, 3, 3))
+        Z = X + X.mT
+        Winv = np.linalg.inv(X @ X.mT + 3 * np.eye(3))
+        np.testing.assert_array_equal(stack.const, np.stack([c for c, _ in dense]))
+        self.assert_close(stack.apply(y), np.stack([blk.apply(y) for blk in blocks]))
+        self.assert_close(stack.adjoint(Z), sum(blk.adjoint(Zj) for blk, Zj in zip(blocks, Z)))
+        self.assert_close(stack.schur(Winv), sum(blk.schur(W) for blk, W in zip(blocks, Winv)))
+        ref = sum(np.array([[np.trace(W @ Ak @ W @ Al) for Al in coeffs] for Ak in coeffs])
+                  for (_, coeffs), W in zip(dense, Winv))
+        self.assert_close(stack.schur(Winv), ref)
+        with pytest.raises(ValueError, match="one side"):
+            SdpBlock.stack([blocks[0], SdpBlock.from_terms(6, N, [(1.0, basis.sum_index(2) - 1)])])
+
+    def test_schur_of_large_blocks(self, rng):
+        # N = 209 (four variables, degree 6): the reduction onto k takes
+        # several gathers, some of one layer and some of several
+        basis = enumerate_basis(4, 6)
+        N = len(basis) - 1
+        e = np.eye(4, dtype=int)
+        for dim, tables in [(35, [[(1.0, basis.sum_index(3))]]),
+                            (15, [[(1.0, basis.sum_index(2)), (-1.0, basis.sum_index(2, 2 * e[i]))]
+                                  for i in range(4)])]:
+            terms = [[(w, idx - 1) for w, idx in t] for t in tables]
+            stack = SdpBlock.stack([SdpBlock.from_terms(dim, N, t) for t in terms])
+            Winv = np.linalg.inv(np.stack([spd(rng, dim) for _ in terms]))
+            # tr(A_k W A_l W) = vec(A_k)' (W kron W) vec(A_l) for symmetric W
+            ref = sum(C @ np.kron(W, W) @ C.T for C, W in zip(
+                [dense_from_terms(dim, N, t)[1].reshape(N, -1) for t in terms], Winv))
+            self.assert_close(stack.schur(Winv), ref)
+
     def test_from_terms_validation(self):
         basis = enumerate_basis(1, 2)
         with pytest.raises(ValueError, match="symmetric"):
@@ -200,6 +276,18 @@ class TestDenseKernels:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+
+    def test_stack_cholesky_jitters_only_the_singular_member(self, rng):
+        S = np.stack([spd(rng, 3), np.ones((3, 3)), spd(rng, 3)])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(S)
+        L = _stack_cholesky(S, 1e-15)
+        for Lj, Sj in zip(L, S):
+            np.testing.assert_array_equal(Lj, _jittered_cholesky(Sj, 1e-15))
+        for j in (0, 2):
+            np.testing.assert_array_equal(L[j], np.linalg.cholesky(S[j]))
+        jitter = np.diag(L[1] @ L[1].T - S[1])
+        assert np.all(jitter > 0.0)
 
 
 class TestGenEigMin:
