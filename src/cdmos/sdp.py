@@ -208,6 +208,8 @@ class SdpBlock:
         part = rows[src]
         part *= val[:, None]
         X = np.zeros((rows.shape[0], d, N))
+        # the first layer is assigned: += would read X back, which made a
+        # moment block's schur (one layer, d = 35, N = 209) 2.5 -> 4.5 ms
         for i, (s, ja, l) in enumerate(targets):
             if i:
                 X[ja, :, l] += part[s]
@@ -217,14 +219,11 @@ class SdpBlock:
         B = np.matmul(Winv.reshape(g, d, d), X.reshape(g, d, d * N)).reshape(g * d * d, N)
         del X
         M = np.zeros((N, N))
-        for c, (pos, weight, layers) in enumerate(reduce):
+        for pos, weight, layers in reduce:
             G = B[pos]
             G *= weight[:, None]
-            for i, (s, k) in enumerate(layers):
-                if c or i:
-                    M[k] += G[s]
-                else:
-                    M[k] = G[s]
+            for s, k in layers:
+                M[k] += G[s]
         return M
 
 
@@ -362,8 +361,8 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
     """
     Ls = _stack_cholesky(S, 1e-15)
     Lz = _stack_cholesky(Z, 1e-15)
-    U, lam, _ = np.linalg.svd(Lz.mT @ Ls)
-    Rinv = (U / np.sqrt(lam)[..., None, :]).mT @ Lz.mT
+    U, lam, _ = np.linalg.svd(_t(Lz) @ Ls)
+    Rinv = _t(U / np.sqrt(lam)[..., None, :]) @ _t(Lz)
     return Rinv, lam
 
 
@@ -383,8 +382,13 @@ def _diag(lam: np.ndarray) -> np.ndarray:
     return lam[..., :, None] * np.eye(lam.shape[-1])
 
 
+def _t(m: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a stack (ndarray.mT needs numpy 2)."""
+    return np.swapaxes(m, -1, -2)
+
+
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.mT)
+    return 0.5 * (m + _t(m))
 
 
 def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolution:
@@ -455,10 +459,10 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
             # Schur complement M_kl = sum_j tr(A_kj W_j^-1 A_lj W_j^-1)
             M = np.zeros((N, N))
             for s, blk in enumerate(stacks):
-                M += blk.schur(Rinvs[s].mT @ Rinvs[s])
+                M += blk.schur(_t(Rinvs[s]) @ Rinvs[s])
             M = 0.5 * (M + M.T)
             Linv = _chol_regularized(M)
-            Hres = [Rinvs[s] @ Rres[s] @ Rinvs[s].mT for s in range(ns)]
+            Hres = [Rinvs[s] @ Rres[s] @ _t(Rinvs[s]) for s in range(ns)]
 
             def newton(Dmats):
                 Cs = []
@@ -466,12 +470,12 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
                 for s in range(ns):
                     Rinv, lam = Rinvs[s], lams[s]
                     Cs.append(2.0 * Dmats[s] / (lam[..., :, None] + lam[..., None, :]))
-                    h += stacks[s].adjoint(Rinv.mT @ (Cs[s] - Hres[s]) @ Rinv)
+                    h += stacks[s].adjoint(_t(Rinv) @ (Cs[s] - Hres[s]) @ Rinv)
 
                 def directions(dy):
                     dS = [Rres[s] + blk.apply(dy) for s, blk in enumerate(stacks)]
-                    dtS = [Rinvs[s] @ dS[s] @ Rinvs[s].mT for s in range(ns)]
-                    dZ = [Rinvs[s].mT @ (Cs[s] - dtS[s]) @ Rinvs[s] for s in range(ns)]
+                    dtS = [Rinvs[s] @ dS[s] @ _t(Rinvs[s]) for s in range(ns)]
+                    dZ = [_t(Rinvs[s]) @ (Cs[s] - dtS[s]) @ Rinvs[s] for s in range(ns)]
                     return dS, dtS, dZ
 
                 # M is built from W^-1, so its rounding errors grow like
@@ -492,7 +496,7 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
             ap = min(1.0, min(_max_step(lams[s], dtS_a[s]) for s in range(ns)))
             ad = min(1.0, min(_max_step(lams[s], dtZ_a[s]) for s in range(ns)))
             mu_aff = sum(float(np.sum((_diag(lams[s]) + ap * dtS_a[s]) *
-                                      (_diag(lams[s]) + ad * dtZ_a[s]).mT))
+                                      _t(_diag(lams[s]) + ad * dtZ_a[s])))
                          for s in range(ns)) / total_dim
             sigma = min(1.0, max(0.0, (mu_aff / mu))) ** 3
 

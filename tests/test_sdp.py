@@ -125,7 +125,7 @@ def interleaved_problem():
     return rng.standard_normal(3), [
         SdpBlock(np.eye(3), corr),
         SdpBlock([[0.5]], rng.standard_normal((3, 1, 1))),
-        SdpBlock(np.eye(3), 0.5 * (X + X.mT)),
+        SdpBlock(np.eye(3), 0.5 * (X + X.transpose(0, 2, 1))),
         SdpBlock([[0.8]], rng.standard_normal((3, 1, 1)))]
 
 
@@ -202,8 +202,8 @@ class TestPatternOperators:
         stack = SdpBlock.stack(blocks)
         y = rng.standard_normal(N)
         X = rng.standard_normal((3, 3, 3))
-        Z = X + X.mT
-        Winv = np.linalg.inv(X @ X.mT + 3 * np.eye(3))
+        Z = X + X.transpose(0, 2, 1)
+        Winv = np.linalg.inv(X @ X.transpose(0, 2, 1) + 3 * np.eye(3))
         np.testing.assert_array_equal(stack.const, np.stack([c for c, _ in dense]))
         self.assert_close(stack.apply(y), np.stack([blk.apply(y) for blk in blocks]))
         self.assert_close(stack.adjoint(Z), sum(blk.adjoint(Zj) for blk, Zj in zip(blocks, Z)))
