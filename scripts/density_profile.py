@@ -31,7 +31,7 @@ def main():
     mu = UniformBox((-1.0,), (1.0,))
 
     r = lower_bound(x, B, t, measure=mu)
-    d = reconstruct_density(r, r.density_basis)
+    d = reconstruct_density(r)
     ub = upper_bound(x, mu, t)
 
     print(f"order t = {t}: rho_t = {r.rho:.8f}, u_t = {ub.u:.8f}")

@@ -6,11 +6,10 @@ from .hierarchy import (DensityReconstruction, Extraction, HierarchyError,
                         certify_and_extract, lower_bound, reconstruct_density,
                         sandwich_sweep, upper_bound)
 from .measures import (CountingHypercube, MomentSequence, UniformBox,
-                       dirac_moments, integrate, moments)
-from .momentmat import (SemialgebraicSet, localizing_matrix, moment_matrix,
-                        putinar_prefix_check)
+                       dirac_moments, moments)
+from .momentmat import SemialgebraicSet, localizing_matrix, moment_matrix
 from .orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
-                         cd_kernel, christoffel, reproduce, to_ortho_coords)
+                         cd_kernel, christoffel, reproduce)
 from .polyring import (MonomialBasis, Polynomial, coeff_vector, enumerate_basis,
                        parse_polynomial, vector_to_poly)
 from .sdp import (SdpBlock, SdpOptions, SdpProblem, SdpSolution, SdpStatus,

@@ -62,23 +62,6 @@ class ProblemFile:
     def semialgebraic_set(self) -> SemialgebraicSet:
         return SemialgebraicSet(self.n, tuple(self.constraints), box=self.box)
 
-    def to_text(self) -> str:
-        lines = [f"variables = {' '.join(self.var_names)}",
-                 f"objective = {self.objective.to_string(self.var_names)}"]
-        for g in self.constraints:
-            lines.append(f"constraint = {g.to_string(self.var_names)} >= 0")
-        if isinstance(self.measure, UniformBox):
-            lines.append("measure = uniform_box")
-        elif isinstance(self.measure, CountingHypercube):
-            lines.append("measure = counting_hypercube")
-        if self.box is not None:
-            lines.append("box = " + " ; ".join(
-                f"{lo:g} {hi:g}" for lo, hi in zip(self.box[0], self.box[1])))
-        lines.append(f"orders = {self.orders[0]}..{self.orders[1]}")
-        if self.tol is not None:
-            lines.append(f"tol = {self.tol:g}")
-        return "\n".join(lines) + "\n"
-
 
 _SCALAR_KEYS = {"variables", "objective", "measure", "box", "orders", "tol"}
 

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .measures import MomentSequence, ReferenceMeasure, integrate, moments
+from .measures import MomentSequence, ReferenceMeasure, moments
 from .momentmat import (SemialgebraicSet, half_degree, localizing_matrix,
                         moment_matrix)
 from .orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
@@ -60,17 +60,6 @@ class SosCertificate:
     lam: float
     multipliers: List[Tuple[Polynomial, int, np.ndarray]]  # (g_j, order, Gram Q_j)
     basis: MonomialBasis
-
-    def multiplier_poly(self, j: int) -> Polynomial:
-        g, s, Q = self.multipliers[j]
-        basis = enumerate_basis(g.n, s)
-        psi = Polynomial.zero(g.n)
-        for a in range(len(basis)):
-            for b in range(len(basis)):
-                if Q[a, b] != 0.0:
-                    e = tuple(x + z for x, z in zip(basis.exponents[a], basis.exponents[b]))
-                    psi = psi + Polynomial.monomial(g.n, e, Q[a, b])
-        return psi
 
     def residual(self, f: Polynomial) -> float:
         """Max coefficient deviation of f - lam - sum psi_j g_j.
@@ -124,8 +113,9 @@ class DensityReconstruction:
     christoffel_at: Dict[Tuple[float, ...], float]
 
 
-def _moment_blocks(B: SemialgebraicSet, t: int, basis2t) -> List[SdpBlock]:
-    """One SDP block per constraint: M_{t-d_j}(g_j y) as an affine map of
+def _moment_blocks(gs: List[Tuple[Polynomial, int]],
+                   basis2t: MonomialBasis) -> List[SdpBlock]:
+    """One SDP block per pair (g_j, s_j): M_{s_j}(g_j y) as an affine map of
     y_1..y_{N-1}, with y_0 = 1 substituted into the constant.
 
     Position 0 of the graded-lex basis is the monomial 1, so shifting the
@@ -133,16 +123,10 @@ def _moment_blocks(B: SemialgebraicSet, t: int, basis2t) -> List[SdpBlock]:
     index -1 that ``SdpBlock.from_terms`` reads as the constant 1.
     """
     N = len(basis2t) - 1
-    gs = [Polynomial.constant(B.n, 1.0)] + list(B.constraints)
-    blocks = []
-    for g in gs:
-        s = t - half_degree(g)
-        if s < 0:
-            raise ValueError(f"order {t} too small for constraint of degree {g.degree}")
-        blocks.append(SdpBlock.from_terms(
-            math.comb(B.n + s, s), N,
-            [(cg, basis2t.sum_index(s, gamma) - 1) for gamma, cg in g.terms.items()]))
-    return blocks
+    return [SdpBlock.from_terms(
+                math.comb(basis2t.n + s, s), N,
+                [(cg, basis2t.sum_index(s, gamma) - 1) for gamma, cg in g.terms.items()])
+            for g, s in gs]
 
 
 def min_relaxation_order(f: Polynomial, B: SemialgebraicSet) -> int:
@@ -161,16 +145,16 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
         raise ValueError(f"order {t} below minimum {min_relaxation_order(f, B)}")
     basis2t = enumerate_basis(f.n, 2 * t)
     c = coeff_vector(f, basis2t)
-    sol = solve_sdp(SdpProblem(c=c[1:], blocks=_moment_blocks(B, t, basis2t)), opts)
+    # (g_j, s_j = t - d_j) for j = 0..m, with g_0 == 1
+    gs = [(g, t - half_degree(g)) for g in (Polynomial.constant(B.n, 1.0),) + B.constraints]
+    sol = solve_sdp(SdpProblem(c=c[1:], blocks=_moment_blocks(gs, basis2t)), opts)
     if sol.status is not SdpStatus.OPTIMAL:
         raise HierarchyError(t, f"SDP solver returned {sol.status.value}")
-    y = MomentSequence(f.n, 2 * t, np.concatenate(([1.0], sol.y)), basis2t)
+    y = MomentSequence(np.concatenate(([1.0], sol.y)), basis2t)
     rho = float(c @ y.values)
-    gs = [Polynomial.constant(B.n, 1.0)] + list(B.constraints)
     cert = SosCertificate(
         lam=float(c[0] + sol.dual_objective),
-        multipliers=[(g, t - half_degree(g), sol.dual_blocks[j])
-                     for j, g in enumerate(gs)],
+        multipliers=[(g, s, Q) for (g, s), Q in zip(gs, sol.dual_blocks)],
         basis=basis2t)
     result = LowerBoundResult(t=t, rho=rho, f=f, y=y, certificate=cert, solution=sol)
     result.extraction = certify_and_extract(result, B, rank_tol=rank_tol)
@@ -265,21 +249,19 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet,
 # Signed density reconstruction and its Christoffel interpretation.
 # ---------------------------------------------------------------------------
 
-def reconstruct_density(r: LowerBoundResult, basis: OrthoBasis) -> DensityReconstruction:
-    """sigma = D y* in the orthonormal basis of degree 2t, with the Christoffel
-    function evaluated at each certified minimizer."""
-    if basis.t != 2 * r.t:
-        raise ValueError(
-            f"basis degree {basis.t} must equal 2t = {2 * r.t} of the relaxation")
-    if basis.n != r.y.n:
-        raise ValueError(f"dimension mismatch: {basis.n} vs {r.y.n}")
-    sigma = basis.D @ r.y.values
-    sigma_poly = ortho_expansion_poly(sigma, basis)
+def reconstruct_density(r: LowerBoundResult) -> DensityReconstruction:
+    """The signed density with coefficients sigma = D y* that ``lower_bound``
+    stored, and the Christoffel function at each certified minimizer."""
+    if r.sigma is None:
+        raise ValueError(f"order {r.t} has no density: "
+                         f"{r.density_error or 'no reference measure declared'}")
+    basis = r.density_basis
     christoffel_at: Dict[Tuple[float, ...], float] = {}
     if r.extraction is not None and r.extraction.certified:
         for xi, _ in r.extraction.minimizers:
             christoffel_at[xi] = christoffel(basis, xi)
-    return DensityReconstruction(sigma=sigma, sigma_poly=sigma_poly,
+    return DensityReconstruction(sigma=r.sigma,
+                                 sigma_poly=ortho_expansion_poly(r.sigma, basis),
                                  christoffel_at=christoffel_at)
 
 
@@ -289,11 +271,9 @@ def smoothed_objective(f: Polynomial, y_values: np.ndarray, basis: OrthoBasis) -
     Equals <f, y> by the change-of-basis identity; used as an independent
     cross-check of the density route.
     """
-    sigma = basis.D @ np.asarray(y_values, dtype=float)
-    sigma_poly = ortho_expansion_poly(sigma, basis)
-    prod = f * sigma_poly
+    prod = f * ortho_expansion_poly(basis.D @ np.asarray(y_values, dtype=float), basis)
     mom = moments(basis.measure, prod.degree)
-    return integrate(prod, mom)
+    return float(coeff_vector(prod, mom.basis) @ mom.values)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .polyring import (MonomialBasis, Polynomial, enumerate_basis,
-                       monomial_values)
+from .polyring import MonomialBasis, enumerate_basis, monomial_values
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,6 @@ ReferenceMeasure = Union[UniformBox, CountingHypercube]
 class MomentSequence:
     """Truncated moment sequence y_alpha, |alpha| <= t, graded-lex ordered."""
 
-    n: int
-    t: int
     values: np.ndarray
     basis: MonomialBasis
 
@@ -68,12 +65,16 @@ class MomentSequence:
             raise ValueError(
                 f"moment vector length {self.values.shape} != basis size {len(self.basis)}")
 
+    @property
+    def n(self) -> int:
+        return self.basis.n
+
+    @property
+    def t(self) -> int:
+        return self.basis.t
+
     def value(self, alpha) -> float:
         return float(self.values[self.basis.position(alpha)])
-
-
-def make_moment_sequence(n: int, t: int, values) -> MomentSequence:
-    return MomentSequence(n, t, np.asarray(values, dtype=float), enumerate_basis(n, t))
 
 
 def _box_univariate_moments(lo: float, hi: float, t: int) -> np.ndarray:
@@ -107,19 +108,11 @@ def moments(measure: ReferenceMeasure, t: int) -> MomentSequence:
     values = np.ones(len(basis))
     for j in range(n):
         values *= uni[j][basis.array[:, j]]
-    return MomentSequence(n, t, values, basis)
+    return MomentSequence(values, basis)
 
 
 def dirac_moments(x: Sequence[float], t: int) -> MomentSequence:
     """Moments of the Dirac measure at x: y_alpha = x^alpha."""
     basis = enumerate_basis(len(x), t)
-    return MomentSequence(basis.n, t, monomial_values(basis, x), basis)
+    return MomentSequence(monomial_values(basis, x), basis)
 
-
-def integrate(p: Polynomial, y: MomentSequence) -> float:
-    """The linear functional <f, y> = sum_alpha f_alpha y_alpha."""
-    if p.n != y.n:
-        raise ValueError(f"dimension mismatch: {p.n} vs {y.n}")
-    if p.degree > y.t:
-        raise ValueError(f"polynomial degree {p.degree} exceeds moment order {y.t}")
-    return float(sum(c * y.value(alpha) for alpha, c in p.terms.items()))

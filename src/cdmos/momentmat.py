@@ -1,9 +1,9 @@
-"""Moment and localizing matrix assembly, plus finite-order Putinar checks."""
+"""Moment and localizing matrix assembly, and semialgebraic sets."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -60,40 +60,3 @@ class SemialgebraicSet:
     def contains(self, x, tol: float = 0.0) -> bool:
         return all(g(x) >= -tol for g in self.constraints)
 
-
-@dataclass
-class PutinarEntry:
-    constraint_index: int  # 0 = moment matrix, j >= 1 = g_j
-    order: int
-    min_eigenvalue: float
-
-
-@dataclass
-class PutinarReport:
-    t: int
-    tol: float
-    entries: List[PutinarEntry] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(e.min_eigenvalue >= -self.tol for e in self.entries)
-
-
-def putinar_prefix_check(y: MomentSequence, B: SemialgebraicSet, t: int,
-                         tol: float = 1e-8) -> PutinarReport:
-    """Min eigenvalue of M_{t-d_j}(g_j y) for j = 0..m; PASS iff all >= -tol.
-
-    Only a finite prefix of the Putinar conditions: necessary, never sufficient.
-    """
-    if B.n != y.n:
-        raise ValueError(f"dimension mismatch: {B.n} vs {y.n}")
-    report = PutinarReport(t=t, tol=tol)
-    gs = [Polynomial.constant(y.n, 1.0)] + list(B.constraints)
-    for j, g in enumerate(gs):
-        s = t - half_degree(g)
-        if s < 0 or 2 * s + g.degree > y.t:
-            continue  # not checkable at this order with the available moments
-        M = localizing_matrix(y, g, s)
-        lam_min = float(np.linalg.eigvalsh(M)[0])
-        report.entries.append(PutinarEntry(j, s, lam_min))
-    return report

@@ -15,9 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import (CountingHypercube, MomentSequence, ReferenceMeasure,
-                       UniformBox, moments)
-from .momentmat import localizing_matrix, moment_matrix
+from .measures import CountingHypercube, ReferenceMeasure, UniformBox, moments
+from .momentmat import localizing_matrix
 from .polyring import (MonomialBasis, Polynomial, enumerate_basis, monomial_values,
                        vector_to_poly)
 
@@ -33,13 +32,16 @@ class OrthoBasis:
     """Rows of D are the coefficients of T_alpha in the monomial basis."""
 
     measure: ReferenceMeasure
-    t: int
     basis: MonomialBasis
     D: np.ndarray
 
     @property
     def n(self) -> int:
         return self.basis.n
+
+    @property
+    def t(self) -> int:
+        return self.basis.t
 
     def eval_all(self, x) -> np.ndarray:
         """Vector (T_alpha(x)) over the graded-lex basis; for a (k, n) array of
@@ -49,11 +51,6 @@ class OrthoBasis:
     def ortho_polynomial(self, alpha) -> Polynomial:
         i = self.basis.position(alpha)
         return vector_to_poly(self.D[i], self.basis)
-
-
-def gram_matrix(measure: ReferenceMeasure, t: int) -> np.ndarray:
-    """G(alpha, beta) = int x^(alpha+beta) dmu, indices over N^n_t."""
-    return moment_matrix(moments(measure, 2 * t), t)
 
 
 def _legendre_univariate(lo: float, hi: float, t: int) -> np.ndarray:
@@ -118,20 +115,7 @@ def build_basis(measure: ReferenceMeasure, t: int) -> OrthoBasis:
             "coefficients of T_alpha grow with the degree, so float64 "
             "evaluation loses accuracy beyond this")
     basis = enumerate_basis(measure.n, t)
-    return OrthoBasis(measure, t, basis, _tensor_basis(measure, basis))
-
-
-def to_ortho_coords(y: MomentSequence, B: OrthoBasis) -> np.ndarray:
-    """sigma = D y; equals (int T_alpha dphi) when y are the moments of phi."""
-    if y.n != B.n or y.t != B.t:
-        raise ValueError(
-            f"size mismatch: moments (n={y.n}, t={y.t}) vs basis (n={B.n}, t={B.t})")
-    return B.D @ y.values
-
-
-def from_ortho_coords(sigma: np.ndarray, B: OrthoBasis) -> np.ndarray:
-    """Inverse of to_ortho_coords: recover the monomial-moment vector."""
-    return np.linalg.solve(B.D, np.asarray(sigma, dtype=float))
+    return OrthoBasis(measure, basis, _tensor_basis(measure, basis))
 
 
 def ortho_expansion_poly(sigma: np.ndarray, B: OrthoBasis) -> Polynomial:

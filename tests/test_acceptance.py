@@ -96,7 +96,7 @@ def test_criterion_2_sandwich_and_monotonicity():
 
 def test_criterion_3_kernel_section_reconstruction():
     r = lower_bound(X, UNIT_INTERVAL, 1, measure=UNIT_MEASURE)
-    d = reconstruct_density(r, r.density_basis)
+    d = reconstruct_density(r)
     expected = r.density_basis.eval_all((-1.0,))
     sigma_err = float(np.max(np.abs(d.sigma - expected)))
     peak = d.sigma_poly((-1.0,))

@@ -39,15 +39,6 @@ class TestParseProblem:
         assert pf.orders == (1, 2)
         assert pf.tol is None
 
-    def test_round_trip(self):
-        pf = parse_problem(BILINEAR)
-        again = parse_problem(pf.to_text())
-        assert again.var_names == pf.var_names
-        assert again.objective == pf.objective
-        assert again.constraints == pf.constraints
-        assert again.box == pf.box
-        assert again.orders == pf.orders
-
     def test_undeclared_variable(self):
         bad = UNIVARIATE.replace("objective = x", "objective = x3")
         with pytest.raises(ProblemFileError) as err:

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from conftest import box_quadrature, random_polynomial
 
-from cdmos.measures import (CountingHypercube, UniformBox, dirac_moments,
-                            integrate, moments)
+from cdmos.measures import CountingHypercube, UniformBox, dirac_moments, moments
 from cdmos.momentmat import moment_matrix
-from cdmos.polyring import Polynomial
+from cdmos.polyring import Polynomial, coeff_vector
+
+
+def pairing(p, y):
+    """<p, y> = sum_alpha p_alpha y_alpha."""
+    return float(coeff_vector(p, y.basis) @ y.values)
 
 
 class TestUniformBoxMoments:
@@ -90,7 +94,7 @@ class TestDiracMoments:
             p = random_polynomial(rng, 2, 3)
             x = tuple(rng.uniform(-1, 1, size=2))
             y = dirac_moments(x, 3)
-            assert integrate(p, y) == pytest.approx(p(x), rel=1e-12, abs=1e-12)
+            assert pairing(p, y) == pytest.approx(p(x), rel=1e-12, abs=1e-12)
 
 
 class TestIntegrate:
@@ -98,19 +102,19 @@ class TestIntegrate:
         x = Polynomial.variable(1, 0)
         y = moments(UniformBox((-1.0,), (1.0,)), 4)
         oracle = box_quadrature(lambda p: p[0] ** 2, [-1], [1])
-        assert integrate(x * x, y) == pytest.approx(oracle, abs=1e-14)
-        assert integrate(x * x, y) == pytest.approx(1 / 3, abs=1e-15)
+        assert pairing(x * x, y) == pytest.approx(oracle, abs=1e-14)
+        assert pairing(x * x, y) == pytest.approx(1 / 3, abs=1e-15)
 
     def test_constant_one_on_probability_measures(self):
         one1 = Polynomial.constant(1, 1.0)
         one3 = Polynomial.constant(3, 1.0)
-        assert integrate(one1, moments(UniformBox((-2.0,), (5.0,)), 2)) == 1.0
-        assert integrate(one3, moments(CountingHypercube(3), 2)) == 1.0
+        assert pairing(one1, moments(UniformBox((-2.0,), (5.0,)), 2)) == 1.0
+        assert pairing(one3, moments(CountingHypercube(3), 2)) == 1.0
 
     def test_degree_overflow(self):
         x = Polynomial.variable(1, 0)
         with pytest.raises(ValueError):
-            integrate(x * x * x, moments(UniformBox((-1.0,), (1.0,)), 2))
+            pairing(x * x * x, moments(UniformBox((-1.0,), (1.0,)), 2))
 
 
 @pytest.mark.parametrize("measure", [

@@ -1,19 +1,12 @@
 import numpy as np
 import pytest
-from conftest import random_polynomial
+from conftest import make_moment_sequence, random_polynomial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdmos.measures import (UniformBox, dirac_moments, make_moment_sequence,
-                            moments)
-from cdmos.momentmat import (SemialgebraicSet, localizing_matrix, moment_matrix,
-                             putinar_prefix_check)
+from cdmos.measures import UniformBox, dirac_moments, moments
+from cdmos.momentmat import localizing_matrix, moment_matrix
 from cdmos.polyring import Polynomial, enumerate_basis, monomial_values
-
-
-def unit_interval_set():
-    x = Polynomial.variable(1, 0)
-    return SemialgebraicSet(1, (1.0 - x * x,))
 
 
 class TestLocalizingMatrix:
@@ -92,29 +85,3 @@ class TestLocalizingMatrix:
         with pytest.raises(ValueError, match="too short"):
             moment_matrix(y, 2)
 
-
-class TestPutinarPrefixCheck:
-    def test_interior_dirac_passes(self):
-        B = unit_interval_set()
-        y = dirac_moments((0.3,), 8)
-        for t in range(1, 4):
-            assert putinar_prefix_check(y, B, t).passed
-
-    def test_infeasible_dirac_fails_on_constraint(self):
-        B = unit_interval_set()
-        y = dirac_moments((2.0,), 8)
-        report = putinar_prefix_check(y, B, 1)
-        assert not report.passed
-        failing = [e for e in report.entries if e.min_eigenvalue < -report.tol]
-        assert any(e.constraint_index == 1 for e in failing)
-        # M_0(g1 y) = g1(2) = -3
-        e0 = [e for e in report.entries if e.constraint_index == 1 and e.order == 0]
-        assert e0 and e0[0].min_eigenvalue == pytest.approx(-3.0, abs=1e-12)
-
-    def test_reference_measure_passes(self):
-        x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-        B = SemialgebraicSet(2, (1.0 - x1 * x1, 1.0 - x2 * x2))
-        mu = UniformBox((-1.0, -1.0), (1.0, 1.0))
-        for t in range(1, 4):
-            y = moments(mu, 2 * t)
-            assert putinar_prefix_check(y, B, t).passed

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from conftest import box_quadrature, cholesky_basis, random_polynomial
+from conftest import (box_quadrature, cholesky_basis, gram_matrix,
+                      random_polynomial)
 
 from cdmos.measures import (CountingHypercube, UniformBox, dirac_moments,
                             moments)
 from cdmos.orthobasis import (BasisConstructionError, build_basis, cd_kernel,
-                              christoffel, from_ortho_coords, gram_matrix,
-                              ortho_expansion_poly, reproduce, to_ortho_coords)
+                              christoffel, ortho_expansion_poly, reproduce)
 from cdmos.polyring import Polynomial
 
 UNIT = UniformBox((-1.0,), (1.0,))
@@ -92,31 +92,19 @@ class TestBuildBasis:
 
 class TestOrthoCoords:
     def test_dirac_gives_ortho_values(self, rng):
+        # sigma = D y of the Dirac at xi is sigma_alpha = T_alpha(xi)
         B = build_basis(UNIT, 3)
         for _ in range(5):
             xi = (float(rng.uniform(-1, 1)),)
-            sigma = to_ortho_coords(dirac_moments(xi, 3), B)
+            sigma = B.D @ dirac_moments(xi, 3).values
             np.testing.assert_allclose(sigma, B.eval_all(xi), atol=1e-10)
 
     def test_reference_measure_gives_first_unit_vector(self):
         B = build_basis(UNIT, 3)
-        sigma = to_ortho_coords(moments(UNIT, 3), B)
+        sigma = B.D @ moments(UNIT, 3).values
         e1 = np.zeros(4)
         e1[0] = 1.0
         np.testing.assert_allclose(sigma, e1, atol=1e-12)
-
-    def test_round_trip(self, rng):
-        B = build_basis(UniformBox((-1.0, 0.0), (1.0, 2.0)), 2)
-        y = rng.standard_normal(len(B.basis))
-        from cdmos.measures import make_moment_sequence
-        ms = make_moment_sequence(2, 2, y)
-        sigma = to_ortho_coords(ms, B)
-        np.testing.assert_allclose(from_ortho_coords(sigma, B), y, atol=1e-10)
-
-    def test_size_mismatch(self):
-        B = build_basis(UNIT, 2)
-        with pytest.raises(ValueError):
-            to_ortho_coords(moments(UNIT, 3), B)
 
 
 class TestKernel:
