@@ -19,6 +19,7 @@ solved (NotCertified is not a failure).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ import numpy as np
 from .hierarchy import SweepRow, min_relaxation_order, sandwich_sweep
 from .measures import CountingHypercube, ReferenceMeasure, UniformBox
 from .momentmat import SemialgebraicSet
-from .orthobasis import build_basis, christoffel
+from .orthobasis import OrthoBasis, build_basis, christoffel
 from .polyring import (PolyParseError, Polynomial, enumerate_basis,
                        parse_polynomial)
 from .sdp import SdpOptions
@@ -300,23 +301,50 @@ def run(pf: ProblemFile, max_order: Optional[int] = None,
                      density_order=_pick_density_order(rows))
 
 
-def _grid(lo: Sequence[float], hi: Sequence[float], k: int) -> np.ndarray:
-    """The (k^n, n) array of points of the regular k-per-axis grid on the box."""
-    axes = [np.linspace(a, b, k) for a, b in zip(lo, hi)]
+def _grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """The (k^n, n) array of the points of the grid with these axes, in
+    itertools.product order, which is the meshgrid(indexing="ij") order."""
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
-def sample_density(report: RunReport, grid_n: int) -> List[dict]:
+@dataclass
+class DensitySamples:
+    """The signed density sigma(x) and the diagonal kernel K(x, x) on a regular
+    grid, as columns over the grid's points (see `_grid_points`)."""
+
+    axes: List[np.ndarray]
+    sigma: np.ndarray
+    kernel_diag: np.ndarray
+
+    @property
+    def points(self) -> np.ndarray:
+        return _grid_points(self.axes)
+
+
+def _sample_grid(basis: OrthoBasis, lo: Sequence[float], hi: Sequence[float],
+                 k: int) -> Tuple[List[np.ndarray], np.ndarray]:
+    """The k grid values of each axis of the box, and the (k^n, m) table of
+    T_alpha over the grid's points."""
+    axes = [np.linspace(a, b, k) for a, b in zip(lo, hi)]
+    return axes, basis.eval_all(_grid_points(axes))
+
+
+def _x_labels(axes: Sequence[np.ndarray], sep: str) -> List[str]:
+    """The grid's points as text, in row order; each axis value is formatted once."""
+    return [sep.join(p) for p in
+            itertools.product(*([repr(v) for v in a.tolist()] for a in axes))]
+
+
+def sample_density(report: RunReport, grid_n: int) -> DensitySamples:
     """Evaluate the signed density and diagonal kernel on a regular grid.
 
-    Returns row dicts; raises ProblemFileError-style ValueError when the run
-    produced no density (no measure, or no orthonormal basis at degree 2t).
+    Raises ValueError when the run produced no density (no measure, or no
+    orthonormal basis at degree 2t).
     """
     row = report.density_row()
     if row is None or row.lower is None or row.lower.sigma is None:
         raise ValueError("density unavailable: no reconstructed density in report")
     lb = row.lower
-    basis = lb.density_basis
     pf = report.problem
     if pf.box is not None:
         lo, hi = pf.box
@@ -325,22 +353,17 @@ def sample_density(report: RunReport, grid_n: int) -> List[dict]:
         hi = (1.0,) * pf.n
     else:
         raise ValueError("density unavailable: no box to sample over")
-    pts = _grid(lo, hi, grid_n)
-    T = basis.eval_all(pts)
-    sigma = (T @ lb.sigma).tolist()
-    kernel_diag = np.einsum("ij,ij->i", T, T).tolist()
-    del T  # free the (k, m) table before the row dicts are built: it sets peak memory
-    return [{"x": x, "sigma": s, "kernel_diag": k}
-            for x, s, k in zip(pts.tolist(), sigma, kernel_diag)]
+    axes, T = _sample_grid(lb.density_basis, lo, hi, grid_n)
+    return DensitySamples(axes, T @ lb.sigma, np.einsum("ij,ij->i", T, T))
 
 
-def density_csv(rows: List[dict], n: int) -> str:
+def density_csv(samples: DensitySamples) -> str:
+    n = len(samples.axes)
     header = ",".join([f"x{i+1}" for i in range(n)] + ["sigma", "kernel_diag"])
-    lines = [header]
-    for r in rows:
-        lines.append(",".join([repr(v) for v in r["x"]] +
-                              [repr(r["sigma"]), repr(r["kernel_diag"])]))
-    return "\n".join(lines) + "\n"
+    lines = [f"{x},{s!r},{k!r}" for x, s, k in zip(_x_labels(samples.axes, ","),
+                                                  samples.sigma.tolist(),
+                                                  samples.kernel_diag.tolist())]
+    return "\n".join([header] + lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +386,11 @@ def _cmd_solve(args) -> int:
         sys.stdout.write(payload)
     if args.density_grid:
         try:
-            rows = sample_density(report, args.density_grid)
+            samples = sample_density(report, args.density_grid)
         except ValueError as exc:
             print(f"density unavailable: {exc}", file=sys.stderr)
         else:
-            csv = density_csv(rows, pf.n)
+            csv = density_csv(samples)
             if args.density_out:
                 with open(args.density_out, "w") as fh:
                     fh.write(csv)
@@ -397,15 +420,15 @@ def _cmd_basis(args) -> int:
     else:
         lo = (-1.0,) * measure.n
         hi = (1.0,) * measure.n
-    pts = _grid(lo, hi, args.grid)
-    T = basis.eval_all(pts)
-    samples = [{"x": x, "kernel_diag": k}
-               for x, k in zip(pts.tolist(), np.einsum("ij,ij->i", T, T).tolist())]
+    axes, T = _sample_grid(basis, lo, hi, args.grid)
+    kernel_diag = np.einsum("ij,ij->i", T, T).tolist()
     if args.format == "json":
         doc = {"measure": type(measure).__name__, "t": args.t,
                "exponents": [list(a) for a in basis.basis],
                "coefficients": [[float(v) for v in row] for row in basis.D],
-               "kernel_diag_samples": samples}
+               "kernel_diag_samples": [
+                   {"x": x, "kernel_diag": k}
+                   for x, k in zip(_grid_points(axes).tolist(), kernel_diag)]}
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     else:
         labels = ["".join(str(a) for a in alpha) for alpha in basis.basis]
@@ -414,9 +437,8 @@ def _cmd_basis(args) -> int:
             sys.stdout.write(labels[i] + "," +
                              ",".join(repr(float(v)) for v in basis.D[i]) + "\n")
         sys.stdout.write("x,kernel_diag\n")
-        for s in samples:
-            sys.stdout.write(" ".join(repr(v) for v in s["x"]) + "," +
-                             repr(s["kernel_diag"]) + "\n")
+        sys.stdout.write("".join(f"{x},{k!r}\n" for x, k in
+                                 zip(_x_labels(axes, " "), kernel_diag)))
     return 0
 
 

@@ -265,17 +265,6 @@ def reconstruct_density(r: LowerBoundResult) -> DensityReconstruction:
                                  christoffel_at=christoffel_at)
 
 
-def smoothed_objective(f: Polynomial, y_values: np.ndarray, basis: OrthoBasis) -> float:
-    """int f * (sum_alpha (D y)_alpha T_alpha) dmu, computed with exact moments.
-
-    Equals <f, y> by the change-of-basis identity; used as an independent
-    cross-check of the density route.
-    """
-    prod = f * ortho_expansion_poly(basis.D @ np.asarray(y_values, dtype=float), basis)
-    mom = moments(basis.measure, prod.degree)
-    return float(coeff_vector(prod, mom.basis) @ mom.values)
-
-
 # ---------------------------------------------------------------------------
 # Upper-bound hierarchy (SOS densities) via a generalized eigenvalue problem.
 # ---------------------------------------------------------------------------

@@ -73,9 +73,6 @@ class MomentSequence:
     def t(self) -> int:
         return self.basis.t
 
-    def value(self, alpha) -> float:
-        return float(self.values[self.basis.position(alpha)])
-
 
 def _box_univariate_moments(lo: float, hi: float, t: int) -> np.ndarray:
     """m_k = (1/(hi-lo)) * integral of x^k over [lo, hi], k = 0..t."""

@@ -2,10 +2,13 @@
 Christoffel function for the built-in reference measures.
 
 Both built-in measures are products of univariate measures, so the basis is
-the tensor product of univariate orthonormal families built by three-term
-recurrences.  The result is the unique lower-triangular change-of-basis
-matrix with positive diagonal; the tests check it against the Cholesky
-factor of the Gram (moment) matrix.
+the tensor product of univariate orthonormal families, and T_alpha(x) is the
+product over the axes k of p_k[alpha_k](x_k).  Evaluation runs on the
+univariate three-term recurrences directly, one (t+1)-row table per axis.
+The monomial coefficients of the family form the unique lower-triangular
+change-of-basis matrix D with positive diagonal (the tests check it against
+the Cholesky factor of the Gram matrix); D is what maps a moment vector y
+to the coefficients sigma = D y, and evaluation does not use it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ import numpy as np
 
 from .measures import CountingHypercube, ReferenceMeasure, UniformBox, moments
 from .momentmat import localizing_matrix
-from .polyring import (MonomialBasis, Polynomial, enumerate_basis, monomial_values,
-                       vector_to_poly)
+from .polyring import MonomialBasis, Polynomial, enumerate_basis, vector_to_poly
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -45,12 +47,22 @@ class OrthoBasis:
 
     def eval_all(self, x) -> np.ndarray:
         """Vector (T_alpha(x)) over the graded-lex basis; for a (k, n) array of
-        points, the (k, m) array of these vectors."""
-        return (self.D @ monomial_values(self.basis, x).T).T
+        points, the (k, m) array of these vectors.
 
-    def ortho_polynomial(self, alpha) -> Polynomial:
-        i = self.basis.position(alpha)
-        return vector_to_poly(self.D[i], self.basis)
+        Each axis's univariate family is tabulated at the points by its
+        three-term recurrence, and T_alpha is the product of the tables'
+        rows alpha_k; the monomial coefficients in D are not used.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n:
+            raise ValueError(f"points of shape {x.shape} do not match basis dimension {self.n}")
+        E = self.basis.array
+        tables = _univariate_values(self.measure, x, self.t)
+        V = tables[0][E[:, 0]]
+        for k in range(1, self.n):
+            V *= tables[k][E[:, k]]
+        # one row per point, contiguous for the callers' row-wise products
+        return np.ascontiguousarray(np.moveaxis(V, 0, -1))
 
 
 def _legendre_univariate(lo: float, hi: float, t: int) -> np.ndarray:
@@ -75,6 +87,20 @@ def _legendre_univariate(lo: float, hi: float, t: int) -> np.ndarray:
     return scale[:, None] * P
 
 
+def _legendre_values(lo: float, hi: float, x: np.ndarray, t: int) -> np.ndarray:
+    """The (t+1,) + x.shape table of T_0..T_t of `_legendre_univariate` at x,
+    by the same recurrence on values instead of coefficients."""
+    u = (2 * x - lo - hi) / (hi - lo)
+    P = np.empty((t + 1,) + x.shape)
+    P[0] = 1.0
+    if t >= 1:
+        P[1] = u
+    for k in range(1, t):
+        P[k + 1] = ((2 * k + 1) * u * P[k] - k * P[k - 1]) / (k + 1)
+    P *= np.sqrt(2 * np.arange(t + 1) + 1).reshape((t + 1,) + (1,) * x.ndim)
+    return P
+
+
 def _hypercube_univariate(t: int) -> np.ndarray:
     # On {-1,1} the monomials 1 and x are already orthonormal; x^2 == 1 on the
     # support, so degree >= 2 has a singular Gram matrix.
@@ -84,6 +110,20 @@ def _hypercube_univariate(t: int) -> np.ndarray:
             "support of the counting hypercube measure")
     T = np.eye(t + 1)
     return T
+
+
+def _univariate_values(measure: ReferenceMeasure, x: np.ndarray,
+                       t: int) -> list[np.ndarray]:
+    """Per axis k, the (t+1,) + x.shape[:-1] table of p_k[0..t] at x[..., k]."""
+    if isinstance(measure, UniformBox):
+        return [_legendre_values(lo, hi, x[..., k], t)
+                for k, (lo, hi) in enumerate(zip(measure.lo, measure.hi))]
+    if isinstance(measure, CountingHypercube):
+        # the family 1, x of _hypercube_univariate
+        return [np.stack([np.ones_like(x[..., k]), x[..., k]])[:t + 1]
+                for k in range(measure.n)]
+    raise BasisConstructionError(
+        f"no tensorized construction for measure kind {type(measure).__name__}")
 
 
 def _tensor_basis(measure: ReferenceMeasure, basis: MonomialBasis) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared test oracles: tensor-product Gauss-Legendre quadrature, the
-Cholesky-of-Gram orthonormal basis, the SOS multipliers expanded as
-polynomials, and helpers.
+Cholesky-of-Gram orthonormal basis, the orthonormal polynomials and their
+values through their monomial coefficients, the SOS multipliers expanded as
+polynomials, the per-row density table formatter, and helpers.
 
 The oracles live here, not in the library: the package only ever uses
 closed-form moments and tensorized recurrences, and the tests check those
@@ -15,7 +16,9 @@ import pytest
 
 from cdmos.measures import MomentSequence, moments
 from cdmos.momentmat import moment_matrix
-from cdmos.polyring import Polynomial, enumerate_basis
+from cdmos.orthobasis import ortho_expansion_poly
+from cdmos.polyring import (Polynomial, coeff_vector, enumerate_basis,
+                            monomial_values, vector_to_poly)
 
 
 def box_quadrature(func, lo, hi, points=40):
@@ -40,6 +43,52 @@ def box_quadrature(func, lo, hi, points=40):
 def make_moment_sequence(n, t, values):
     """A moment sequence of order t in n variables holding the given values."""
     return MomentSequence(np.asarray(values, dtype=float), enumerate_basis(n, t))
+
+
+def moment_value(y, alpha):
+    """The entry y_alpha of a moment sequence, looked up by its exponent."""
+    return float(y.values[y.basis.position(alpha)])
+
+
+def ortho_polynomial(B, alpha):
+    """T_alpha of an orthonormal basis as a polynomial: row alpha of D."""
+    return vector_to_poly(B.D[B.basis.position(alpha)], B.basis)
+
+
+def monomial_route_eval(B, x):
+    """(T_alpha(x)) through the monomial coefficients: D v_t(x), for one point
+    or row-wise for a (k, n) array of points."""
+    return (B.D @ monomial_values(B.basis, x).T).T
+
+
+def smoothed_objective(f, y_values, basis):
+    """int f * (sum_alpha (D y)_alpha T_alpha) dmu, computed with exact moments.
+
+    Equals <f, y> by the change-of-basis identity; an independent cross-check
+    of the density route.
+    """
+    prod = f * ortho_expansion_poly(basis.D @ np.asarray(y_values, dtype=float), basis)
+    mom = moments(basis.measure, prod.degree)
+    return float(coeff_vector(prod, mom.basis) @ mom.values)
+
+
+def box_grid(lo, hi, k):
+    """The (k^n, n) array of points of the regular k-per-axis grid on the box,
+    built through meshgrid(indexing="ij")."""
+    axes = [np.linspace(a, b, k) for a, b in zip(lo, hi)]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def density_csv_per_row(points, sigma, kernel_diag):
+    """The density table built one row dict at a time, each value through repr."""
+    rows = [{"x": x, "sigma": s, "kernel_diag": k}
+            for x, s, k in zip(points.tolist(), sigma.tolist(), kernel_diag.tolist())]
+    n = points.shape[1]
+    lines = [",".join([f"x{i+1}" for i in range(n)] + ["sigma", "kernel_diag"])]
+    for r in rows:
+        lines.append(",".join([repr(v) for v in r["x"]] +
+                              [repr(r["sigma"]), repr(r["kernel_diag"])]))
+    return "\n".join(lines) + "\n"
 
 
 def gram_matrix(measure, t):

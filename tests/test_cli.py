@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import box_grid, density_csv_per_row
 
 from cdmos.cli import (ProblemFileError, density_csv, main, parse_problem,
                        run, sample_density)
@@ -25,6 +27,25 @@ constraint = 1 - x2^2 >= 0
 measure = uniform_box
 box = -1 1 ; -1 1
 orders = 1..2
+"""
+
+BOX_BILINEAR = (Path(__file__).resolve().parents[1] / "problems" /
+                "box_bilinear.txt").read_text()
+
+# box_bilinear on the non-square box [-1, 1] x [-0.5, 2]
+BOX_BILINEAR_WIDE = (BOX_BILINEAR
+                     .replace("1 - x2^2 >= 0", "1 + 1.5 x2 - x2^2 >= 0")
+                     .replace("-1 1 ; -1 1", "-1 1 ; -0.5 2"))
+
+TRILINEAR = """\
+variables = x1 x2 x3
+objective = x1 + x2 x3
+constraint = 1 - x1^2 >= 0
+constraint = 2 x2 - x2^2 >= 0
+constraint = 0.75 - x3 - x3^2 >= 0
+measure = uniform_box
+box = -1 1 ; 0 2 ; -1.5 0.5
+orders = 1..1
 """
 
 
@@ -147,22 +168,23 @@ class TestRunReport:
 class TestDensitySampling:
     def test_grid_values(self):
         report = run(parse_problem(UNIVARIATE))
-        rows = sample_density(report, 5)
-        assert len(rows) == 5
-        assert rows[0]["x"] == [-1.0]
+        samples = sample_density(report, 5)
+        assert samples.sigma.shape == samples.kernel_diag.shape == (5,)
+        assert samples.points[0].tolist() == [-1.0]
         # at the minimizer the kernel section peaks at K(-1,-1)
-        assert rows[0]["sigma"] == pytest.approx(rows[0]["kernel_diag"], abs=1e-4)
+        assert samples.sigma[0] == pytest.approx(samples.kernel_diag[0], abs=1e-4)
         # signed density: negative somewhere in the interior
-        assert min(r["sigma"] for r in rows) < 0
+        assert samples.sigma.min() < 0
 
     def test_kernel_diag_against_direct_evaluation(self):
         from cdmos.orthobasis import build_basis, cd_kernel
         report = run(parse_problem(UNIVARIATE))
         B = build_basis(UniformBox((-1.0,), (1.0,)),
                         2 * report.density_order)
-        for r in sample_density(report, 7):
-            x = tuple(r["x"])
-            assert r["kernel_diag"] == pytest.approx(cd_kernel(B, x, x), rel=1e-12)
+        samples = sample_density(report, 7)
+        for x, kd in zip(samples.points.tolist(), samples.kernel_diag.tolist()):
+            x = tuple(x)
+            assert kd == pytest.approx(cd_kernel(B, x, x), rel=1e-12)
 
     def test_unavailable_without_measure(self):
         text = ("variables = x\nobjective = x\nconstraint = 1 - x^2 >= 0\n"
@@ -173,11 +195,21 @@ class TestDensitySampling:
 
     def test_csv_shape(self):
         report = run(parse_problem(BILINEAR))
-        rows = sample_density(report, 3)
-        csv = density_csv(rows, 2)
+        csv = density_csv(sample_density(report, 3))
         lines = csv.strip().splitlines()
         assert lines[0] == "x1,x2,sigma,kernel_diag"
         assert len(lines) == 1 + 9
+
+    @pytest.mark.parametrize("text,k", [(UNIVARIATE, 7), (BOX_BILINEAR, 5),
+                                        (BOX_BILINEAR_WIDE, 6), (TRILINEAR, 4)],
+                             ids=["1d", "box_bilinear", "box_bilinear_wide", "3d"])
+    def test_csv_matches_per_row_formatter(self, text, k):
+        pf = parse_problem(text)
+        samples = sample_density(run(pf), k)
+        points = box_grid(*pf.box, k)
+        np.testing.assert_array_equal(samples.points, points)
+        assert density_csv(samples) == density_csv_per_row(
+            points, samples.sigma, samples.kernel_diag)
 
 
 class TestCommandLine:
@@ -243,6 +275,20 @@ class TestCommandLine:
         for s in samples:
             x = tuple(s["x"])
             assert s["kernel_diag"] == pytest.approx(cd_kernel(B, x, x), rel=1e-14)
+
+    def test_basis_csv_samples_match_per_row_format(self, capsys):
+        from cdmos.orthobasis import build_basis, cd_kernel
+        assert main(["basis", "uniform_box", "3", "--dim", "2", "--grid", "4",
+                     "--lo", "-0.5", "--hi", "2", "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        lines = out.split("x,kernel_diag\n", 1)[1].splitlines()
+        points = box_grid((-0.5, -0.5), (2.0, 2.0), 4)
+        B = build_basis(UniformBox((-0.5, -0.5), (2.0, 2.0)), 3)
+        assert len(lines) == len(points)
+        for line, x in zip(lines, points.tolist()):
+            label, kd = line.split(",")
+            assert label == " ".join(repr(v) for v in x)
+            assert float(kd) == pytest.approx(cd_kernel(B, x, x), rel=1e-14)
 
     def test_basis_csv(self, capsys):
         assert main(["basis", "uniform_box", "1", "--grid", "2",

@@ -3,12 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import multiplier_poly, random_polynomial
+from conftest import (moment_value, multiplier_poly, random_polynomial,
+                      smoothed_objective)
 
 from cdmos.cli import parse_problem
 from cdmos.hierarchy import (certify_and_extract, lower_bound,
                              min_relaxation_order, reconstruct_density,
-                             sandwich_sweep, smoothed_objective, upper_bound)
+                             sandwich_sweep, upper_bound)
 from cdmos.measures import CountingHypercube, UniformBox, moments
 from cdmos.momentmat import SemialgebraicSet
 from cdmos.orthobasis import build_basis, cd_kernel, ortho_expansion_poly
@@ -107,8 +108,8 @@ class TestUpperBound:
         B = np.zeros_like(A)
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
-                B[i, j] = y.value((a[0] + b[0],))
-                A[i, j] = sum(c * y.value((a[0] + b[0] + g[0],))
+                B[i, j] = moment_value(y, (a[0] + b[0],))
+                A[i, j] = sum(c * moment_value(y, (a[0] + b[0] + g[0],))
                               for g, c in f.terms.items())
         oracle = eigh(A, B, eigvals_only=True)[0]
         assert upper_bound(f, UNIT_MEASURE, t).u == pytest.approx(oracle, rel=1e-10)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import make_moment_sequence, random_polynomial
+from conftest import make_moment_sequence, moment_value, random_polynomial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,7 +74,7 @@ class TestLocalizingMatrix:
         rng = np.random.default_rng(seed)
         y = make_moment_sequence(n, t, rng.standard_normal(len(enumerate_basis(n, t))))
         basis = enumerate_basis(n, s)
-        expected = np.array([[sum(c * y.value(tuple(p + q + r for p, q, r in zip(a, b, gamma)))
+        expected = np.array([[sum(c * moment_value(y, tuple(p + q + r for p, q, r in zip(a, b, gamma)))
                                   for gamma, c in g.terms.items())
                               for b in basis] for a in basis]).reshape(len(basis), len(basis))
         np.testing.assert_allclose(localizing_matrix(y, g, s), expected,

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import (box_quadrature, cholesky_basis, gram_matrix,
-                      random_polynomial)
+                      monomial_route_eval, ortho_polynomial, random_polynomial)
 
 from cdmos.measures import (CountingHypercube, UniformBox, dirac_moments,
                             moments)
@@ -15,8 +17,8 @@ UNIT = UniformBox((-1.0,), (1.0,))
 class TestBuildBasis:
     def test_unit_interval_degree_one(self):
         B = build_basis(UNIT, 1)
-        T0 = B.ortho_polynomial((0,))
-        T1 = B.ortho_polynomial((1,))
+        T0 = ortho_polynomial(B, (0,))
+        T1 = ortho_polynomial(B, (1,))
         assert T0 == Polynomial.constant(1, 1.0)
         # quadrature oracle: mean zero, unit norm
         assert box_quadrature(lambda x: T1(x), [-1], [1]) == pytest.approx(0, abs=1e-12)
@@ -36,7 +38,7 @@ class TestBuildBasis:
             nrm = np.sqrt(inner(g, g))
             ortho.append(lambda x, g=g, nrm=nrm: g(x) / nrm)
         B = build_basis(UNIT, 2)
-        T2 = B.ortho_polynomial((2,))
+        T2 = ortho_polynomial(B, (2,))
         for xv in np.linspace(-1, 1, 7):
             assert T2((xv,)) == pytest.approx(ortho[2]((xv,)), abs=1e-9)
         # closed form sqrt(5) (3x^2 - 1)/2
@@ -82,7 +84,7 @@ class TestBuildBasis:
         (UNIT, 4), (UniformBox((-1.0, -1.0), (1.0, 1.0)), 3)])
     def test_orthonormality_against_quadrature(self, measure, tmax):
         B = build_basis(measure, tmax)
-        polys = [B.ortho_polynomial(a) for a in B.basis]
+        polys = [ortho_polynomial(B, a) for a in B.basis]
         for i, p in enumerate(polys):
             for j in range(i, len(polys)):
                 q = polys[j]
@@ -107,6 +109,47 @@ class TestOrthoCoords:
         np.testing.assert_allclose(sigma, e1, atol=1e-12)
 
 
+def max_row_error(T, ref):
+    """max over rows of |T - ref|_inf / |ref|_inf: single entries can cancel
+    to ~1e-2 of their row, so errors are measured against the row's scale."""
+    return float(np.max(np.abs(T - ref).max(axis=1) / np.abs(ref).max(axis=1)))
+
+
+class TestEvalAllOracles:
+    @pytest.mark.parametrize("measure", [
+        UniformBox((0.5,), (3.0,)), UniformBox((0.0, -2.0), (1.5, 1.0))])
+    def test_matches_scaled_legvander(self, measure, rng):
+        t = 8
+        B = build_basis(measure, t)
+        X = rng.uniform(measure.lo, measure.hi, size=(50, measure.n))
+        ref = np.ones((len(X), len(B.basis)))
+        for k in range(measure.n):
+            u = (2 * X[:, k] - measure.lo[k] - measure.hi[k]) / (measure.hi[k] - measure.lo[k])
+            V = np.polynomial.legendre.legvander(u, t) * np.sqrt(2 * np.arange(t + 1) + 1)
+            ref *= V[:, B.basis.array[:, k]]
+        assert max_row_error(B.eval_all(X), ref) <= 1e-14
+
+    @pytest.mark.parametrize("measure,tmax", [
+        (UNIT, 8),
+        (UniformBox((-1.0, -1.0), (1.0, 1.0)), 8),
+        # off-centre the monomial coefficients of T_alpha grow with t and the
+        # monomial route itself loses digits (2.4e-11 at t = 8 on this box)
+        (UniformBox((0.0, -2.0), (1.5, 1.0)), 4),
+    ])
+    def test_matches_monomial_route(self, measure, tmax, rng):
+        X = rng.uniform(measure.lo, measure.hi, size=(50, measure.n))
+        for t in range(tmax + 1):
+            B = build_basis(measure, t)
+            assert max_row_error(B.eval_all(X), monomial_route_eval(B, X)) <= 1e-12
+
+    def test_counting_hypercube_exact(self, rng):
+        B = build_basis(CountingHypercube(3), 1)
+        X = np.vstack([list(itertools.product([-1.0, 1.0], repeat=3)),
+                       rng.uniform(-1, 1, size=(10, 3))])
+        np.testing.assert_array_equal(B.eval_all(X), np.hstack([np.ones((len(X), 1)), X]))
+        np.testing.assert_array_equal(B.eval_all(X), monomial_route_eval(B, X))
+
+
 class TestKernel:
     @pytest.mark.parametrize("measure,t", [
         (UNIT, 5),
@@ -122,6 +165,12 @@ class TestKernel:
             # relative to the row's scale: single entries can cancel to ~1e-2
             ref = B.eval_all(x)
             np.testing.assert_allclose(T[i], ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
+    def test_wrong_dimension_raises(self):
+        B = build_basis(UniformBox((-1.0, -1.0), (1.0, 1.0)), 2)
+        for x in [(0.1,), (0.1, 0.2, 0.3), np.zeros((4, 3)), np.zeros((2, 2, 2))]:
+            with pytest.raises(ValueError, match="dimension"):
+                B.eval_all(x)
 
     def test_value_at_endpoint(self):
         B = build_basis(UNIT, 2)
