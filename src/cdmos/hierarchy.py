@@ -19,6 +19,7 @@ the reciprocal Christoffel function.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -102,8 +103,15 @@ class LowerBoundResult:
 class UpperBoundResult:
     t: int
     u: float
-    sos_density: Polynomial  # sigma(x) = (v' v_t(x))^2 / normalization
-    eigvec: np.ndarray
+    eigvec: np.ndarray       # v, the pencil's eigenvector for u
+    norm: float              # v' M_t(y_mu) v, the integral of (v' v_t(x))^2
+    n: int
+
+    @functools.cached_property
+    def sos_density(self) -> Polynomial:
+        """sigma(x) = (v' v_t(x))^2 / norm, built on first read."""
+        q = vector_to_poly(self.eigvec, enumerate_basis(self.n, self.t))
+        return (q * q) * (1.0 / self.norm)
 
 
 @dataclass
@@ -280,11 +288,7 @@ def upper_bound(f: Polynomial, measure: ReferenceMeasure, t: int) -> UpperBoundR
     A = localizing_matrix(y, f, t)
     Bm = moment_matrix(y, t)
     lam, v = gen_eig_min(A, Bm)
-    norm = float(v @ Bm @ v)
-    basis_t = enumerate_basis(f.n, t)
-    q = vector_to_poly(v, basis_t)
-    density = (q * q) * (1.0 / norm)
-    return UpperBoundResult(t=t, u=lam, sos_density=density, eigvec=v)
+    return UpperBoundResult(t=t, u=lam, eigvec=v, norm=float(v @ Bm @ v), n=f.n)
 
 
 # ---------------------------------------------------------------------------

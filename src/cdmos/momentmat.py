@@ -9,11 +9,17 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .measures import MomentSequence
-from .polyring import Polynomial
+from .polyring import Polynomial, _grlex_rank
 
 
 def localizing_matrix(y: MomentSequence, g: Polynomial, s: int) -> np.ndarray:
-    """M(alpha, beta) = sum_gamma g_gamma y_{alpha+beta+gamma}, order-s index set."""
+    """M(alpha, beta) = sum_gamma g_gamma y_{alpha+beta+gamma}, order-s index set.
+
+    Built from the shifted moments z_delta = sum_gamma g_gamma y_{delta+gamma}
+    over |delta| <= 2s, one rank table for all terms, and read off as
+    M(alpha, beta) = z_{alpha+beta}; each entry gets the same additions, in
+    the same order, as the term-by-term sum of y's tables.
+    """
     if g.n != y.n:
         raise ValueError(f"dimension mismatch: {g.n} vs {y.n}")
     if s < 0:
@@ -21,11 +27,13 @@ def localizing_matrix(y: MomentSequence, g: Polynomial, s: int) -> np.ndarray:
     if 2 * s + g.degree > y.t:
         raise ValueError(
             f"moment sequence too short: need degree {2 * s + g.degree}, have {y.t}")
-    m = math.comb(y.n + s, s)
-    M = np.zeros((m, m))
-    for gamma, c in g.terms.items():
-        M += c * y.values[y.basis.sum_index(s, gamma)]
-    return M
+    deltas = y.basis.array[:math.comb(y.n + 2 * s, 2 * s)]
+    gammas = np.array(list(g.terms), dtype=np.intp).reshape(-1, y.n)
+    shifted = _grlex_rank(gammas[:, None, :] + deltas[None, :, :])
+    z = np.zeros(len(deltas))
+    for idx, c in zip(shifted, g.terms.values()):
+        z += c * y.values[idx]
+    return z[y.basis.sum_index(s)]
 
 
 def moment_matrix(y: MomentSequence, s: int) -> np.ndarray:

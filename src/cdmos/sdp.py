@@ -30,9 +30,15 @@ reduced onto k) are direct gathers, done in layers of distinct target rows.
 The scatter takes one layer for a moment block, whose rows are all
 distinct, and one per term of g_j for a localizing block; the reduction
 takes as many as the most upper-triangle entries any A_k has in the stack
-(7 for the side-35 moment block of four variables at order 3).  Cholesky
+(7 for the side-35 moment block of four variables at order 3).  Every
+intermediate of that build (the products X = A_l W^-1 and B = W^-1 X, the
+gathers, each stack's sum) is carved out of one float64 workspace that
+``solve_sdp`` allocates before its loop, sized for the largest stack, so
+the build takes no fresh pages after the first iteration; each stack's sum
+is added to the Schur complement before the next stack's build.  Cholesky
 jitter stays per matrix: a stack whose batched factorization fails is
-factored member by member.
+factored member by member, and a matrix gets jitter only after its plain
+factorization fails.
 
 The Newton systems are solved through the explicit inverse of the Schur
 complement's Cholesky factor, formed once per iteration by 2x2 block
@@ -159,7 +165,8 @@ class SdpBlock:
 
     @functools.cached_property
     def _schur_plan(self):
-        """Gathers for ``schur``, built on its first call.
+        """Gathers for ``schur`` and the workspace they need, built on its
+        first call.
 
         Scatter: row (j, a, l) of the stacked products A_l W_j^-1 sums
         val * W_j^-1[b] over the entries (l, j, a, b).  Reduce: <A_k, B_j>
@@ -167,8 +174,13 @@ class SdpBlock:
         W_j^-1 A_l W_j^-1 is symmetric), summed onto row k.  Both sums go
         layer by layer (``_layers``), one fancy-indexed update per layer.
         The scatter's terms, d wide, are gathered at once; the reduction's,
-        N wide, in chunks of whole layers of at most _GATHER_FLOATS floats
-        or one layer.
+        N wide, in chunks of at most _GATHER_FLOATS floats (or one row), a
+        layer larger than that split into pieces.
+
+        The workspace is X's half, then B's half.  Before the matmul, the
+        scatter's gathered terms sit in B's half; after it, the sum and the
+        reduction's gathers sit in X's.  Returned with the plans are the two
+        halves' sizes.
         """
         d, N = self.dim, self.num_vars
         ja, b = np.divmod(self.pos, d)            # ja = j*d + a
@@ -181,8 +193,11 @@ class SdpBlock:
         upper = upper[order]
         weight = np.where(ja[upper] % d == b[upper], 1.0, 2.0) * self.val[upper]
         rk, rpos = self.var[upper], self.pos[upper]
+        step = max(1, _GATHER_FLOATS // N)
+        pieces = [slice(i, min(i + step, s.stop))
+                  for s in layers for i in range(s.start, s.stop, step)]
         chunks = []
-        for s in layers:
+        for s in pieces:
             if chunks and (s.stop - chunks[-1][0].start) * N <= _GATHER_FLOATS:
                 chunks[-1].append(s)
             else:
@@ -192,44 +207,65 @@ class SdpBlock:
             lo, hi = c[0].start, c[-1].stop
             reduce.append((rpos[lo:hi], weight[lo:hi],
                            [(slice(s.start - lo, s.stop - lo), rk[s]) for s in c]))
-        return scatter, reduce
+        size = self.const.size * N
+        gathered = max((len(pos) for pos, _, _ in reduce), default=0)
+        return scatter, reduce, (max(size, N * (N + gathered)), max(size, d * len(self.pos)))
 
-    def schur(self, Winv: np.ndarray) -> np.ndarray:
+    @property
+    def schur_floats(self) -> int:
+        """The size of the workspace ``schur`` needs, in float64s."""
+        return sum(self._schur_plan[2])
+
+    def schur(self, Winv: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
         """The matrix (sum_j tr(A_kj Winv_j A_lj Winv_j))_kl for symmetric Winv
         (one matrix per stack member), in O(N d^3) per member.
 
         Scatter rows of Winv_j into X[j, a, :, l] = (A_lj Winv_j)[a, :],
-        multiply every A_lj Winv_j by Winv_j in one batched matmul, and gather
-        the products' entries onto k through the pattern.
+        multiply every A_lj Winv_j by Winv_j in one batched matmul into B,
+        and gather the products' entries onto k through the pattern.  X, B,
+        the gathers and the result are carved out of ``work``, a flat float64
+        buffer of at least ``schur_floats`` entries (one is allocated if it
+        is None), so a solve that passes one buffer to every call takes no
+        fresh pages here.  The result is a view of ``work``: it is valid
+        until the next call that uses the same buffer.
         """
         d, N = self.dim, self.num_vars
-        (src, val, targets), reduce = self._schur_plan
+        (src, val, targets), reduce, (nx, _) = self._schur_plan
+        if work is None:
+            work = np.empty(self.schur_floats)
         rows = Winv.reshape(-1, d)                # row j*d + b is Winv_j[b]
-        part = rows[src]
+        g = rows.shape[0] // d
+        size = self.const.size * N
+        B = work[nx:nx + size].reshape(g, d, d * N)
+        part = work[nx:nx + len(src) * d].reshape(-1, d)
+        # mode="clip" leaves these in-range indices alone; the default
+        # "raise" would gather into a fresh buffer and copy it into out
+        np.take(rows, src, axis=0, out=part, mode="clip")
         part *= val[:, None]
-        X = np.zeros((rows.shape[0], d, N))
-        # the first layer is assigned: += would read X back, which made a
-        # moment block's schur (one layer, d = 35, N = 209) 2.5 -> 4.5 ms
+        X = work[:size].reshape(g * d, d, N)
+        X.fill(0.0)
+        # the first layer is assigned, as += would read X back
         for i, (s, ja, l) in enumerate(targets):
             if i:
                 X[ja, :, l] += part[s]
             else:
                 X[ja, :, l] = part[s]
-        g = rows.shape[0] // d
-        B = np.matmul(Winv.reshape(g, d, d), X.reshape(g, d, d * N)).reshape(g * d * d, N)
-        del X
-        M = np.zeros((N, N))
+        np.matmul(Winv.reshape(g, d, d), X.reshape(g, d, d * N), out=B)
+        B = B.reshape(g * d * d, N)
+        M = work[:N * N].reshape(N, N)
+        M.fill(0.0)
         for pos, weight, layers in reduce:
-            G = B[pos]
+            G = work[N * N:N * (N + len(pos))].reshape(-1, N)
+            np.take(B, pos, axis=0, out=G, mode="clip")
             G *= weight[:, None]
             for s, k in layers:
                 M[k] += G[s]
         return M
 
 
-# Largest reduction gather in floats (128 KiB), unless one layer is larger.
-# Bigger temporaries come from fresh pages on every call: gathering all
-# layers at once made box_dense (N = 209) slower than one gather per layer.
+# Largest reduction gather in floats (128 KiB).  It bounds the gathers' share
+# of the Schur workspace, which for a localizing block of many terms would
+# otherwise exceed X, and the temporary of each fancy-indexed += onto M.
 _GATHER_FLOATS = 1 << 14
 
 
@@ -294,16 +330,19 @@ class SdpSolution:
 
 
 def _jittered_cholesky(M: np.ndarray, floor: float) -> np.ndarray:
-    """Lower Cholesky factor of M + jitter*I, retrying with escalating jitter
-    from floor * max(1, max diag M): roundoff can push the smallest eigenvalue
-    of a positive definite M marginally negative."""
-    scale = max(1.0, float(np.max(np.diag(M))))
-    jitter = 0.0
-    for _ in range(6):
+    """Lower Cholesky factor of M, or of M + jitter*I when that fails, with
+    escalating jitter from floor * max(1, max diag M): roundoff can push the
+    smallest eigenvalue of a positive definite M marginally negative."""
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        pass
+    jitter = floor * max(1.0, float(np.max(np.diag(M))))
+    for _ in range(5):
         try:
             return np.linalg.cholesky(M + jitter * np.eye(M.shape[0]))
         except np.linalg.LinAlgError:
-            jitter = max(10.0 * jitter, floor * scale)
+            jitter *= 10.0
     raise np.linalg.LinAlgError("matrix is not numerically positive definite")
 
 
@@ -410,6 +449,8 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
     stacks = [blocks[js[0]] if len(js) == 1 else SdpBlock.stack([blocks[j] for j in js])
               for js in members]
     ns = len(stacks)
+    # one Schur workspace for every stack and iteration
+    work = np.empty(max(blk.schur_floats for blk in stacks))
 
     data_scale = max(1.0, max(float(np.max(np.abs(blk.val), initial=0.0)) for blk in blocks),
                      max(float(np.max(np.abs(blk.const), initial=0.0)) for blk in blocks))
@@ -459,7 +500,7 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
             # Schur complement M_kl = sum_j tr(A_kj W_j^-1 A_lj W_j^-1)
             M = np.zeros((N, N))
             for s, blk in enumerate(stacks):
-                M += blk.schur(_t(Rinvs[s]) @ Rinvs[s])
+                M += blk.schur(_t(Rinvs[s]) @ Rinvs[s], work)
             M = 0.5 * (M + M.T)
             Linv = _chol_regularized(M)
             Hres = [Rinvs[s] @ Rres[s] @ _t(Rinvs[s]) for s in range(ns)]

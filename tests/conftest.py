@@ -1,7 +1,9 @@
 """Shared test oracles: tensor-product Gauss-Legendre quadrature, the
 Cholesky-of-Gram orthonormal basis, the orthonormal polynomials and their
 values through their monomial coefficients, the SOS multipliers expanded as
-polynomials, the per-row density table formatter, and helpers.
+polynomials, the per-row density table formatter, the localizing matrix
+summed one index table per term, the upper bound's SOS density built at
+once, and helpers.
 
 The oracles live here, not in the library: the package only ever uses
 closed-form moments and tensorized recurrences, and the tests check those
@@ -10,6 +12,7 @@ independent routes.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -89,6 +92,25 @@ def density_csv_per_row(points, sigma, kernel_diag):
         lines.append(",".join([repr(v) for v in r["x"]] +
                               [repr(r["sigma"]), repr(r["kernel_diag"])]))
     return "\n".join(lines) + "\n"
+
+
+def localizing_matrix_per_term(y, g, s):
+    """M_s(g y) summed term by term: sum_gamma g_gamma * y[sum_index(s, gamma)],
+    starting from zeros, in ``g.terms`` order."""
+    m = math.comb(y.n + s, s)
+    M = np.zeros((m, m))
+    for gamma, c in g.terms.items():
+        M += c * y.values[y.basis.sum_index(s, gamma)]
+    return M
+
+
+def sos_density_eager(f, measure, t, v):
+    """(q * q) / norm with q = v' v_t(x) and norm = v' M_t(y_mu) v: the SOS
+    density of the order-t upper bound for the eigenvector v, built at once
+    from the same moments as ``upper_bound``."""
+    Bm = moment_matrix(moments(measure, 2 * t + f.degree), t)
+    q = vector_to_poly(v, enumerate_basis(f.n, t))
+    return (q * q) * (1.0 / float(v @ Bm @ v))
 
 
 def gram_matrix(measure, t):

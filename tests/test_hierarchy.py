@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (moment_value, multiplier_poly, random_polynomial,
-                      smoothed_objective)
+                      smoothed_objective, sos_density_eager)
 
 from cdmos.cli import parse_problem
 from cdmos.hierarchy import (certify_and_extract, lower_bound,
@@ -122,6 +122,15 @@ class TestUpperBound:
         for _ in range(1000):
             x = (float(rng.uniform(-1, 1)),)
             assert u.sos_density(x) >= -1e-10
+
+    @pytest.mark.parametrize("f, measure", [
+        (X * X * X - 0.5 * X, UNIT_MEASURE),
+        (X1 * X1 * X2 - X1 * X2 + 0.3 * X2, UniformBox((-1.0, 0.5), (2.0, 1.5)))])
+    @pytest.mark.parametrize("t", [0, 1, 2, 3])
+    def test_lazy_density_matches_eager(self, f, measure, t):
+        u = upper_bound(f, measure, t)
+        eager = sos_density_eager(f, measure, t, u.eigvec)
+        assert list(u.sos_density.terms.items()) == list(eager.terms.items())
 
     def test_hypercube_singular_mass_rejected(self):
         with pytest.raises(np.linalg.LinAlgError):

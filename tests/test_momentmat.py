@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import make_moment_sequence, moment_value, random_polynomial
+from conftest import (localizing_matrix_per_term, make_moment_sequence, moment_value,
+                      random_polynomial)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,6 +80,24 @@ class TestLocalizingMatrix:
                               for b in basis] for a in basis]).reshape(len(basis), len(basis))
         np.testing.assert_allclose(localizing_matrix(y, g, s), expected,
                                    rtol=1e-13, atol=1e-13)
+
+    @given(n=st.integers(1, 3), s=st.integers(0, 3),
+           terms=st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                                 st.floats(-1.0, 1.0), max_size=6),
+           lo=st.lists(st.floats(-2.0, 1.0), min_size=3, max_size=3),
+           width=st.lists(st.floats(0.25, 2.0), min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_per_term_sum(self, n, s, terms, lo, width):
+        # the shifted-moment route adds the same terms in the same order as
+        # one table per term, so it is exact, not close; g = 1 is the moment
+        # matrix and g = x_i the extraction's multiplication matrices
+        box = UniformBox(lo[:n], [a + w for a, w in zip(lo, width)][:n])
+        gs = [Polynomial(n, {gamma[:n]: c for gamma, c in terms.items()}),
+              Polynomial.constant(n, 1.0)] + [Polynomial.variable(n, i) for i in range(n)]
+        for g in gs:
+            y = moments(box, 2 * s + g.degree)
+            assert np.array_equal(localizing_matrix(y, g, s),
+                                  localizing_matrix_per_term(y, g, s))
 
     def test_too_short_moment_sequence(self):
         y = moments(UniformBox((-1.0,), (1.0,)), 2)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -217,19 +218,36 @@ class TestPatternOperators:
     def test_schur_of_large_blocks(self, rng):
         # N = 209 (four variables, degree 6): the reduction onto k takes
         # several gathers, some of one layer and some of several
-        basis = enumerate_basis(4, 6)
-        N = len(basis) - 1
-        e = np.eye(4, dtype=int)
-        for dim, tables in [(35, [[(1.0, basis.sum_index(3))]]),
-                            (15, [[(1.0, basis.sum_index(2)), (-1.0, basis.sum_index(2, 2 * e[i]))]
-                                  for i in range(4)])]:
-            terms = [[(w, idx - 1) for w, idx in t] for t in tables]
-            stack = SdpBlock.stack([SdpBlock.from_terms(dim, N, t) for t in terms])
-            Winv = np.linalg.inv(np.stack([spd(rng, dim) for _ in terms]))
+        N = len(enumerate_basis(4, 6)) - 1
+        for stack, Winv, terms in box_dense_stacks(rng):
             # tr(A_k W A_l W) = vec(A_k)' (W kron W) vec(A_l) for symmetric W
             ref = sum(C @ np.kron(W, W) @ C.T for C, W in zip(
-                [dense_from_terms(dim, N, t)[1].reshape(N, -1) for t in terms], Winv))
+                [dense_from_terms(stack.dim, N, t)[1].reshape(N, -1) for t in terms], Winv))
             self.assert_close(stack.schur(Winv), ref)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_schur_shared_workspace_is_exact(self, rng, first):
+        # one buffer for both stacks, in either order: NaN before the first
+        # call, then left dirty by the other stack's build
+        stacks = box_dense_stacks(rng)
+        work = np.full(max(stack.schur_floats for stack, _, _ in stacks), np.nan)
+        for stack, Winv, _ in stacks[first:] + stacks[:first]:
+            np.testing.assert_array_equal(stack.schur(Winv, work), stack.schur(Winv))
+
+    def test_schur_with_workspace_allocates_little(self, rng):
+        # numpy reports its buffers to tracemalloc: a call that passes the
+        # workspace allocates far less than one X (g d^2 N floats)
+        stacks = box_dense_stacks(rng)
+        work = np.empty(max(stack.schur_floats for stack, _, _ in stacks))
+        for stack, Winv, _ in stacks:
+            stack.schur(Winv, work)            # builds the gather plan
+            tracemalloc.start()
+            try:
+                stack.schur(Winv, work)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < stack.const.size * stack.num_vars * 8 / 4
 
     def test_from_terms_validation(self):
         basis = enumerate_basis(1, 2)
@@ -244,6 +262,24 @@ class TestPatternOperators:
 def spd(rng, d):
     X = rng.standard_normal((d, d))
     return X @ X.T + d * np.eye(d)
+
+
+def box_dense_stacks(rng):
+    """The stacks of a four-variable box problem at order 3 (N = 209): the
+    side-35 moment block, and the four side-15 localizing blocks of
+    1 - x_i^2; each with random SPD Winv and the members' index terms."""
+    basis = enumerate_basis(4, 6)
+    N = len(basis) - 1
+    e = np.eye(4, dtype=int)
+    out = []
+    for dim, tables in [(35, [[(1.0, basis.sum_index(3))]]),
+                        (15, [[(1.0, basis.sum_index(2)), (-1.0, basis.sum_index(2, 2 * e[i]))]
+                              for i in range(4)])]:
+        terms = [[(w, idx - 1) for w, idx in t] for t in tables]
+        stack = SdpBlock.stack([SdpBlock.from_terms(dim, N, t) for t in terms])
+        Winv = np.linalg.inv(np.stack([spd(rng, dim) for _ in terms]))
+        out.append((stack, Winv, terms))
+    return out
 
 
 class TestDenseKernels:
