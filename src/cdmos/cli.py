@@ -234,7 +234,7 @@ class RunReport:
                 if lb.sigma is not None:
                     r["sigma"] = [float(v) for v in lb.sigma]
                 r["density_error"] = lb.density_error
-                r["certificate_residual"] = lb.certificate.residual(lb.f)
+                r["certificate_residual"] = lb.certificate.residual()
                 r["solver"] = {"iterations": lb.solution.iterations,
                                "gap": lb.solution.gap,
                                "primal_residual": lb.solution.primal_residual,

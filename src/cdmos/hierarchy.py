@@ -31,12 +31,12 @@ from .momentmat import (SemialgebraicSet, half_degree, localizing_matrix,
                         moment_matrix)
 from .orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
                          christoffel, ortho_expansion_poly)
-from .polyring import (MonomialBasis, Polynomial, coeff_vector, enumerate_basis,
-                       vector_to_poly)
+from .polyring import (MonomialBasis, Polynomial, _grlex_rank, coeff_vector,
+                       enumerate_basis, vector_to_poly)
 from .sdp import (SdpBlock, SdpOptions, SdpProblem, SdpSolution, SdpStatus,
                   gen_eig_min, solve_sdp)
 
-DEFAULT_RANK_TOL = 1e-6
+RANK_TOL = 1e-6
 FEASIBILITY_TOL = 1e-6
 OPTIMALITY_TOL = 1e-6
 CLUSTER_TOL = 1e-5
@@ -52,28 +52,21 @@ class HierarchyError(RuntimeError):
 
 @dataclass
 class SosCertificate:
-    """lam + sum_j psi_j g_j with psi_j = v' Q_j v from the dual Gram blocks.
-
-    ``basis`` indexes the relaxation's moments (degree 2t); every product
-    psi_j g_j lies in its span.
-    """
+    """lam + sum_j psi_j g_j with psi_j = v' Q_j v from the dual Gram blocks
+    Q_j of ``problem``, the relaxation's SDP."""
 
     lam: float
     multipliers: List[Tuple[Polynomial, int, np.ndarray]]  # (g_j, order, Gram Q_j)
-    basis: MonomialBasis
+    problem: SdpProblem
 
-    def residual(self, f: Polynomial) -> float:
-        """Max coefficient deviation of f - lam - sum psi_j g_j.
-
-        The coefficients of psi_j g_j are sum_gamma g_gamma * <A_gamma, Q_j>,
-        one bincount of Q_j over each index table: the solver's dual map.
-        """
-        r = coeff_vector(f, self.basis)
-        r[self.basis.position((0,) * f.n)] -= self.lam
-        for g, s, Q in self.multipliers:
-            for gamma, cg in g.terms.items():
-                r -= cg * np.bincount(self.basis.sum_index(s, gamma).ravel(), Q.ravel(),
-                                      minlength=len(r))
+    def residual(self) -> float:
+        """Max coefficient deviation of f - lam - sum psi_j g_j: the solver's
+        dual residual max |c - A*(Q)|, through ``SdpBlock.adjoint``.  The
+        constant coefficient is exact by construction, as lam = c_0 + the
+        dual objective."""
+        r = self.problem.c
+        for blk, (_, _, Q) in zip(self.problem.blocks, self.multipliers):
+            r = r - blk.adjoint(Q)
         return float(np.max(np.abs(r)))
 
 
@@ -143,8 +136,7 @@ def min_relaxation_order(f: Polynomial, B: SemialgebraicSet) -> int:
 
 def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
                 measure: Optional[ReferenceMeasure] = None,
-                opts: Optional[SdpOptions] = None,
-                rank_tol: float = DEFAULT_RANK_TOL) -> LowerBoundResult:
+                opts: Optional[SdpOptions] = None) -> LowerBoundResult:
     """Order-t moment relaxation; returns rho_t, y*, SOS certificate, and the
     signed density coefficients when a reference measure is declared."""
     if f.n != B.n:
@@ -155,7 +147,8 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
     c = coeff_vector(f, basis2t)
     # (g_j, s_j = t - d_j) for j = 0..m, with g_0 == 1
     gs = [(g, t - half_degree(g)) for g in (Polynomial.constant(B.n, 1.0),) + B.constraints]
-    sol = solve_sdp(SdpProblem(c=c[1:], blocks=_moment_blocks(gs, basis2t)), opts)
+    prob = SdpProblem(c=c[1:], blocks=_moment_blocks(gs, basis2t))
+    sol = solve_sdp(prob, opts)
     if sol.status is not SdpStatus.OPTIMAL:
         raise HierarchyError(t, f"SDP solver returned {sol.status.value}")
     y = MomentSequence(np.concatenate(([1.0], sol.y)), basis2t)
@@ -163,9 +156,9 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
     cert = SosCertificate(
         lam=float(c[0] + sol.dual_objective),
         multipliers=[(g, s, Q) for (g, s), Q in zip(gs, sol.dual_blocks)],
-        basis=basis2t)
+        problem=prob)
     result = LowerBoundResult(t=t, rho=rho, f=f, y=y, certificate=cert, solution=sol)
-    result.extraction = certify_and_extract(result, B, rank_tol=rank_tol)
+    result.extraction = certify_and_extract(result, B)
     if measure is not None:
         try:
             basis = build_basis(measure, 2 * t)
@@ -183,29 +176,31 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
 # Exactness certification via flat truncation, and minimizer extraction.
 # ---------------------------------------------------------------------------
 
-def _numerical_rank(M: np.ndarray, tol: float) -> int:
+def _numerical_rank(M: np.ndarray) -> int:
     w = np.linalg.eigvalsh(M)
     wmax = float(w[-1])
     if wmax <= 0.0:
         return 0
-    return int(np.sum(w > tol * wmax))
+    return int(np.sum(w > RANK_TOL * wmax))
 
 
-def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet,
-                        rank_tol: float = DEFAULT_RANK_TOL) -> Extraction:
+def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet) -> Extraction:
     """Flat-truncation rank test; on success, extract minimizers from the
     multiplication operators on the column space of the moment matrix.
 
     Every returned point is re-checked by direct evaluation: g_j(xi) >= -1e-6
     and |f(xi) - rho| <= 1e-6.  A failed rank test is an honest NotCertified.
     """
-    y, t = r.y, r.t
+    y, t, n = r.y, r.t, r.y.n
     if t < 1:
         return Extraction(certified=False)
+    # M_{t-1}(y) is the leading m x m block of M_t(y), and M_{t-1}(x_i y) is
+    # M_t(y)[rows_i, :m] with rows_i the positions of alpha + e_i, |alpha| < t
     Mt = moment_matrix(y, t)
-    Mlow = moment_matrix(y, t - 1)
-    rank_high = _numerical_rank(Mt, rank_tol)
-    rank_low = _numerical_rank(Mlow, rank_tol)
+    m = math.comb(n + t - 1, t - 1)
+    Mlow = Mt[:m, :m]
+    rank_high = _numerical_rank(Mt)
+    rank_low = _numerical_rank(Mlow)
     if rank_high == 0 or rank_high != rank_low:
         return Extraction(certified=False, rank_high=rank_high, rank_low=rank_low)
 
@@ -213,11 +208,8 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet,
     w, Q = np.linalg.eigh(Mlow)
     U = Q[:, -rank:]
     G = U.T @ Mlow @ U
-    n = y.n
-    Ns = []
-    for i in range(n):
-        Mi = localizing_matrix(y, Polynomial.variable(n, i), t - 1)
-        Ns.append(np.linalg.solve(G, U.T @ Mi @ U))
+    rows = _grlex_rank(y.basis.array[:m, None, :] + np.eye(n, dtype=np.intp))
+    Ns = [np.linalg.solve(G, U.T @ Mt[rows[:, i], :m] @ U) for i in range(n)]
 
     # simultaneous diagonalization via a fixed generic combination: weights
     # in [0.5, 1.5) spread by the golden ratio, so no two coincide

@@ -1,15 +1,20 @@
-"""Closed-form truncated moment sequences for the built-in reference measures.
+"""The built-in reference measures: closed-form moments and the recurrence
+coefficients of their orthonormal polynomials.
 
 Two kinds are supported: the uniform probability measure on an axis-aligned
 box, and the normalized counting measure on the discrete hypercube {-1,1}^n.
 Both factor across coordinates, so every moment is a product of univariate
-closed forms; no numerical integration happens in the library.
+closed forms; no numerical integration happens in the library.  Each axis's
+orthonormal family p_0 = 1, p_1, ... is described once, by the coefficients
+of its three-term recurrence x p_j = a_j p_{j-1} + b_j p_j + a_{j+1} p_{j+1},
+which each measure's ``recurrence(t)`` returns as the arrays a_0..a_t (a_0 = 0)
+and b_0..b_t per axis; the orthonormal basis is built from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +42,13 @@ class UniformBox:
     def n(self) -> int:
         return len(self.lo)
 
+    def recurrence(self, t: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Shifted Legendre: b_j = (lo+hi)/2, a_j = (hi-lo)/2 * j/sqrt(4j^2-1)."""
+        j = np.arange(1, t + 1)
+        s = np.concatenate(([0.0], j / np.sqrt(4.0 * j * j - 1.0)))
+        return [(0.5 * (hi - lo) * s, np.full(t + 1, 0.5 * (lo + hi)))
+                for lo, hi in zip(self.lo, self.hi)]
+
 
 @dataclass(frozen=True)
 class CountingHypercube:
@@ -47,6 +59,12 @@ class CountingHypercube:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
+
+    def recurrence(self, t: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """b = 0 and a_1 = 1; a_2 = 0, as x^2 == 1 on {-1, 1} leaves no p_2."""
+        a = np.zeros(t + 1)
+        a[1:2] = 1.0
+        return [(a, np.zeros(t + 1))] * self.n
 
 
 ReferenceMeasure = Union[UniformBox, CountingHypercube]

@@ -3,12 +3,14 @@ Christoffel function for the built-in reference measures.
 
 Both built-in measures are products of univariate measures, so the basis is
 the tensor product of univariate orthonormal families, and T_alpha(x) is the
-product over the axes k of p_k[alpha_k](x_k).  Evaluation runs on the
-univariate three-term recurrences directly, one (t+1)-row table per axis.
-The monomial coefficients of the family form the unique lower-triangular
-change-of-basis matrix D with positive diagonal (the tests check it against
-the Cholesky factor of the Gram matrix); D is what maps a moment vector y
-to the coefficients sigma = D y, and evaluation does not use it.
+product over the axes k of p_k[alpha_k](x_k).  Each family is described
+only by its three-term recurrence coefficients (a_j, b_j), which the
+measure's ``recurrence(t)`` gives, and one recurrence (``_axis_tables``)
+runs them in both uses: on values at points, for evaluation, and on
+monomial coefficient rows, for the unique lower-triangular change-of-basis
+matrix D with positive diagonal (the tests check it against the Cholesky
+factor of the Gram matrix).  D maps a moment vector y to the coefficients
+sigma = D y; evaluation does not use it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import CountingHypercube, ReferenceMeasure, UniformBox, moments
+from .measures import ReferenceMeasure, moments
 from .momentmat import localizing_matrix
 from .polyring import MonomialBasis, Polynomial, enumerate_basis, vector_to_poly
 
@@ -57,7 +59,8 @@ class OrthoBasis:
         if x.ndim not in (1, 2) or x.shape[-1] != self.n:
             raise ValueError(f"points of shape {x.shape} do not match basis dimension {self.n}")
         E = self.basis.array
-        tables = _univariate_values(self.measure, x, self.t)
+        tables = _axis_tables(self.measure, self.t, np.ones(x.shape[:-1]),
+                              lambda k, p: x[..., k] * p)
         V = tables[0][E[:, 0]]
         for k in range(1, self.n):
             V *= tables[k][E[:, k]]
@@ -65,78 +68,32 @@ class OrthoBasis:
         return np.ascontiguousarray(np.moveaxis(V, 0, -1))
 
 
-def _legendre_univariate(lo: float, hi: float, t: int) -> np.ndarray:
-    """Coefficients (rows) of shifted orthonormal Legendre polynomials.
-
-    T_k(x) = sqrt(2k+1) P_k(u) with u = (2x - lo - hi)/(hi - lo); orthonormal
-    for the uniform probability measure on [lo, hi].
-    """
-    c0 = -(lo + hi) / (hi - lo)
-    c1 = 2.0 / (hi - lo)
-    P = np.zeros((t + 1, t + 1))
-    P[0, 0] = 1.0
-    if t >= 1:
-        P[1, 0] = c0
-        P[1, 1] = c1
-    for k in range(1, t):
-        # (k+1) P_{k+1} = (2k+1) u P_k - k P_{k-1}
-        uP = c0 * P[k] + c1 * np.roll(P[k], 1)
-        uP[0] = c0 * P[k, 0]
-        P[k + 1] = ((2 * k + 1) * uP - k * P[k - 1]) / (k + 1)
-    scale = np.sqrt(2 * np.arange(t + 1) + 1)
-    return scale[:, None] * P
-
-
-def _legendre_values(lo: float, hi: float, x: np.ndarray, t: int) -> np.ndarray:
-    """The (t+1,) + x.shape table of T_0..T_t of `_legendre_univariate` at x,
-    by the same recurrence on values instead of coefficients."""
-    u = (2 * x - lo - hi) / (hi - lo)
-    P = np.empty((t + 1,) + x.shape)
-    P[0] = 1.0
-    if t >= 1:
-        P[1] = u
-    for k in range(1, t):
-        P[k + 1] = ((2 * k + 1) * u * P[k] - k * P[k - 1]) / (k + 1)
-    P *= np.sqrt(2 * np.arange(t + 1) + 1).reshape((t + 1,) + (1,) * x.ndim)
-    return P
-
-
-def _hypercube_univariate(t: int) -> np.ndarray:
-    # On {-1,1} the monomials 1 and x are already orthonormal; x^2 == 1 on the
-    # support, so degree >= 2 has a singular Gram matrix.
-    if t >= 2:
-        raise BasisConstructionError(
-            "Gram matrix numerically singular at degree 2: x^2 == 1 on the "
-            "support of the counting hypercube measure")
-    T = np.eye(t + 1)
-    return T
-
-
-def _univariate_values(measure: ReferenceMeasure, x: np.ndarray,
-                       t: int) -> list[np.ndarray]:
-    """Per axis k, the (t+1,) + x.shape[:-1] table of p_k[0..t] at x[..., k]."""
-    if isinstance(measure, UniformBox):
-        return [_legendre_values(lo, hi, x[..., k], t)
-                for k, (lo, hi) in enumerate(zip(measure.lo, measure.hi))]
-    if isinstance(measure, CountingHypercube):
-        # the family 1, x of _hypercube_univariate
-        return [np.stack([np.ones_like(x[..., k]), x[..., k]])[:t + 1]
-                for k in range(measure.n)]
-    raise BasisConstructionError(
-        f"no tensorized construction for measure kind {type(measure).__name__}")
+def _axis_tables(measure: ReferenceMeasure, t: int, first: np.ndarray,
+                 times_x) -> list[np.ndarray]:
+    """Per axis k, the (t+1,) + first.shape table of p_k[0..t]: from p_{-1} = 0
+    and p_0 = first, p_{j+1} = (x p_j - b_j p_j - a_j p_{j-1}) / a_{j+1} with the
+    measure's ``recurrence(t)``, where times_x(k, p) is the product x_k p."""
+    tables = []
+    for k, (a, b) in enumerate(measure.recurrence(t)):
+        P = np.zeros((t + 2,) + first.shape)   # P[j + 1] holds p_j
+        P[1] = first
+        for j in range(t):
+            if a[j + 1] == 0.0:
+                raise BasisConstructionError(
+                    f"Gram matrix singular at degree {j + 1}: the support of the "
+                    f"measure has only {j + 1} points on axis {k + 1}")
+            P[j + 2] = (times_x(k, P[j + 1]) - b[j] * P[j + 1] - a[j] * P[j]) / a[j + 1]
+        tables.append(P[1:])
+    return tables
 
 
 def _tensor_basis(measure: ReferenceMeasure, basis: MonomialBasis) -> np.ndarray:
     """D[alpha, beta] = prod_k uni_k[alpha_k, beta_k] where beta <= alpha
-    componentwise, and 0.0 elsewhere."""
+    componentwise, and 0.0 elsewhere; row j of uni_k holds the monomial
+    coefficients of p_k[j], so x_k p is a shift of p's row."""
     t = basis.t
-    if isinstance(measure, UniformBox):
-        uni = [_legendre_univariate(lo, hi, t) for lo, hi in zip(measure.lo, measure.hi)]
-    elif isinstance(measure, CountingHypercube):
-        uni = [_hypercube_univariate(t)] * measure.n
-    else:
-        raise BasisConstructionError(
-            f"no tensorized construction for measure kind {type(measure).__name__}")
+    uni = _axis_tables(measure, t, np.eye(1, t + 1)[0],
+                       lambda k, p: np.concatenate(([0.0], p[:-1])))
     E = basis.array
     D = np.ones((len(basis), len(basis)))
     for k in range(basis.n):

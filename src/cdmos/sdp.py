@@ -312,7 +312,6 @@ class SdpProblem:
 class SdpOptions:
     tol: float = 1e-8
     max_iter: int = 200
-    step_fraction: float = 0.98
 
 
 @dataclass
@@ -428,6 +427,10 @@ def _t(m: np.ndarray) -> np.ndarray:
 
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + _t(m))
+
+
+# fraction of the longest step that keeps S and Z PSD taken by each iteration
+_STEP_FRACTION = 0.98
 
 
 def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolution:
@@ -549,8 +552,8 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
-        ap = min(1.0, opts.step_fraction * min(_max_step(lams[s], dtS[s]) for s in range(ns)))
-        ad = min(1.0, opts.step_fraction * min(_max_step(lams[s], dtZ[s]) for s in range(ns)))
+        ap = min(1.0, _STEP_FRACTION * min(_max_step(lams[s], dtS[s]) for s in range(ns)))
+        ad = min(1.0, _STEP_FRACTION * min(_max_step(lams[s], dtZ[s]) for s in range(ns)))
 
         y = y + ap * dy
         for s in range(ns):

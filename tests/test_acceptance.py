@@ -165,10 +165,10 @@ def test_criterion_7_solver_invariants_and_discrete_case():
         ok &= sol.dual_objective <= sol.objective + 1e-6
         for S in sol.slack_blocks:
             ok &= np.linalg.eigvalsh(S)[0] >= -1e-6
-        resid = r.certificate.residual(r.f)
+        resid = r.certificate.residual()
         worst_resid = max(worst_resid, resid)
         ok &= resid <= 1e-6
-    # finite support: both hierarchies are exact already at order 1
+    # finite support: for x1 x2 on {-1,1}^2 both hierarchies are exact at order 1
     Bh = SemialgebraicSet(2, (X1 * X1 - 1.0, 1.0 - X1 * X1,
                               X2 * X2 - 1.0, 1.0 - X2 * X2))
     mh = CountingHypercube(2)

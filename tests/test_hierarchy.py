@@ -53,7 +53,7 @@ class TestLowerBound:
 
     def test_certificate_residual(self):
         r = lower_bound(X, UNIT_INTERVAL, 1)
-        assert r.certificate.residual(X) <= 1e-6
+        assert r.certificate.residual() <= 1e-6
         assert r.certificate.lam == pytest.approx(-1.0, abs=1e-6)
 
     @pytest.mark.parametrize("case", ["box_bilinear", "hypercube"])
@@ -74,7 +74,7 @@ class TestLowerBound:
             for j, (g, _, _) in enumerate(cert.multipliers):
                 r = r - multiplier_poly(cert, j) * g
             expected = max((abs(c) for c in r.terms.values()), default=0.0)
-            assert cert.residual(f) == pytest.approx(expected, abs=1e-13)
+            assert cert.residual() == pytest.approx(expected, abs=1e-13)
 
     def test_sigma_populated_with_measure(self):
         r = lower_bound(X, UNIT_INTERVAL, 1, measure=UNIT_MEASURE)
@@ -293,19 +293,21 @@ class TestHypercube:
                     f = f + signs[i, j] * x[i] * x[j]
             assert lower_bound(f, B, 1).solution.dual_residual <= 1e-9
 
-    def test_refinement_keeps_certificate_exact(self):
-        # the cube_wide benchmark shape (n = 10, signs drawn in pair order);
-        # without the refinement solve in solve_sdp the certificate residual
-        # of this draw is about 1e-9, with it about 1e-11
+    @pytest.mark.parametrize("variant", range(16))
+    def test_refinement_keeps_certificate_exact(self, variant):
+        # the 16 cube_wide benchmark draws (n = 10, signs drawn in pair
+        # order); without the refinement solve in solve_sdp the certificate
+        # residual of draw 1 is about 1e-9, with it about 1e-11.  The
+        # residual moves with the summation order alone: up to 7x on draw 10
         n = 10
         x = [Polynomial.variable(n, i) for i in range(n)]
         B = SemialgebraicSet(n, tuple(1.0 - v * v for v in x))
-        rng = np.random.default_rng([3, 1])
+        rng = np.random.default_rng([3, variant])
         f = Polynomial.zero(n)
         for i, j in itertools.combinations(range(n), 2):
             f = f + float(rng.choice((-1.0, 1.0))) * x[i] * x[j]
         r = lower_bound(f, B, 1)
-        assert r.certificate.residual(f) <= 1e-10
+        assert r.certificate.residual() <= 1e-10
 
     def test_min_relaxation_order(self):
         B = SemialgebraicSet(2, (X1 * X1 - 1.0,))
