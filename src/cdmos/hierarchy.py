@@ -7,8 +7,9 @@ The lower bound at order t is computed purely in moment form:
 
 whose SDP dual multipliers are the Gram matrices of the SOS certificate
 f - rho = sum_j psi_j g_j.  The upper bound at order t minimizes the
-integral of f against SOS densities of degree 2t, which reduces to the
-smallest generalized eigenvalue of the pencil (M_t(f y_mu), M_t(y_mu)).
+integral of f against SOS densities (v' T(x))^2 of degree 2t and mass |v|^2
+= 1, so u_t is the smallest eigenvalue of A_ab = int f T_a T_b dmu, f's
+multiplication operator on the orthonormal basis T up to degree t.
 
 Once a reference measure is fixed, the optimal moment vector y* turns into
 coefficients sigma = D y* of a signed polynomial density in the orthonormal
@@ -26,15 +27,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .measures import MomentSequence, ReferenceMeasure, moments
-from .momentmat import (SemialgebraicSet, half_degree, localizing_matrix,
-                        moment_matrix)
+from .measures import MomentSequence, ReferenceMeasure
+from .momentmat import SemialgebraicSet, half_degree, moment_matrix
 from .orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
-                         christoffel, ortho_expansion_poly)
+                         christoffel, multiplication, ortho_expansion_poly)
 from .polyring import (MonomialBasis, Polynomial, _grlex_rank, coeff_vector,
-                       enumerate_basis, vector_to_poly)
+                       enumerate_basis)
 from .sdp import (SdpBlock, SdpOptions, SdpProblem, SdpSolution, SdpStatus,
-                  gen_eig_min, solve_sdp)
+                  solve_sdp)
 
 RANK_TOL = 1e-6
 FEASIBILITY_TOL = 1e-6
@@ -96,15 +96,14 @@ class LowerBoundResult:
 class UpperBoundResult:
     t: int
     u: float
-    eigvec: np.ndarray       # v, the pencil's eigenvector for u
-    norm: float              # v' M_t(y_mu) v, the integral of (v' v_t(x))^2
-    n: int
+    eigvec: np.ndarray       # unit v in the orthonormal basis T, eigenvector for u
+    measure: ReferenceMeasure
 
     @functools.cached_property
     def sos_density(self) -> Polynomial:
-        """sigma(x) = (v' v_t(x))^2 / norm, built on first read."""
-        q = vector_to_poly(self.eigvec, enumerate_basis(self.n, self.t))
-        return (q * q) * (1.0 / self.norm)
+        """sigma(x) = (v' T(x))^2, built on first read through D (so capped)."""
+        q = ortho_expansion_poly(self.eigvec, build_basis(self.measure, self.t))
+        return q * q
 
 
 @dataclass
@@ -266,21 +265,18 @@ def reconstruct_density(r: LowerBoundResult) -> DensityReconstruction:
 
 
 # ---------------------------------------------------------------------------
-# Upper-bound hierarchy (SOS densities) via a generalized eigenvalue problem.
+# Upper-bound hierarchy (SOS densities) via a symmetric eigenvalue problem.
 # ---------------------------------------------------------------------------
 
 def upper_bound(f: Polynomial, measure: ReferenceMeasure, t: int) -> UpperBoundResult:
-    """u_t = min eigenvalue of (M_t(f y_mu), M_t(y_mu)); the eigenvector gives
-    the optimal SOS density (v' v_t(x))^2 normalized to integrate to one."""
+    """u_t = min eigenvalue of A_ab = int f T_a T_b dmu, |a|, |b| <= t; its unit
+    eigenvector v gives the optimal SOS density (v' T(x))^2."""
     if f.n != measure.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {measure.n}")
     if t < 0:
         raise ValueError(f"order must be >= 0, got {t}")
-    y = moments(measure, 2 * t + f.degree)
-    A = localizing_matrix(y, f, t)
-    Bm = moment_matrix(y, t)
-    lam, v = gen_eig_min(A, Bm)
-    return UpperBoundResult(t=t, u=lam, eigvec=v, norm=float(v @ Bm @ v), n=f.n)
+    w, V = np.linalg.eigh(multiplication(measure, f, t))
+    return UpperBoundResult(t=t, u=float(w[0]), eigvec=V[:, 0], measure=measure)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
-"""The built-in reference measures: closed-form moments and the recurrence
-coefficients of their orthonormal polynomials.
+"""The built-in reference measures, each described once by the recurrence
+coefficients of its orthonormal polynomials, and the moments derived from them.
 
 Two kinds are supported: the uniform probability measure on an axis-aligned
 box, and the normalized counting measure on the discrete hypercube {-1,1}^n.
-Both factor across coordinates, so every moment is a product of univariate
-closed forms; no numerical integration happens in the library.  Each axis's
-orthonormal family p_0 = 1, p_1, ... is described once, by the coefficients
-of its three-term recurrence x p_j = a_j p_{j-1} + b_j p_j + a_{j+1} p_{j+1},
-which each measure's ``recurrence(t)`` returns as the arrays a_0..a_t (a_0 = 0)
-and b_0..b_t per axis; the orthonormal basis is built from them.
+Both factor across coordinates.  Each axis's orthonormal family p_0 = 1, p_1,
+... satisfies x p_j = a_j p_{j-1} + b_j p_j + a_{j+1} p_{j+1}; ``recurrence(t)``
+returns a_0..a_t (a_0 = 0) and b_0..b_t per axis.  The Jacobi matrix J (b on
+its diagonal, a_1, a_2, ... beside it) gives (J^j)[a, b] = int x^j p_a p_b dmu,
+so every moment is a product of entries (J^j)[0, 0], with no integration.
 """
 
 from __future__ import annotations
@@ -92,37 +91,31 @@ class MomentSequence:
         return self.basis.t
 
 
-def _box_univariate_moments(lo: float, hi: float, t: int) -> np.ndarray:
-    """m_k = (1/(hi-lo)) * integral of x^k over [lo, hi], k = 0..t."""
-    k = np.arange(t + 1)
-    return (hi ** (k + 1) - lo ** (k + 1)) / ((k + 1) * (hi - lo))
-
-
-def _hypercube_univariate_moments(t: int) -> np.ndarray:
-    m = np.zeros(t + 1)
-    m[::2] = 1.0
-    return m
-
-
-def coordinate_moments(measure: ReferenceMeasure, t: int) -> list[np.ndarray]:
-    """Per-coordinate univariate moment tables; y_alpha = prod_i m_i[alpha_i]."""
-    if isinstance(measure, UniformBox):
-        return [_box_univariate_moments(lo, hi, t) for lo, hi in zip(measure.lo, measure.hi)]
-    if isinstance(measure, CountingHypercube):
-        return [_hypercube_univariate_moments(t)] * measure.n
-    raise ValueError(f"unsupported measure kind: {type(measure).__name__}")
+def jacobi_powers(measure: ReferenceMeasure, m: int, p: int) -> List[np.ndarray]:
+    """Per axis k, the (p+1, m, m) array J_k^0..J_k^p of the side-m Jacobi
+    matrix, so (J_k^j)[a, b] = int x_k^j p_a p_b dmu_k wherever a + b + j
+    < 2m: no walk of j steps from a to b then leaves the leading m x m block.
+    """
+    out = []
+    for a, b in measure.recurrence(m - 1):
+        J = np.diag(b) + np.diag(a[1:], 1) + np.diag(a[1:], -1)
+        P = np.empty((p + 1, m, m))
+        P[0] = np.eye(m)
+        for j in range(p):
+            P[j + 1] = P[j] @ J
+        out.append(P)
+    return out
 
 
 def moments(measure: ReferenceMeasure, t: int) -> MomentSequence:
-    """Exact moments y_alpha = int x^alpha dmu for all |alpha| <= t."""
+    """Exact moments y_alpha = int x^alpha dmu = prod_k (J_k^alpha_k)[0, 0]
+    for all |alpha| <= t."""
     if t < 0:
         raise ValueError(f"degree bound must be >= 0, got {t}")
-    n = measure.n
-    uni = coordinate_moments(measure, t)
-    basis = enumerate_basis(n, t)
+    basis = enumerate_basis(measure.n, t)
     values = np.ones(len(basis))
-    for j in range(n):
-        values *= uni[j][basis.array[:, j]]
+    for k, P in enumerate(jacobi_powers(measure, t // 2 + 1, t)):
+        values *= P[:, 0, 0][basis.array[:, k]]
     return MomentSequence(values, basis)
 
 

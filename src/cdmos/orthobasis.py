@@ -1,16 +1,16 @@
-"""Orthonormal polynomial bases, the Christoffel-Darboux kernel, and the
-Christoffel function for the built-in reference measures.
+"""Orthonormal polynomial bases, truncated multiplication operators, the
+Christoffel-Darboux kernel, and the Christoffel function for the built-in
+reference measures.
 
 Both built-in measures are products of univariate measures, so the basis is
-the tensor product of univariate orthonormal families, and T_alpha(x) is the
+the tensor product of univariate orthonormal families: T_alpha(x) is the
 product over the axes k of p_k[alpha_k](x_k).  Each family is described
-only by its three-term recurrence coefficients (a_j, b_j), which the
-measure's ``recurrence(t)`` gives, and one recurrence (``_axis_tables``)
-runs them in both uses: on values at points, for evaluation, and on
-monomial coefficient rows, for the unique lower-triangular change-of-basis
-matrix D with positive diagonal (the tests check it against the Cholesky
-factor of the Gram matrix).  D maps a moment vector y to the coefficients
-sigma = D y; evaluation does not use it.
+only by the measure's ``recurrence(t)`` coefficients (a_j, b_j).  One
+recurrence (``_axis_tables``) runs them on values at points, for evaluation,
+and on monomial coefficient rows, for the lower-triangular change of basis D
+that maps moments y to coefficients sigma = D y.  The integrals
+int f T_a T_b dmu are products of powers of the Jacobi matrices
+(``multiplication``), so they need neither moments nor D.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import ReferenceMeasure, moments
-from .momentmat import localizing_matrix
+from .measures import ReferenceMeasure, jacobi_powers
 from .polyring import MonomialBasis, Polynomial, enumerate_basis, vector_to_poly
 
 DEFAULT_DEGREE_CAP = 8
@@ -68,20 +67,29 @@ class OrthoBasis:
         return np.ascontiguousarray(np.moveaxis(V, 0, -1))
 
 
+def _recurrence(measure: ReferenceMeasure, t: int):
+    """The measure's ``recurrence(t)``, once every axis is known to carry
+    p_0..p_t: a_j = 0 ends an axis's family at degree j - 1."""
+    rec = measure.recurrence(t)
+    for k, (a, _) in enumerate(rec):
+        if 0.0 in a[1:]:
+            j = list(a[1:]).index(0.0) + 1
+            raise BasisConstructionError(
+                f"Gram matrix singular at degree {j}: the support of the "
+                f"measure has only {j} points on axis {k + 1}")
+    return rec
+
+
 def _axis_tables(measure: ReferenceMeasure, t: int, first: np.ndarray,
                  times_x) -> list[np.ndarray]:
     """Per axis k, the (t+1,) + first.shape table of p_k[0..t]: from p_{-1} = 0
     and p_0 = first, p_{j+1} = (x p_j - b_j p_j - a_j p_{j-1}) / a_{j+1} with the
     measure's ``recurrence(t)``, where times_x(k, p) is the product x_k p."""
     tables = []
-    for k, (a, b) in enumerate(measure.recurrence(t)):
+    for k, (a, b) in enumerate(_recurrence(measure, t)):
         P = np.zeros((t + 2,) + first.shape)   # P[j + 1] holds p_j
         P[1] = first
         for j in range(t):
-            if a[j + 1] == 0.0:
-                raise BasisConstructionError(
-                    f"Gram matrix singular at degree {j + 1}: the support of the "
-                    f"measure has only {j + 1} points on axis {k + 1}")
             P[j + 2] = (times_x(k, P[j + 1]) - b[j] * P[j + 1] - a[j] * P[j]) / a[j + 1]
         tables.append(P[1:])
     return tables
@@ -115,6 +123,19 @@ def build_basis(measure: ReferenceMeasure, t: int) -> OrthoBasis:
     return OrthoBasis(measure, basis, _tensor_basis(measure, basis))
 
 
+def multiplication(measure: ReferenceMeasure, f: Polynomial, t: int) -> np.ndarray:
+    """A[a, b] = int f T_a T_b dmu = sum_alpha f_alpha prod_k (J_k^alpha_k)[a_k, b_k]
+    over |a|, |b| <= t: f's multiplication operator truncated to degree t.
+    Jacobi matrices of side t + deg f // 2 + 1 make every entry exact."""
+    _recurrence(measure, t)
+    E = enumerate_basis(measure.n, t).array
+    alphas = np.array(list(f.terms), dtype=np.intp).reshape(-1, measure.n)
+    A = np.ones((len(alphas), len(E), len(E)))
+    for k, P in enumerate(jacobi_powers(measure, t + f.degree // 2 + 1, f.degree)):
+        A *= P[alphas[:, k, None, None], E[None, :, k, None], E[None, None, :, k]]
+    return np.tensordot(np.fromiter(f.terms.values(), float, len(alphas)), A, axes=1)
+
+
 def ortho_expansion_poly(sigma: np.ndarray, B: OrthoBasis) -> Polynomial:
     """The polynomial sum_alpha sigma_alpha T_alpha(x), in monomial coordinates."""
     sigma = np.asarray(sigma, dtype=float)
@@ -129,15 +150,13 @@ def cd_kernel(B: OrthoBasis, x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def reproduce(B: OrthoBasis, p: Polynomial, x: Sequence[float]) -> float:
-    """int p(y) K_t(x, y) dmu(y), evaluated with exact moments; equals p(x)."""
+    """int p(y) K_t(x, y) dmu(y); equals p(x).  Column 0 of the multiplication
+    operator is (int p T_alpha dmu)_alpha, as T_0 = 1."""
     if p.n != B.n:
         raise ValueError(f"dimension mismatch: {p.n} vs {B.n}")
     if p.degree > B.t:
         raise ValueError(f"degree {p.degree} exceeds kernel degree {B.t}")
-    # Column 0 of M_t(p y) is (int p x^beta dmu)_beta, so D times it is
-    # (int p T_alpha dmu)_alpha.
-    py = localizing_matrix(moments(B.measure, 2 * B.t + p.degree), p, B.t)[:, 0]
-    return float(B.eval_all(x) @ B.D @ py)
+    return float(B.eval_all(x) @ multiplication(B.measure, p, B.t)[:, 0])
 
 
 def christoffel(B: OrthoBasis, x: Sequence[float]) -> float:

@@ -575,18 +575,10 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
 
 
 def gen_eig_min(A: np.ndarray, B: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Smallest lambda with A v = lambda B v, for symmetric A and SPD B.
-
-    Reduced to the standard symmetric problem for C = L^-1 A L^-T, with
-    B = L L' and L^-1 from ``_lower_inv``.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    try:
-        L = np.linalg.cholesky(B)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError("B is not positive definite")
-    Linv = _lower_inv(L)
-    C = Linv @ A @ Linv.T
+    """Smallest lambda with A v = lambda B v, for symmetric A and SPD B (else
+    ``LinAlgError``): the standard symmetric problem for C = L^-1 A L^-T, with
+    B = L L' and L^-1 from ``_lower_inv``."""
+    Linv = _lower_inv(np.linalg.cholesky(np.asarray(B, dtype=float)))
+    C = Linv @ np.asarray(A, dtype=float) @ Linv.T
     w, Q = np.linalg.eigh(0.5 * (C + C.T))
     return float(w[0]), Linv.T @ Q[:, 0]

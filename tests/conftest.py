@@ -2,13 +2,13 @@
 Cholesky-of-Gram orthonormal basis, the orthonormal polynomials and their
 values through their monomial coefficients, the SOS multipliers expanded as
 polynomials, the per-row density table formatter, the localizing matrix
-summed one index table per term, the upper bound's SOS density built at
-once, and helpers.
+summed one index table per term, the upper bound as the smallest eigenvalue
+of the monomial moment pencil, and helpers.
 
-The oracles live here, not in the library: the package only ever uses
-closed-form moments and tensorized recurrences, and the tests check those
-against numerical integration and a Gram-matrix factorization computed by
-independent routes.
+The oracles live here, not in the library: the package only ever uses the
+recurrence coefficients of each measure, and the tests check what it derives
+from them against numerical integration, a Gram-matrix factorization and
+the monomial moment matrices, computed by independent routes.
 """
 
 import itertools
@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 
 from cdmos.measures import MomentSequence, moments
-from cdmos.momentmat import moment_matrix
+from cdmos.momentmat import localizing_matrix, moment_matrix
 from cdmos.orthobasis import ortho_expansion_poly
 from cdmos.polyring import (Polynomial, coeff_vector, enumerate_basis,
                             monomial_values, vector_to_poly)
+from cdmos.sdp import gen_eig_min
 
 
 def box_quadrature(func, lo, hi, points=40):
@@ -104,13 +105,11 @@ def localizing_matrix_per_term(y, g, s):
     return M
 
 
-def sos_density_eager(f, measure, t, v):
-    """(q * q) / norm with q = v' v_t(x) and norm = v' M_t(y_mu) v: the SOS
-    density of the order-t upper bound for the eigenvector v, built at once
-    from the same moments as ``upper_bound``."""
-    Bm = moment_matrix(moments(measure, 2 * t + f.degree), t)
-    q = vector_to_poly(v, enumerate_basis(f.n, t))
-    return (q * q) * (1.0 / float(v @ Bm @ v))
+def pencil_upper_bound(f, measure, t):
+    """u_t as the smallest eigenvalue of the monomial pencil
+    (M_t(f y_mu), M_t(y_mu)), built from the exact moments of mu."""
+    y = moments(measure, 2 * t + f.degree)
+    return gen_eig_min(localizing_matrix(y, f, t), moment_matrix(y, t))[0]
 
 
 def gram_matrix(measure, t):

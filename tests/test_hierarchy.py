@@ -3,8 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (moment_value, multiplier_poly, random_polynomial,
-                      smoothed_objective, sos_density_eager)
+from conftest import (moment_value, multiplier_poly, pencil_upper_bound,
+                      random_polynomial, smoothed_objective)
 
 from cdmos.cli import parse_problem
 from cdmos.hierarchy import (certify_and_extract, lower_bound,
@@ -12,7 +12,8 @@ from cdmos.hierarchy import (certify_and_extract, lower_bound,
                              sandwich_sweep, upper_bound)
 from cdmos.measures import CountingHypercube, UniformBox, moments
 from cdmos.momentmat import SemialgebraicSet
-from cdmos.orthobasis import build_basis, cd_kernel, ortho_expansion_poly
+from cdmos.orthobasis import (BasisConstructionError, build_basis, cd_kernel,
+                              ortho_expansion_poly)
 from cdmos.polyring import Polynomial, coeff_vector, enumerate_basis
 
 X = Polynomial.variable(1, 0)
@@ -127,14 +128,39 @@ class TestUpperBound:
         (X * X * X - 0.5 * X, UNIT_MEASURE),
         (X1 * X1 * X2 - X1 * X2 + 0.3 * X2, UniformBox((-1.0, 0.5), (2.0, 1.5)))])
     @pytest.mark.parametrize("t", [0, 1, 2, 3])
-    def test_lazy_density_matches_eager(self, f, measure, t):
+    def test_lazy_density_matches_eager(self, f, measure, t, rng):
+        # sigma(x) = (v' T(x))^2 for the unit eigenvector v in the T basis,
+        # relative to the largest value: near a zero of v' T the monomial
+        # form of sigma cancels, so single values can lose their own digits
         u = upper_bound(f, measure, t)
-        eager = sos_density_eager(f, measure, t, u.eigvec)
-        assert list(u.sos_density.terms.items()) == list(eager.terms.items())
+        X = rng.uniform(measure.lo, measure.hi, size=(20, measure.n))
+        expected = (build_basis(measure, t).eval_all(X) @ u.eigvec) ** 2
+        got = np.array([u.sos_density(x) for x in X])
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(expected)
 
     def test_hypercube_singular_mass_rejected(self):
-        with pytest.raises(np.linalg.LinAlgError):
+        # x^2 == 1 on {-1, 1} leaves no p_2, so there is no order-2 density
+        with pytest.raises(BasisConstructionError, match="only 2 points on axis 1"):
             upper_bound(X1 * X2, CountingHypercube(2), 2)
+
+    @pytest.mark.parametrize("t", [4, 16, 24, 40])
+    def test_linear_is_gauss_node(self, t):
+        # for f = x, A is the Jacobi matrix of side t + 1, whose smallest
+        # eigenvalue is the smallest zero of P_{t+1}
+        node = np.polynomial.legendre.leggauss(t + 1)[0][0]
+        assert abs(upper_bound(X, UNIT_MEASURE, t).u - node) <= 1e-12
+
+    @pytest.mark.parametrize("n, degree, orders, measure", [
+        (4, 4, (2, 3), UniformBox((-1.0,) * 4, (1.0,) * 4)),
+        (2, 6, (3, 4, 5, 6), UniformBox((-1.0,) * 2, (1.0,) * 2)),
+        (10, 2, (1,), CountingHypercube(10))])
+    def test_matches_monomial_pencil(self, n, degree, orders, measure, rng):
+        # the benchmark workloads' shapes, where the pencil is accurate
+        for _ in range(3):
+            f = random_polynomial(rng, n, degree)
+            for t in orders:
+                assert upper_bound(f, measure, t).u == pytest.approx(
+                    pencil_upper_bound(f, measure, t), abs=1e-9)
 
 
 class TestCertifyAndExtract:

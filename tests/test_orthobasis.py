@@ -7,9 +7,10 @@ from conftest import (box_quadrature, cholesky_basis, gram_matrix,
 
 from cdmos.measures import (CountingHypercube, UniformBox, dirac_moments,
                             moments)
-from cdmos.orthobasis import (BasisConstructionError, build_basis, cd_kernel,
-                              christoffel, ortho_expansion_poly, reproduce)
-from cdmos.polyring import Polynomial
+from cdmos.orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
+                              cd_kernel, christoffel, ortho_expansion_poly,
+                              reproduce)
+from cdmos.polyring import Polynomial, enumerate_basis
 
 UNIT = UniformBox((-1.0,), (1.0,))
 
@@ -129,6 +130,19 @@ class TestEvalAllOracles:
             ref *= V[:, B.basis.array[:, k]]
         assert max_row_error(B.eval_all(X), ref) <= 1e-14
 
+    def test_matches_mpmath_at_degree_24(self, rng):
+        # 40-digit Legendre values, away from any float rounding of u;
+        # eval_all runs on the recurrence alone, so D (and its cap) is left out
+        mpmath = pytest.importorskip("mpmath")
+        measure, t = UniformBox((-2.0,), (3.0,)), 24
+        B = OrthoBasis(measure, enumerate_basis(1, t), D=None)
+        X = rng.uniform(-2.0, 3.0, size=(30, 1))
+        with mpmath.workdps(40):
+            ref = np.array([[float(mpmath.sqrt(2 * j + 1) *
+                                   mpmath.legendre(j, (2 * mpmath.mpf(x) - 1) / 5))
+                             for j in range(t + 1)] for x in X[:, 0]])
+        assert max_row_error(B.eval_all(X), ref) <= 1e-14
+
     @pytest.mark.parametrize("measure,tmax", [
         (UNIT, 8),
         (UniformBox((-1.0, -1.0), (1.0, 1.0)), 8),
@@ -212,6 +226,14 @@ class TestReproduce:
             p = random_polynomial(rng, n, int(rng.integers(0, t + 1)))
             x = tuple(rng.uniform(-1, 1, size=n))
             assert reproduce(B, p, x) == pytest.approx(p(x), abs=1e-8)
+
+    def test_off_centre_box_at_degree_8(self, rng):
+        measure = UniformBox((0.5,), (3.0,))
+        B = build_basis(measure, 8)
+        for _ in range(50):
+            p = random_polynomial(rng, 1, int(rng.integers(0, 9)))
+            x = (float(rng.uniform(0.5, 3.0)),)
+            assert abs(reproduce(B, p, x) - p(x)) <= 1e-11
 
     def test_degree_overflow(self):
         B = build_basis(UNIT, 2)
