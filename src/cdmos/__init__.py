@@ -11,7 +11,7 @@ from .momentmat import SemialgebraicSet, localizing_matrix, moment_matrix
 from .orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
                          cd_kernel, christoffel, reproduce)
 from .polyring import (MonomialBasis, Polynomial, coeff_vector, enumerate_basis,
-                       parse_polynomial, vector_to_poly)
+                       parse_polynomial)
 from .sdp import (SdpBlock, SdpOptions, SdpProblem, SdpSolution, SdpStatus,
                   gen_eig_min, solve_sdp)
 

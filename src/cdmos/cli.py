@@ -27,10 +27,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .hierarchy import SweepRow, min_relaxation_order, sandwich_sweep
+from .hierarchy import (SweepRow, min_relaxation_order, reconstruct_density,
+                        sandwich_sweep)
 from .measures import CountingHypercube, ReferenceMeasure, UniformBox
 from .momentmat import SemialgebraicSet
-from .orthobasis import OrthoBasis, build_basis, christoffel
+from .orthobasis import OrthoBasis, build_basis
 from .polyring import (PolyParseError, Polynomial, enumerate_basis,
                        parse_polynomial)
 from .sdp import SdpOptions
@@ -224,11 +225,10 @@ class RunReport:
                     r["exactness"] = "certified"
                     r["minimizers"] = [{"point": list(xi), "value": fv}
                                        for xi, fv in ex.minimizers]
-                    if lb.density_basis is not None:
+                    if lb.sigma is not None:
                         r["christoffel"] = [
-                            {"point": list(xi),
-                             "value": christoffel(lb.density_basis, xi)}
-                            for xi, _ in ex.minimizers]
+                            {"point": list(xi), "value": value} for xi, value in
+                            reconstruct_density(lb).christoffel_at.items()]
                 else:
                     r["exactness"] = "not_certified"
                 if lb.sigma is not None:
@@ -412,6 +412,7 @@ def _cmd_basis(args) -> int:
     try:
         measure = _parse_measure_arg(args.measure, args.dim, args.lo, args.hi)
         basis = build_basis(measure, args.t)
+        D = basis.D
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -425,7 +426,7 @@ def _cmd_basis(args) -> int:
     if args.format == "json":
         doc = {"measure": type(measure).__name__, "t": args.t,
                "exponents": [list(a) for a in basis.basis],
-               "coefficients": [[float(v) for v in row] for row in basis.D],
+               "coefficients": [[float(v) for v in row] for row in D],
                "kernel_diag_samples": [
                    {"x": x, "kernel_diag": k}
                    for x, k in zip(_grid_points(axes).tolist(), kernel_diag)]}
@@ -435,7 +436,7 @@ def _cmd_basis(args) -> int:
         sys.stdout.write("alpha," + ",".join(labels) + "\n")
         for i, alpha in enumerate(basis.basis):
             sys.stdout.write(labels[i] + "," +
-                             ",".join(repr(float(v)) for v in basis.D[i]) + "\n")
+                             ",".join(repr(float(v)) for v in D[i]) + "\n")
         sys.stdout.write("x,kernel_diag\n")
         sys.stdout.write("".join(f"{x},{k!r}\n" for x, k in
                                  zip(_x_labels(axes, " "), kernel_diag)))

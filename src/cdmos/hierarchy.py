@@ -15,7 +15,8 @@ Once a reference measure is fixed, the optimal moment vector y* turns into
 coefficients sigma = D y* of a signed polynomial density in the orthonormal
 basis; at an exact relaxation with minimizer xi, sigma_alpha = T_alpha(xi),
 the density is the kernel section x -> K_2t(xi, x), and its value at xi is
-the reciprocal Christoffel function.
+the reciprocal Christoffel function.  Only sigma = D y* reads T's monomial
+coefficients, capped in degree; both densities are read through T(x).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .measures import MomentSequence, ReferenceMeasure
 from .momentmat import SemialgebraicSet, half_degree, moment_matrix
 from .orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
-                         christoffel, multiplication, ortho_expansion_poly)
+                         christoffel, multiplication)
 from .polyring import (MonomialBasis, Polynomial, _grlex_rank, coeff_vector,
                        enumerate_basis)
 from .sdp import (SdpBlock, SdpOptions, SdpProblem, SdpSolution, SdpStatus,
@@ -100,17 +101,23 @@ class UpperBoundResult:
     measure: ReferenceMeasure
 
     @functools.cached_property
-    def sos_density(self) -> Polynomial:
-        """sigma(x) = (v' T(x))^2, built on first read through D (so capped)."""
-        q = ortho_expansion_poly(self.eigvec, build_basis(self.measure, self.t))
-        return q * q
+    def basis(self) -> OrthoBasis:
+        return build_basis(self.measure, self.t)
+
+    def sos_density(self, x) -> np.ndarray:
+        """sigma(x) = (v' T(x))^2 at a point, or at each row of a (k, n) array."""
+        return (self.basis.eval_all(x) @ self.eigvec) ** 2
 
 
 @dataclass
 class DensityReconstruction:
     sigma: np.ndarray
-    sigma_poly: Polynomial
+    basis: OrthoBasis
     christoffel_at: Dict[Tuple[float, ...], float]
+
+    def sigma_poly(self, x) -> np.ndarray:
+        """sigma' T(x) at a point, or at each row of a (k, n) array."""
+        return self.basis.eval_all(x) @ self.sigma
 
 
 def _moment_blocks(gs: List[Tuple[Polynomial, int]],
@@ -161,13 +168,14 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
     if measure is not None:
         try:
             basis = build_basis(measure, 2 * t)
+            sigma = basis.D @ y.values
         except BasisConstructionError as exc:
-            # degree-2t orthonormal family does not exist for this measure
-            # (e.g. counting hypercube beyond multilinear degree)
+            # no degree-2t orthonormal family for this measure (e.g. counting
+            # hypercube beyond multilinear degree), or D above its degree cap
             result.density_error = str(exc)
         else:
             result.density_basis = basis
-            result.sigma = basis.D @ y.values
+            result.sigma = sigma
     return result
 
 
@@ -259,8 +267,7 @@ def reconstruct_density(r: LowerBoundResult) -> DensityReconstruction:
     if r.extraction is not None and r.extraction.certified:
         for xi, _ in r.extraction.minimizers:
             christoffel_at[xi] = christoffel(basis, xi)
-    return DensityReconstruction(sigma=r.sigma,
-                                 sigma_poly=ortho_expansion_poly(r.sigma, basis),
+    return DensityReconstruction(sigma=r.sigma, basis=basis,
                                  christoffel_at=christoffel_at)
 
 

@@ -5,23 +5,24 @@ reference measures.
 Both built-in measures are products of univariate measures, so the basis is
 the tensor product of univariate orthonormal families: T_alpha(x) is the
 product over the axes k of p_k[alpha_k](x_k).  Each family is described
-only by the measure's ``recurrence(t)`` coefficients (a_j, b_j).  One
-recurrence (``_axis_tables``) runs them on values at points, for evaluation,
-and on monomial coefficient rows, for the lower-triangular change of basis D
-that maps moments y to coefficients sigma = D y.  The integrals
-int f T_a T_b dmu are products of powers of the Jacobi matrices
-(``multiplication``), so they need neither moments nor D.
+only by the measure's ``recurrence(t)`` coefficients (a_j, b_j), and T is
+read by running them on values at points (``_axis_tables``), at any degree.
+The integrals int f T_a T_b dmu are products of powers of the Jacobi
+matrices (``multiplication``).  The same recurrence run on monomial
+coefficient rows gives the change of basis D with sigma = D y, built only
+when read and capped at DEFAULT_DEGREE_CAP.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .measures import ReferenceMeasure, jacobi_powers
-from .polyring import MonomialBasis, Polynomial, enumerate_basis, vector_to_poly
+from .polyring import MonomialBasis, Polynomial, enumerate_basis
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -32,11 +33,20 @@ class BasisConstructionError(RuntimeError):
 
 @dataclass
 class OrthoBasis:
-    """Rows of D are the coefficients of T_alpha in the monomial basis."""
+    """The orthonormal polynomials T_alpha, |alpha| <= t, in ``basis`` order."""
 
     measure: ReferenceMeasure
     basis: MonomialBasis
-    D: np.ndarray
+
+    @functools.cached_property
+    def D(self) -> np.ndarray:
+        """Rows of D are the monomial coefficients of T_alpha; built when read."""
+        if self.t > DEFAULT_DEGREE_CAP:
+            raise BasisConstructionError(
+                f"degree {self.t} exceeds cap {DEFAULT_DEGREE_CAP}; the monomial "
+                "coefficients of T_alpha grow with the degree, so float64 "
+                "evaluation loses accuracy beyond this")
+        return _tensor_basis(self.measure, self.basis)
 
     @property
     def n(self) -> int:
@@ -111,16 +121,11 @@ def _tensor_basis(measure: ReferenceMeasure, basis: MonomialBasis) -> np.ndarray
 
 
 def build_basis(measure: ReferenceMeasure, t: int) -> OrthoBasis:
-    """Orthonormal basis up to degree t for the given reference measure."""
+    """Orthonormal basis up to degree t; the support must carry p_t on each axis."""
     if t < 0:
         raise ValueError(f"degree bound must be >= 0, got {t}")
-    if t > DEFAULT_DEGREE_CAP:
-        raise BasisConstructionError(
-            f"degree {t} exceeds cap {DEFAULT_DEGREE_CAP}; the monomial "
-            "coefficients of T_alpha grow with the degree, so float64 "
-            "evaluation loses accuracy beyond this")
-    basis = enumerate_basis(measure.n, t)
-    return OrthoBasis(measure, basis, _tensor_basis(measure, basis))
+    _recurrence(measure, t)
+    return OrthoBasis(measure, enumerate_basis(measure.n, t))
 
 
 def multiplication(measure: ReferenceMeasure, f: Polynomial, t: int) -> np.ndarray:
@@ -134,14 +139,6 @@ def multiplication(measure: ReferenceMeasure, f: Polynomial, t: int) -> np.ndarr
     for k, P in enumerate(jacobi_powers(measure, t + f.degree // 2 + 1, f.degree)):
         A *= P[alphas[:, k, None, None], E[None, :, k, None], E[None, None, :, k]]
     return np.tensordot(np.fromiter(f.terms.values(), float, len(alphas)), A, axes=1)
-
-
-def ortho_expansion_poly(sigma: np.ndarray, B: OrthoBasis) -> Polynomial:
-    """The polynomial sum_alpha sigma_alpha T_alpha(x), in monomial coordinates."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (len(B.basis),):
-        raise ValueError(f"coefficient length {sigma.shape} != basis size {len(B.basis)}")
-    return vector_to_poly(B.D.T @ sigma, B.basis)
 
 
 def cd_kernel(B: OrthoBasis, x: Sequence[float], y: Sequence[float]) -> float:

@@ -273,13 +273,6 @@ def coeff_vector(p: Polynomial, basis: MonomialBasis) -> np.ndarray:
     return v
 
 
-def vector_to_poly(v: np.ndarray, basis: MonomialBasis) -> Polynomial:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (len(basis),):
-        raise ValueError(f"vector length {v.shape} != basis size {len(basis)}")
-    return Polynomial(basis.n, {a: v[i] for i, a in enumerate(basis)})
-
-
 def monomial_values(basis: MonomialBasis, x) -> np.ndarray:
     """The vector v_t(x) = (x^alpha) over the basis; for a (k, n) array of
     points, the (k, m) array whose rows are v_t of each point."""

@@ -311,7 +311,6 @@ class SdpProblem:
 @dataclass
 class SdpOptions:
     tol: float = 1e-8
-    max_iter: int = 200
 
 
 @dataclass
@@ -431,6 +430,7 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 # fraction of the longest step that keeps S and Z PSD taken by each iteration
 _STEP_FRACTION = 0.98
+_MAX_ITER = 200   # solve_sdp stops with status max_iter after these iterations
 
 
 def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolution:
@@ -469,7 +469,7 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
     status = SdpStatus.MAX_ITER
     it = 0
     pres = dres = gap_rel = np.inf
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         # residuals
         Rres = [blk.at(y) - S[s] for s, blk in enumerate(stacks)]
         rd = c

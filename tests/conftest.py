@@ -1,7 +1,7 @@
 """Shared test oracles: tensor-product Gauss-Legendre quadrature, the
-Cholesky-of-Gram orthonormal basis, the orthonormal polynomials and their
-values through their monomial coefficients, the SOS multipliers expanded as
-polynomials, the per-row density table formatter, the localizing matrix
+Cholesky-of-Gram orthonormal basis, the orthonormal polynomials, their
+values and their expansions through their monomial coefficients, the SOS
+multipliers expanded as polynomials, the per-row density table formatter, the localizing matrix
 summed one index table per term, the upper bound as the smallest eigenvalue
 of the monomial moment pencil, and helpers.
 
@@ -19,9 +19,8 @@ import pytest
 
 from cdmos.measures import MomentSequence, moments
 from cdmos.momentmat import localizing_matrix, moment_matrix
-from cdmos.orthobasis import ortho_expansion_poly
 from cdmos.polyring import (Polynomial, coeff_vector, enumerate_basis,
-                            monomial_values, vector_to_poly)
+                            monomial_values)
 from cdmos.sdp import gen_eig_min
 
 
@@ -52,6 +51,24 @@ def make_moment_sequence(n, t, values):
 def moment_value(y, alpha):
     """The entry y_alpha of a moment sequence, looked up by its exponent."""
     return float(y.values[y.basis.position(alpha)])
+
+
+def vector_to_poly(v, basis):
+    """The polynomial with coefficient vector v over a monomial basis: the
+    inverse of ``coeff_vector``."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (len(basis),):
+        raise ValueError(f"vector length {v.shape} != basis size {len(basis)}")
+    return Polynomial(basis.n, {a: v[i] for i, a in enumerate(basis)})
+
+
+def ortho_expansion_poly(sigma, B):
+    """The polynomial sum_alpha sigma_alpha T_alpha(x), in monomial
+    coordinates: D' sigma."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (len(B.basis),):
+        raise ValueError(f"coefficient length {sigma.shape} != basis size {len(B.basis)}")
+    return vector_to_poly(B.D.T @ sigma, B.basis)
 
 
 def ortho_polynomial(B, alpha):

@@ -300,3 +300,9 @@ class TestCommandLine:
     def test_basis_error_exit_code(self, capsys):
         assert main(["basis", "counting_hypercube", "2", "--dim", "2"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_basis_above_degree_cap_exit_code(self, capsys):
+        # the basis itself has no cap, but the printed coefficients D do
+        assert main(["basis", "uniform_box", "9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceeds cap" in err

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (moment_value, multiplier_poly, pencil_upper_bound,
-                      random_polynomial, smoothed_objective)
+from conftest import (moment_value, multiplier_poly, ortho_expansion_poly,
+                      pencil_upper_bound, random_polynomial, smoothed_objective)
 
 from cdmos.cli import parse_problem
 from cdmos.hierarchy import (certify_and_extract, lower_bound,
@@ -12,9 +12,8 @@ from cdmos.hierarchy import (certify_and_extract, lower_bound,
                              sandwich_sweep, upper_bound)
 from cdmos.measures import CountingHypercube, UniformBox, moments
 from cdmos.momentmat import SemialgebraicSet
-from cdmos.orthobasis import (BasisConstructionError, build_basis, cd_kernel,
-                              ortho_expansion_poly)
-from cdmos.polyring import Polynomial, coeff_vector, enumerate_basis
+from cdmos.orthobasis import BasisConstructionError, build_basis, cd_kernel
+from cdmos.polyring import Polynomial, enumerate_basis
 
 X = Polynomial.variable(1, 0)
 UNIT_INTERVAL = SemialgebraicSet(1, (1.0 - X * X,), box=((-1.0,), (1.0,)))
@@ -116,13 +115,22 @@ class TestUpperBound:
         assert upper_bound(f, UNIT_MEASURE, t).u == pytest.approx(oracle, rel=1e-10)
 
     def test_density_integrates_to_one_and_nonnegative(self, rng):
+        # (t+1)-point Gauss-Legendre integrates the degree-2t density exactly
         u = upper_bound(X, UNIT_MEASURE, 3)
-        mom = moments(UNIT_MEASURE, u.sos_density.degree)
-        mass = coeff_vector(u.sos_density, mom.basis) @ mom.values
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        mass = sum(w / 2 * u.sos_density((x,)) for x, w in zip(nodes, weights))
         assert mass == pytest.approx(1.0, abs=1e-8)
         for _ in range(1000):
             x = (float(rng.uniform(-1, 1)),)
             assert u.sos_density(x) >= -1e-10
+
+    @pytest.mark.parametrize("t", [16, 24])
+    def test_density_above_degree_cap(self, t, rng):
+        u = upper_bound(X, UNIT_MEASURE, t)
+        nodes, weights = np.polynomial.legendre.leggauss(t + 1)
+        mass = float(weights / 2 @ u.sos_density(nodes[:, None]))
+        assert abs(mass - 1.0) <= 1e-12
+        assert (u.sos_density(rng.uniform(-1, 1, size=(1000, 1))) >= 0.0).all()
 
     @pytest.mark.parametrize("f, measure", [
         (X * X * X - 0.5 * X, UNIT_MEASURE),
@@ -130,11 +138,13 @@ class TestUpperBound:
     @pytest.mark.parametrize("t", [0, 1, 2, 3])
     def test_lazy_density_matches_eager(self, f, measure, t, rng):
         # sigma(x) = (v' T(x))^2 for the unit eigenvector v in the T basis,
-        # relative to the largest value: near a zero of v' T the monomial
-        # form of sigma cancels, so single values can lose their own digits
+        # against its monomial form, relative to the largest value: near a
+        # zero of v' T the monomial form cancels, so single values can lose
+        # their own digits
         u = upper_bound(f, measure, t)
         X = rng.uniform(measure.lo, measure.hi, size=(20, measure.n))
-        expected = (build_basis(measure, t).eval_all(X) @ u.eigvec) ** 2
+        q = ortho_expansion_poly(u.eigvec, build_basis(measure, t))
+        expected = np.array([q(x) ** 2 for x in X])
         got = np.array([u.sos_density(x) for x in X])
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(expected)
 

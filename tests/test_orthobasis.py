@@ -3,14 +3,14 @@ import itertools
 import numpy as np
 import pytest
 from conftest import (box_quadrature, cholesky_basis, gram_matrix,
-                      monomial_route_eval, ortho_polynomial, random_polynomial)
+                      monomial_route_eval, ortho_expansion_poly, ortho_polynomial,
+                      random_polynomial)
 
 from cdmos.measures import (CountingHypercube, UniformBox, dirac_moments,
                             moments)
-from cdmos.orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
-                              cd_kernel, christoffel, ortho_expansion_poly,
-                              reproduce)
-from cdmos.polyring import Polynomial, enumerate_basis
+from cdmos.orthobasis import (BasisConstructionError, build_basis, cd_kernel,
+                              christoffel, reproduce)
+from cdmos.polyring import Polynomial
 
 UNIT = UniformBox((-1.0,), (1.0,))
 
@@ -55,8 +55,10 @@ class TestBuildBasis:
             build_basis(CountingHypercube(2), 2)
 
     def test_degree_cap(self):
+        # only the monomial coefficients D are capped, not the basis
+        B = build_basis(UNIT, 9)
         with pytest.raises(BasisConstructionError, match="cap"):
-            build_basis(UNIT, 9)
+            B.D
 
     @pytest.mark.parametrize("measure,t", [
         (UNIT, 4),
@@ -132,10 +134,10 @@ class TestEvalAllOracles:
 
     def test_matches_mpmath_at_degree_24(self, rng):
         # 40-digit Legendre values, away from any float rounding of u;
-        # eval_all runs on the recurrence alone, so D (and its cap) is left out
+        # eval_all runs on the recurrence alone, far above D's cap
         mpmath = pytest.importorskip("mpmath")
         measure, t = UniformBox((-2.0,), (3.0,)), 24
-        B = OrthoBasis(measure, enumerate_basis(1, t), D=None)
+        B = build_basis(measure, t)
         X = rng.uniform(-2.0, 3.0, size=(30, 1))
         with mpmath.workdps(40):
             ref = np.array([[float(mpmath.sqrt(2 * j + 1) *
@@ -235,6 +237,17 @@ class TestReproduce:
             x = (float(rng.uniform(0.5, 3.0)),)
             assert abs(reproduce(B, p, x) - p(x)) <= 1e-11
 
+    def test_off_centre_box_at_degree_24(self, rng):
+        # above D's cap: reproduce reads the Jacobi matrices and eval_all only
+        lo, hi, t = -2.0, 3.0, 24
+        B = build_basis(UniformBox((lo,), (hi,)), t)
+        grid = np.linspace(lo, hi, 2001)
+        for _ in range(10):
+            p = random_polynomial(rng, 1, t)
+            scale = max(abs(p((xv,))) for xv in grid)
+            for xv in rng.uniform(lo, hi, size=5):
+                assert abs(reproduce(B, p, (xv,)) - p((xv,))) <= 1e-12 * scale
+
     def test_degree_overflow(self):
         B = build_basis(UNIT, 2)
         x = Polynomial.variable(1, 0)
@@ -249,6 +262,15 @@ class TestChristoffel:
         for _ in range(10):
             x = (float(rng.uniform(-1, 1)),)
             assert christoffel(B, x) * cd_kernel(B, x, x) == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("t", [16, 24, 40])
+    def test_gauss_weights_at_gauss_nodes(self, t):
+        # at the zeros of p_{t+1} the Christoffel function of degree t is the
+        # (t+1)-point Gauss weight, halved for the probability measure
+        B = build_basis(UNIT, t)
+        nodes, weights = np.polynomial.legendre.leggauss(t + 1)
+        got = np.array([christoffel(B, (x,)) for x in nodes])
+        assert np.max(np.abs(got - weights / 2) / (weights / 2)) <= 1e-11
 
     def test_degree_zero_is_one(self, rng):
         B = build_basis(UNIT, 0)

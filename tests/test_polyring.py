@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import vector_to_poly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdmos.polyring import (MonomialBasis, PolyParseError, Polynomial,
                             coeff_vector, enumerate_basis, grlex_key,
-                            monomial_values, parse_polynomial, vector_to_poly)
+                            monomial_values, parse_polynomial)
 
 
 class TestEnumerateBasis:

@@ -106,7 +106,7 @@ class TestSolveSdp:
         blk1 = SdpBlock(np.array([[-1.0]]), np.array([[[1.0]]]))
         blk2 = SdpBlock(np.array([[0.0]]), np.array([[[-1.0]]]))
         prob = SdpProblem(c=np.array([0.0]), blocks=[blk1, blk2])
-        sol = solve_sdp(prob, SdpOptions(max_iter=100))
+        sol = solve_sdp(prob)
         assert sol.status in (SdpStatus.INFEASIBLE, SdpStatus.MAX_ITER)
         assert sol.status is not SdpStatus.OPTIMAL
 
