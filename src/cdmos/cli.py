@@ -21,9 +21,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -35,6 +36,12 @@ from .orthobasis import OrthoBasis, build_basis
 from .polyring import (PolyParseError, Polynomial, enumerate_basis,
                        parse_polynomial)
 from .sdp import SdpOptions
+
+# the density readout evaluates T and writes the CSV on chunks of grid points
+# of about this many floats, so its memory does not grow with the grid
+_CHUNK_FLOATS = 1 << 16
+# the degree up to which `cdmos basis` prints T's monomial coefficients
+_COEFF_DEGREE_CAP = 8
 
 
 class ProblemFileError(ValueError):
@@ -195,12 +202,7 @@ class RunReport:
     density_order: Optional[int] = None
 
     def density_row(self) -> Optional[SweepRow]:
-        if self.density_order is None:
-            return None
-        for row in self.rows:
-            if row.t == self.density_order:
-                return row
-        return None
+        return next((row for row in self.rows if row.t == self.density_order), None)
 
     def to_dict(self) -> dict:
         pf = self.problem
@@ -240,10 +242,8 @@ class RunReport:
                                "primal_residual": lb.solution.primal_residual,
                                "dual_residual": lb.solution.dual_residual}
             rows_out.append(r)
-        basis_labels = None
-        if self.density_order is not None:
-            b2t = enumerate_basis(pf.n, 2 * self.density_order)
-            basis_labels = [list(a) for a in b2t]
+        basis_labels = (None if self.density_order is None else
+                        [list(a) for a in enumerate_basis(pf.n, 2 * self.density_order)])
         return {
             "problem": {
                 "variables": pf.var_names,
@@ -301,10 +301,26 @@ def run(pf: ProblemFile, max_order: Optional[int] = None,
                      density_order=_pick_density_order(rows))
 
 
-def _grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """The (k^n, n) array of the points of the grid with these axes, in
+def _grid_points(axes: Sequence[np.ndarray], start: int = 0, stop: Optional[int] = None):
+    """Rows start..stop-1 of the (k^n, n) array of the grid's points, in
     itertools.product order, which is the meshgrid(indexing="ij") order."""
-    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    shape = [len(a) for a in axes]
+    flat = np.arange(start, math.prod(shape) if stop is None else stop)
+    return np.stack([a[i] for a, i in zip(axes, np.unravel_index(flat, shape))], axis=-1)
+
+
+def _grid_tables(basis: OrthoBasis, axes: Sequence[np.ndarray]) -> Iterator:
+    """(rows, T_alpha at the grid points ``rows``), about _CHUNK_FLOATS floats at a time."""
+    size, step = math.prod(len(a) for a in axes), max(1, _CHUNK_FLOATS // len(basis.basis))
+    for i in range(0, size, step):
+        yield slice(i, i + step), basis.eval_all(_grid_points(axes, i, min(i + step, size)))
+
+
+def _sample_axes(measure: ReferenceMeasure, k: int) -> List[np.ndarray]:
+    """k values on each axis of the measure's box, [-1, 1] for the hypercube."""
+    if isinstance(measure, UniformBox):
+        return [np.linspace(a, b, k) for a, b in zip(measure.lo, measure.hi)]
+    return [np.linspace(-1.0, 1.0, k)] * measure.n
 
 
 @dataclass
@@ -321,18 +337,10 @@ class DensitySamples:
         return _grid_points(self.axes)
 
 
-def _sample_grid(basis: OrthoBasis, lo: Sequence[float], hi: Sequence[float],
-                 k: int) -> Tuple[List[np.ndarray], np.ndarray]:
-    """The k grid values of each axis of the box, and the (k^n, m) table of
-    T_alpha over the grid's points."""
-    axes = [np.linspace(a, b, k) for a, b in zip(lo, hi)]
-    return axes, basis.eval_all(_grid_points(axes))
-
-
-def _x_labels(axes: Sequence[np.ndarray], sep: str) -> List[str]:
-    """The grid's points as text, in row order; each axis value is formatted once."""
-    return [sep.join(p) for p in
-            itertools.product(*([repr(v) for v in a.tolist()] for a in axes))]
+def _x_labels(axes: Sequence[np.ndarray], sep: str) -> Iterator[str]:
+    """The grid's points as text, in row order, made lazily; each axis value formatted once."""
+    return (sep.join(p) for p in
+            itertools.product(*([repr(v) for v in a.tolist()] for a in axes)))
 
 
 def sample_density(report: RunReport, grid_n: int) -> DensitySamples:
@@ -345,25 +353,25 @@ def sample_density(report: RunReport, grid_n: int) -> DensitySamples:
     if row is None or row.lower is None or row.lower.sigma is None:
         raise ValueError("density unavailable: no reconstructed density in report")
     lb = row.lower
-    pf = report.problem
-    if pf.box is not None:
-        lo, hi = pf.box
-    elif isinstance(pf.measure, CountingHypercube):
-        lo = (-1.0,) * pf.n
-        hi = (1.0,) * pf.n
-    else:
-        raise ValueError("density unavailable: no box to sample over")
-    axes, T = _sample_grid(lb.density_basis, lo, hi, grid_n)
-    return DensitySamples(axes, T @ lb.sigma, np.einsum("ij,ij->i", T, T))
+    axes = _sample_axes(lb.density_basis.measure, grid_n)
+    samples = DensitySamples(axes, *np.empty((2, grid_n ** len(axes))))
+    for rows, T in _grid_tables(lb.density_basis, axes):
+        samples.sigma[rows] = T @ lb.sigma
+        samples.kernel_diag[rows] = np.einsum("ij,ij->i", T, T)
+    return samples
 
 
-def density_csv(samples: DensitySamples) -> str:
+def write_density_csv(samples: DensitySamples, fh: TextIO) -> None:
+    """Write the density table to the text file fh: a header, then one row
+    per grid point, formatted and written about _CHUNK_FLOATS values at a time."""
     n = len(samples.axes)
-    header = ",".join([f"x{i+1}" for i in range(n)] + ["sigma", "kernel_diag"])
-    lines = [f"{x},{s!r},{k!r}" for x, s, k in zip(_x_labels(samples.axes, ","),
-                                                  samples.sigma.tolist(),
-                                                  samples.kernel_diag.tolist())]
-    return "\n".join([header] + lines) + "\n"
+    fh.write(",".join([f"x{i+1}" for i in range(n)] + ["sigma", "kernel_diag"]) + "\n")
+    labels = _x_labels(samples.axes, ",")
+    step = max(1, _CHUNK_FLOATS // (n + 2))
+    for i in range(0, len(samples.sigma), step):
+        fh.write("".join(f"{x},{s!r},{k!r}\n" for x, s, k in zip(
+            itertools.islice(labels, step), samples.sigma[i:i + step].tolist(),
+            samples.kernel_diag[i:i + step].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +398,11 @@ def _cmd_solve(args) -> int:
         except ValueError as exc:
             print(f"density unavailable: {exc}", file=sys.stderr)
         else:
-            csv = density_csv(samples)
             if args.density_out:
                 with open(args.density_out, "w") as fh:
-                    fh.write(csv)
+                    write_density_csv(samples, fh)
             else:
-                sys.stdout.write(csv)
+                write_density_csv(samples, sys.stdout)
     return 0 if report.all_solved else 1
 
 
@@ -412,17 +419,18 @@ def _cmd_basis(args) -> int:
     try:
         measure = _parse_measure_arg(args.measure, args.dim, args.lo, args.hi)
         basis = build_basis(measure, args.t)
-        D = basis.D
+        if args.t > _COEFF_DEGREE_CAP:
+            raise ValueError(f"degree {args.t} exceeds cap {_COEFF_DEGREE_CAP}; the monomial "
+                             "coefficients of T_alpha grow with the degree, so float64 "
+                             "evaluation loses accuracy beyond this")
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if isinstance(measure, UniformBox):
-        lo, hi = measure.lo, measure.hi
-    else:
-        lo = (-1.0,) * measure.n
-        hi = (1.0,) * measure.n
-    axes, T = _sample_grid(basis, lo, hi, args.grid)
-    kernel_diag = np.einsum("ij,ij->i", T, T).tolist()
+    # row alpha: T_alpha's coefficient of x^beta is L(T_alpha) for y = e_beta
+    D = basis.riesz(np.eye(len(basis.basis)))
+    axes = _sample_axes(measure, args.grid)
+    kernel_diag = [k for _, T in _grid_tables(basis, axes)
+                   for k in np.einsum("ij,ij->i", T, T).tolist()]
     if args.format == "json":
         doc = {"measure": type(measure).__name__, "t": args.t,
                "exponents": [list(a) for a in basis.basis],

@@ -12,11 +12,11 @@ integral of f against SOS densities (v' T(x))^2 of degree 2t and mass |v|^2
 multiplication operator on the orthonormal basis T up to degree t.
 
 Once a reference measure is fixed, the optimal moment vector y* turns into
-coefficients sigma = D y* of a signed polynomial density in the orthonormal
-basis; at an exact relaxation with minimizer xi, sigma_alpha = T_alpha(xi),
-the density is the kernel section x -> K_2t(xi, x), and its value at xi is
-the reciprocal Christoffel function.  Only sigma = D y* reads T's monomial
-coefficients, capped in degree; both densities are read through T(x).
+coefficients sigma_alpha = L_y*(T_alpha) of a signed polynomial density in
+the orthonormal basis, read off y* by T's recurrence (``OrthoBasis.riesz``);
+at an exact relaxation with minimizer xi, sigma_alpha = T_alpha(xi), the
+density is the kernel section x -> K_2t(xi, x), and its value at xi is the
+reciprocal Christoffel function.  Both densities are read through T(x).
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class LowerBoundResult:
     certificate: SosCertificate
     solution: SdpSolution
     extraction: Optional[Extraction] = None
-    sigma: Optional[np.ndarray] = None      # D_{2t} y*, when a measure is declared
+    sigma: Optional[np.ndarray] = None      # L_y*(T_alpha), when a measure is declared
     density_basis: Optional[OrthoBasis] = None
     density_error: Optional[str] = None
 
@@ -168,14 +168,13 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
     if measure is not None:
         try:
             basis = build_basis(measure, 2 * t)
-            sigma = basis.D @ y.values
         except BasisConstructionError as exc:
             # no degree-2t orthonormal family for this measure (e.g. counting
-            # hypercube beyond multilinear degree), or D above its degree cap
+            # hypercube beyond multilinear degree)
             result.density_error = str(exc)
         else:
             result.density_basis = basis
-            result.sigma = sigma
+            result.sigma = basis.riesz(y.values)
     return result
 
 
@@ -257,18 +256,15 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet) -> Extraction:
 # ---------------------------------------------------------------------------
 
 def reconstruct_density(r: LowerBoundResult) -> DensityReconstruction:
-    """The signed density with coefficients sigma = D y* that ``lower_bound``
+    """The signed density with coefficients sigma = L_y*(T) that ``lower_bound``
     stored, and the Christoffel function at each certified minimizer."""
     if r.sigma is None:
         raise ValueError(f"order {r.t} has no density: "
                          f"{r.density_error or 'no reference measure declared'}")
-    basis = r.density_basis
-    christoffel_at: Dict[Tuple[float, ...], float] = {}
-    if r.extraction is not None and r.extraction.certified:
-        for xi, _ in r.extraction.minimizers:
-            christoffel_at[xi] = christoffel(basis, xi)
-    return DensityReconstruction(sigma=r.sigma, basis=basis,
-                                 christoffel_at=christoffel_at)
+    ex = r.extraction
+    minimizers = ex.minimizers if ex is not None and ex.certified else []
+    return DensityReconstruction(sigma=r.sigma, basis=r.density_basis, christoffel_at={
+        xi: christoffel(r.density_basis, xi) for xi, _ in minimizers})
 
 
 # ---------------------------------------------------------------------------

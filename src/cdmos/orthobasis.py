@@ -6,25 +6,22 @@ Both built-in measures are products of univariate measures, so the basis is
 the tensor product of univariate orthonormal families: T_alpha(x) is the
 product over the axes k of p_k[alpha_k](x_k).  Each family is described
 only by the measure's ``recurrence(t)`` coefficients (a_j, b_j), and T is
-read by running them on values at points (``_axis_tables``), at any degree.
+read by running them on values at points (``_axis_table``), at any degree.
 The integrals int f T_a T_b dmu are products of powers of the Jacobi
-matrices (``multiplication``).  The same recurrence run on monomial
-coefficient rows gives the change of basis D with sigma = D y, built only
-when read and capped at DEFAULT_DEGREE_CAP.
+matrices (``multiplication``).  The same recurrence run on a moment vector
+gives sigma_alpha = L_y(T_alpha) (``OrthoBasis.riesz``), at any degree too;
+run on the unit moment vectors it gives T's monomial coefficients.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .measures import ReferenceMeasure, jacobi_powers
-from .polyring import MonomialBasis, Polynomial, enumerate_basis
-
-DEFAULT_DEGREE_CAP = 8
+from .polyring import MonomialBasis, Polynomial, _grlex_rank, enumerate_basis
 
 
 class BasisConstructionError(RuntimeError):
@@ -37,16 +34,6 @@ class OrthoBasis:
 
     measure: ReferenceMeasure
     basis: MonomialBasis
-
-    @functools.cached_property
-    def D(self) -> np.ndarray:
-        """Rows of D are the monomial coefficients of T_alpha; built when read."""
-        if self.t > DEFAULT_DEGREE_CAP:
-            raise BasisConstructionError(
-                f"degree {self.t} exceeds cap {DEFAULT_DEGREE_CAP}; the monomial "
-                "coefficients of T_alpha grow with the degree, so float64 "
-                "evaluation loses accuracy beyond this")
-        return _tensor_basis(self.measure, self.basis)
 
     @property
     def n(self) -> int:
@@ -62,19 +49,44 @@ class OrthoBasis:
 
         Each axis's univariate family is tabulated at the points by its
         three-term recurrence, and T_alpha is the product of the tables'
-        rows alpha_k; the monomial coefficients in D are not used.
+        rows alpha_k.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.n:
             raise ValueError(f"points of shape {x.shape} do not match basis dimension {self.n}")
         E = self.basis.array
-        tables = _axis_tables(self.measure, self.t, np.ones(x.shape[:-1]),
-                              lambda k, p: x[..., k] * p)
-        V = tables[0][E[:, 0]]
-        for k in range(1, self.n):
-            V *= tables[k][E[:, k]]
-        # one row per point, contiguous for the callers' row-wise products
-        return np.ascontiguousarray(np.moveaxis(V, 0, -1))
+        V = np.ones(x.shape[:-1] + (len(E),))
+        for k, ab in enumerate(_recurrence(self.measure, self.t)):
+            P = _axis_table(ab, self.t, np.ones(x.shape[:-1]), lambda p: x[..., k] * p)
+            # one row per point: (p_j at the point)_j, gathered into rows alpha_k
+            V *= np.take(P.T, E[:, k], axis=-1)
+        return V
+
+    def riesz(self, y) -> np.ndarray:
+        """(L_y(T_alpha))_alpha over the graded-lex basis for the moments
+        y_beta = L_y(x^beta) in basis order; for an (N, ...) stack of moment
+        vectors, the (N, ...) stack of these vectors.
+
+        Axis by axis, x_k^j becomes p_k[j](x_k): the functionals p_j(x_k) L
+        follow the three-term recurrence, x_k L having L's moments shifted by
+        e_k.  That of p_j(x_k) L is read only at degrees <= t - j, so the
+        moments past degree t are never read, and are taken as 0.  A Dirac at
+        xi gives T(xi); y = I gives T's monomial coefficients, row by row.
+        """
+        y = np.asarray(y, dtype=float)
+        E, N, t = self.basis.array, len(self.basis), self.t
+        if y.shape[:1] != (N,):
+            raise ValueError(f"moments of shape {y.shape} do not match basis size {N}")
+        # row N stands for every moment past degree t and stays 0
+        V = np.concatenate([y, np.zeros((1,) + y.shape[1:])])
+        below_t = E.sum(axis=1) < t
+        for k, ab in enumerate(_recurrence(self.measure, t)):
+            e_k = np.eye(self.n, dtype=np.intp)[k]
+            up = np.append(np.where(below_t, _grlex_rank(E + e_k), N), N)
+            P = _axis_table(ab, t, V, lambda p: p[up])
+            # row beta is (p_{beta_k}(x_k) L)(x^beta / x_k^beta_k)
+            V = P[np.append(E[:, k], 0), np.append(_grlex_rank(E - E[:, k, None] * e_k), N)]
+        return V[:N]
 
 
 def _recurrence(measure: ReferenceMeasure, t: int):
@@ -90,34 +102,18 @@ def _recurrence(measure: ReferenceMeasure, t: int):
     return rec
 
 
-def _axis_tables(measure: ReferenceMeasure, t: int, first: np.ndarray,
-                 times_x) -> list[np.ndarray]:
-    """Per axis k, the (t+1,) + first.shape table of p_k[0..t]: from p_{-1} = 0
-    and p_0 = first, p_{j+1} = (x p_j - b_j p_j - a_j p_{j-1}) / a_{j+1} with the
-    measure's ``recurrence(t)``, where times_x(k, p) is the product x_k p."""
-    tables = []
-    for k, (a, b) in enumerate(_recurrence(measure, t)):
-        P = np.zeros((t + 2,) + first.shape)   # P[j + 1] holds p_j
-        P[1] = first
-        for j in range(t):
-            P[j + 2] = (times_x(k, P[j + 1]) - b[j] * P[j + 1] - a[j] * P[j]) / a[j + 1]
-        tables.append(P[1:])
-    return tables
-
-
-def _tensor_basis(measure: ReferenceMeasure, basis: MonomialBasis) -> np.ndarray:
-    """D[alpha, beta] = prod_k uni_k[alpha_k, beta_k] where beta <= alpha
-    componentwise, and 0.0 elsewhere; row j of uni_k holds the monomial
-    coefficients of p_k[j], so x_k p is a shift of p's row."""
-    t = basis.t
-    uni = _axis_tables(measure, t, np.eye(1, t + 1)[0],
-                       lambda k, p: np.concatenate(([0.0], p[:-1])))
-    E = basis.array
-    D = np.ones((len(basis), len(basis)))
-    for k in range(basis.n):
-        D *= uni[k][E[:, None, k], E[None, :, k]]
-    below = (E[None, :, :] <= E[:, None, :]).all(axis=2)
-    return np.where(below, D, 0.0)
+def _axis_table(ab: tuple[np.ndarray, np.ndarray], t: int, first: np.ndarray,
+                times_x) -> np.ndarray:
+    """The (t+1,) + first.shape table of p[0..t] of one axis with recurrence
+    coefficients ab = (a, b): from p_{-1} = 0 and p_0 = first,
+    p_{j+1} = (x p_j - b_j p_j - a_j p_{j-1}) / a_{j+1}, where times_x(p) is
+    the product x p."""
+    a, b = ab
+    P = np.zeros((t + 2,) + first.shape)   # P[j + 1] holds p_j
+    P[1] = first
+    for j in range(t):
+        P[j + 2] = (times_x(P[j + 1]) - b[j] * P[j + 1] - a[j] * P[j]) / a[j + 1]
+    return P[1:]
 
 
 def build_basis(measure: ReferenceMeasure, t: int) -> OrthoBasis:

@@ -1,6 +1,8 @@
 """Shared test oracles: tensor-product Gauss-Legendre quadrature, the
-Cholesky-of-Gram orthonormal basis, the orthonormal polynomials, their
-values and their expansions through their monomial coefficients, the SOS
+Cholesky-of-Gram orthonormal basis, the monomial coefficients of the
+orthonormal polynomials from their recurrences run on coefficient rows, the
+orthonormal polynomials, their values and their expansions through these
+coefficients, the SOS
 multipliers expanded as polynomials, the per-row density table formatter, the localizing matrix
 summed one index table per term, the upper bound as the smallest eigenvalue
 of the monomial moment pencil, and helpers.
@@ -62,33 +64,54 @@ def vector_to_poly(v, basis):
     return Polynomial(basis.n, {a: v[i] for i, a in enumerate(basis)})
 
 
+def tensor_basis(measure, basis):
+    """D[alpha, beta] = prod_k uni_k[alpha_k, beta_k] where beta <= alpha
+    componentwise, and 0.0 elsewhere: row alpha holds the monomial
+    coefficients of T_alpha.  Row j of uni_k holds those of p_k[j], run on
+    the measure's recurrence, where x_k p is a shift of p's row."""
+    t = basis.t
+    E = basis.array
+    D = np.ones((len(basis), len(basis)))
+    for k, (a, b) in enumerate(measure.recurrence(t)):
+        uni = np.zeros((t + 2, t + 1))   # uni[j + 1] holds p_j's coefficients
+        uni[1, 0] = 1.0
+        for j in range(t):
+            shifted = np.concatenate(([0.0], uni[j + 1, :-1]))
+            uni[j + 2] = (shifted - b[j] * uni[j + 1] - a[j] * uni[j]) / a[j + 1]
+        D *= uni[1:][E[:, None, k], E[None, :, k]]
+    below = (E[None, :, :] <= E[:, None, :]).all(axis=2)
+    return np.where(below, D, 0.0)
+
+
 def ortho_expansion_poly(sigma, B):
     """The polynomial sum_alpha sigma_alpha T_alpha(x), in monomial
     coordinates: D' sigma."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (len(B.basis),):
         raise ValueError(f"coefficient length {sigma.shape} != basis size {len(B.basis)}")
-    return vector_to_poly(B.D.T @ sigma, B.basis)
+    return vector_to_poly(tensor_basis(B.measure, B.basis).T @ sigma, B.basis)
 
 
 def ortho_polynomial(B, alpha):
     """T_alpha of an orthonormal basis as a polynomial: row alpha of D."""
-    return vector_to_poly(B.D[B.basis.position(alpha)], B.basis)
+    return vector_to_poly(tensor_basis(B.measure, B.basis)[B.basis.position(alpha)],
+                          B.basis)
 
 
 def monomial_route_eval(B, x):
     """(T_alpha(x)) through the monomial coefficients: D v_t(x), for one point
     or row-wise for a (k, n) array of points."""
-    return (B.D @ monomial_values(B.basis, x).T).T
+    return (tensor_basis(B.measure, B.basis) @ monomial_values(B.basis, x).T).T
 
 
 def smoothed_objective(f, y_values, basis):
-    """int f * (sum_alpha (D y)_alpha T_alpha) dmu, computed with exact moments.
+    """int f * (sum_alpha sigma_alpha T_alpha) dmu with sigma = L_y(T), the
+    library's ``riesz``, computed with exact moments.
 
     Equals <f, y> by the change-of-basis identity; an independent cross-check
     of the density route.
     """
-    prod = f * ortho_expansion_poly(basis.D @ np.asarray(y_values, dtype=float), basis)
+    prod = f * ortho_expansion_poly(basis.riesz(np.asarray(y_values, dtype=float)), basis)
     mom = moments(basis.measure, prod.degree)
     return float(coeff_vector(prod, mom.basis) @ mom.values)
 

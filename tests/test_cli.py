@@ -1,13 +1,20 @@
+import importlib.util
+import io
 import json
+import os
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import box_grid, density_csv_per_row
 
-from cdmos.cli import (ProblemFileError, density_csv, main, parse_problem,
-                       run, sample_density)
+from cdmos import cli
+from cdmos.cli import (ProblemFileError, main, parse_problem, run,
+                       sample_density, write_density_csv)
 from cdmos.measures import CountingHypercube, UniformBox
+from cdmos.orthobasis import build_basis
 
 UNIVARIATE = """\
 # minimize x over [-1, 1]
@@ -47,6 +54,13 @@ measure = uniform_box
 box = -1 1 ; 0 2 ; -1.5 0.5
 orders = 1..1
 """
+
+
+def csv_text(samples):
+    """The density CSV as ``write_density_csv`` writes it, read back as text."""
+    buf = io.StringIO()
+    write_density_csv(samples, buf)
+    return buf.getvalue()
 
 
 class TestParseProblem:
@@ -195,7 +209,7 @@ class TestDensitySampling:
 
     def test_csv_shape(self):
         report = run(parse_problem(BILINEAR))
-        csv = density_csv(sample_density(report, 3))
+        csv = csv_text(sample_density(report, 3))
         lines = csv.strip().splitlines()
         assert lines[0] == "x1,x2,sigma,kernel_diag"
         assert len(lines) == 1 + 9
@@ -208,8 +222,70 @@ class TestDensitySampling:
         samples = sample_density(run(pf), k)
         points = box_grid(*pf.box, k)
         np.testing.assert_array_equal(samples.points, points)
-        assert density_csv(samples) == density_csv_per_row(
+        assert csv_text(samples) == density_csv_per_row(
             points, samples.sigma, samples.kernel_diag)
+
+    @pytest.mark.parametrize("text,k", [(UNIVARIATE, 7), (UNIVARIATE, 29),
+                                        (BOX_BILINEAR, 5), (TRILINEAR, 4)],
+                             ids=["1d_one_chunk", "1d", "box_bilinear", "3d"])
+    def test_streamed_csv_across_chunks(self, text, k, monkeypatch):
+        # with 64-float chunks the basis is evaluated on 12 (1d), 4 (2d) and 6
+        # (3d) points at a time and the CSV written 21, 16 and 12 rows at a
+        # time: 7 points fit in one chunk, the other counts are no multiple
+        pf = parse_problem(text)
+        report = run(pf)
+        whole = sample_density(report, k)
+        monkeypatch.setattr(cli, "_CHUNK_FLOATS", 64)
+        samples = sample_density(report, k)
+        np.testing.assert_array_equal(samples.kernel_diag, whole.kernel_diag)
+        # the matrix-vector product may round by chunk
+        np.testing.assert_allclose(samples.sigma, whole.sigma, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(whole.sigma)))
+        assert csv_text(samples) == density_csv_per_row(
+            box_grid(*pf.box, k), samples.sigma, samples.kernel_diag)
+
+    def test_readout_memory_does_not_grow_with_grid(self):
+        # 3 variables at order 3: the table of T over a 41^3 grid is 46 MB
+        report = run(parse_problem(TRILINEAR.replace("orders = 1..1", "orders = 3..3")))
+        peaks = []
+        for k in (21, 41):
+            tracemalloc.start()
+            try:
+                with open(os.devnull, "w") as fh:
+                    write_density_csv(sample_density(report, k), fh)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the two output columns grow by 0.95 MB; measured 2.4 -> 3.9 MB
+        assert peaks[1] - peaks[0] <= 2e6
+
+
+def _box_deep_problem(variant):
+    """The benchmark's box_deep problem file (n = 2, degree 6, orders 3..6)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads.box_deep(variant).text()
+
+
+@pytest.mark.parametrize("variant", [0, 11])
+def test_box_deep_density_at_every_order(variant):
+    # sigma is read off y* at 2t = 10 and 12 too, and at the certified
+    # minimizer it is T(xi): the density is the kernel section
+    doc = run(parse_problem(_box_deep_problem(variant))).to_dict()
+    measure = UniformBox((-1.0, -1.0), (1.0, 1.0))
+    rows = {r["t"]: r for r in doc["rows"]}
+    assert sorted(rows) == [3, 4, 5, 6]
+    assert [len(rows[t]["sigma"]) for t in (5, 6)] == [66, 91]
+    for t, r in rows.items():
+        assert r["density_error"] is None and r["exactness"] == "certified"
+        assert len(r["christoffel"]) == len(r["minimizers"]) == 1
+        T = build_basis(measure, 2 * t).eval_all(tuple(r["minimizers"][0]["point"]))
+        # measured 2.6e-8, at t = 4; the solver's y* is a Dirac to about 1e-8
+        assert np.max(np.abs(np.array(r["sigma"]) - T)) <= 1e-7 * np.max(np.abs(T))
 
 
 class TestCommandLine:

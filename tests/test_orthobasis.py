@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import (box_quadrature, cholesky_basis, gram_matrix,
                       monomial_route_eval, ortho_expansion_poly, ortho_polynomial,
-                      random_polynomial)
+                      random_polynomial, tensor_basis)
 
 from cdmos.measures import (CountingHypercube, UniformBox, dirac_moments,
                             moments)
@@ -48,17 +48,19 @@ class TestBuildBasis:
 
     def test_hypercube_degree_one_is_monomials(self):
         B = build_basis(CountingHypercube(2), 1)
-        np.testing.assert_allclose(B.D, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(tensor_basis(B.measure, B.basis), np.eye(3), atol=1e-14)
 
     def test_hypercube_degree_two_fails(self):
         with pytest.raises(BasisConstructionError, match="degree 2"):
             build_basis(CountingHypercube(2), 2)
 
     def test_degree_cap(self):
-        # only the monomial coefficients D are capped, not the basis
+        # only the monomial coefficients that `cdmos basis` prints are capped
+        # (test_cli), not the basis or the moments it reads
         B = build_basis(UNIT, 9)
-        with pytest.raises(BasisConstructionError, match="cap"):
-            B.D
+        xi = (0.3,)
+        np.testing.assert_allclose(B.riesz(dirac_moments(xi, 9).values),
+                                   B.eval_all(xi), atol=1e-14)
 
     @pytest.mark.parametrize("measure,t", [
         (UNIT, 4),
@@ -66,7 +68,7 @@ class TestBuildBasis:
         (CountingHypercube(3), 1),
     ])
     def test_tensor_equals_cholesky(self, measure, t):
-        Dt = build_basis(measure, t).D
+        Dt = tensor_basis(measure, build_basis(measure, t).basis)
         Dc = cholesky_basis(measure, t)
         assert np.max(np.abs(Dt - Dc)) <= 1e-8
 
@@ -76,12 +78,12 @@ class TestBuildBasis:
         (CountingHypercube(2), 1),
     ])
     def test_structure_invariants(self, measure, tmax):
-        B = build_basis(measure, tmax)
+        D = tensor_basis(measure, build_basis(measure, tmax).basis)
         # lower triangular with positive diagonal, and D G D' = I
-        assert np.allclose(B.D, np.tril(B.D))
-        assert (np.diag(B.D) > 0).all()
+        assert np.allclose(D, np.tril(D))
+        assert (np.diag(D) > 0).all()
         G = gram_matrix(measure, tmax)
-        assert np.max(np.abs(B.D @ G @ B.D.T - np.eye(len(G)))) <= 1e-8
+        assert np.max(np.abs(D @ G @ D.T - np.eye(len(G)))) <= 1e-8
 
     @pytest.mark.parametrize("measure,tmax", [
         (UNIT, 4), (UniformBox((-1.0, -1.0), (1.0, 1.0)), 3)])
@@ -97,19 +99,69 @@ class TestBuildBasis:
 
 class TestOrthoCoords:
     def test_dirac_gives_ortho_values(self, rng):
-        # sigma = D y of the Dirac at xi is sigma_alpha = T_alpha(xi)
+        # sigma = L_y(T) of the Dirac at xi is sigma_alpha = T_alpha(xi)
         B = build_basis(UNIT, 3)
         for _ in range(5):
             xi = (float(rng.uniform(-1, 1)),)
-            sigma = B.D @ dirac_moments(xi, 3).values
+            sigma = B.riesz(dirac_moments(xi, 3).values)
             np.testing.assert_allclose(sigma, B.eval_all(xi), atol=1e-10)
 
     def test_reference_measure_gives_first_unit_vector(self):
         B = build_basis(UNIT, 3)
-        sigma = B.D @ moments(UNIT, 3).values
+        sigma = B.riesz(moments(UNIT, 3).values)
         e1 = np.zeros(4)
         e1[0] = 1.0
         np.testing.assert_allclose(sigma, e1, atol=1e-12)
+
+
+class TestRiesz:
+    @pytest.mark.parametrize("measure,degree,bound", [
+        (UniformBox((-1.0, -1.0), (1.0, 1.0)), 8, 5e-14),
+        (UniformBox((-1.0, -1.0), (1.0, 1.0)), 12, 1e-12),
+        (UniformBox((-1.0, -1.0), (1.0, 1.0)), 24, 2e-8),
+        (UniformBox((0.5,), (3.0,)), 8, 1e-9),
+        # off-centre the power moments xi^beta reach 3^16 against |T(xi)| of
+        # order 10: D y loses up to 2.3e-3 at these points
+        (UniformBox((0.5,), (3.0,)), 16, 2e-3),
+    ])
+    def test_dirac_gives_ortho_values(self, measure, degree, bound, rng):
+        # the exactness statement: sigma = L_y(T) of the Dirac at xi is T(xi),
+        # to the rounding of the moments, amplified by |D| |y| / |T(xi)|
+        B = build_basis(measure, degree)
+        D = tensor_basis(measure, B.basis)
+        for _ in range(10):
+            xi = tuple(rng.uniform(measure.lo, measure.hi))
+            y = dirac_moments(xi, degree).values
+            ref = B.eval_all(xi)
+            err = np.max(np.abs(B.riesz(y) - ref))
+            assert err <= bound * np.max(np.abs(ref))
+            assert err <= np.finfo(float).eps * np.max(np.abs(D) @ np.abs(y))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_identity_gives_monomial_coefficients(self, n):
+        # L_y for the unit moment vector e_beta reads the coefficient of x^beta
+        for measure in (UniformBox((-1.0,) * n, (1.0,) * n),
+                        UniformBox((0.5,) + (-2.0,) * (n - 1), (3.0,) + (1.0,) * (n - 1))):
+            for t in range(9):
+                B = build_basis(measure, t)
+                D = B.riesz(np.eye(len(B.basis)))
+                ref = tensor_basis(measure, B.basis)
+                if n == 1:
+                    np.testing.assert_array_equal(D, ref)
+                assert np.max(np.abs(D - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_stack_matches_columns(self, rng):
+        B = build_basis(UniformBox((0.0, -2.0), (1.5, 1.0)), 4)
+        Y = rng.standard_normal((len(B.basis), 3, 2))
+        S = B.riesz(Y)
+        assert S.shape == Y.shape
+        for i, j in itertools.product(range(3), range(2)):
+            np.testing.assert_array_equal(S[:, i, j], B.riesz(Y[:, i, j]))
+
+    def test_wrong_length_raises(self):
+        B = build_basis(UNIT, 2)
+        with pytest.raises(ValueError, match="basis size 3"):
+            B.riesz(np.ones(4))
 
 
 def max_row_error(T, ref):
@@ -134,7 +186,7 @@ class TestEvalAllOracles:
 
     def test_matches_mpmath_at_degree_24(self, rng):
         # 40-digit Legendre values, away from any float rounding of u;
-        # eval_all runs on the recurrence alone, far above D's cap
+        # eval_all runs on the recurrence alone, at any degree
         mpmath = pytest.importorskip("mpmath")
         measure, t = UniformBox((-2.0,), (3.0,)), 24
         B = build_basis(measure, t)
@@ -238,7 +290,7 @@ class TestReproduce:
             assert abs(reproduce(B, p, x) - p(x)) <= 1e-11
 
     def test_off_centre_box_at_degree_24(self, rng):
-        # above D's cap: reproduce reads the Jacobi matrices and eval_all only
+        # reproduce reads the Jacobi matrices and eval_all only
         lo, hi, t = -2.0, 3.0, 24
         B = build_basis(UniformBox((lo,), (hi,)), t)
         grid = np.linspace(lo, hi, 2001)
