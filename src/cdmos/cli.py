@@ -13,7 +13,9 @@ Problem file format (`key = value` lines, `#` comments):
 
 The JSON report has one row per requested order with the full column set;
 absent values are explicit nulls.  Exit code 0 iff every requested order
-solved (NotCertified is not a failure).
+solved (NotCertified is not a failure), and 2 when the file or an option is
+rejected before any solve: a parse error, a tolerance that is not positive,
+no order left to solve, or a negative density grid.
 """
 
 from __future__ import annotations
@@ -286,13 +288,24 @@ def _pick_density_order(rows: Sequence[SweepRow]) -> Optional[int]:
 
 def run(pf: ProblemFile, max_order: Optional[int] = None,
         tol: Optional[float] = None) -> RunReport:
-    """Run the sandwich sweep over the requested orders and build the report."""
+    """Run the sandwich sweep over the requested orders and build the report.
+
+    Raises ValueError, before any solve, for a tolerance that is not
+    positive or when no requested order is left to solve.
+    """
     B = pf.semialgebraic_set()
     f = pf.objective
     t_lo, t_hi = pf.orders
     if max_order is not None:
+        if max_order < t_lo:
+            raise ValueError(f"--max-order {max_order} is below the first requested "
+                             f"order {t_lo}")
         t_hi = min(t_hi, max_order)
-    t_lo = max(t_lo, min_relaxation_order(f, B))
+    t_min = min_relaxation_order(f, B)
+    if t_hi < t_min:
+        raise ValueError(f"orders {t_lo}..{t_hi} lie below the minimum relaxation "
+                         f"order {t_min}")
+    t_lo = max(t_lo, t_min)
     eff_tol = tol if tol is not None else pf.tol
     opts = SdpOptions(tol=eff_tol) if eff_tol is not None else None
 
@@ -382,10 +395,12 @@ def _cmd_solve(args) -> int:
     try:
         with open(args.file, "r") as fh:
             pf = parse_problem(fh.read())
-    except (OSError, ProblemFileError) as exc:
+        if args.density_grid < 0:
+            raise ValueError(f"--density-grid must be >= 0, got {args.density_grid}")
+        report = run(pf, max_order=args.max_order, tol=args.tol)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run(pf, max_order=args.max_order, tol=args.tol)
     payload = report.to_json()
     if args.json:
         with open(args.json, "w") as fh:

@@ -312,6 +312,10 @@ class SdpProblem:
 class SdpOptions:
     tol: float = 1e-8
 
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ValueError(f"solver tolerance must be positive, got {self.tol}")
+
 
 @dataclass
 class SdpSolution:
@@ -433,8 +437,38 @@ _STEP_FRACTION = 0.98
 _MAX_ITER = 200   # solve_sdp stops with status max_iter after these iterations
 
 
-def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolution:
-    """Primal-dual predictor-corrector path following; see module docstring."""
+def _start_blocks(prob: SdpProblem, start) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The checked warm start (y, [Z_j]): y of the problem's length, one
+    positive definite Z_j per block and of its side, and every S_j = A_j(y)
+    positive definite too, by a plain Cholesky factorization without jitter."""
+    y, Zs = start
+    y = np.asarray(y, dtype=float)
+    if y.shape != (prob.num_vars,):
+        raise ValueError(f"start y has shape {y.shape}, want ({prob.num_vars},)")
+    if len(Zs) != len(prob.blocks):
+        raise ValueError(f"start has {len(Zs)} dual blocks for {len(prob.blocks)} blocks")
+    Zs = [np.asarray(Z, dtype=float) for Z in Zs]
+    for j, (blk, Z) in enumerate(zip(prob.blocks, Zs)):
+        if Z.shape != (blk.dim, blk.dim):
+            raise ValueError(f"start dual block {j} has shape {Z.shape}, "
+                             f"want ({blk.dim}, {blk.dim})")
+        for name, m in (("slack", blk.at(y)), ("dual", Z)):
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                raise ValueError(f"start {name} block {j} is not positive definite") from None
+    return y, Zs
+
+
+def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
+              start=None) -> SdpSolution:
+    """Primal-dual predictor-corrector path following; see module docstring.
+
+    ``start = (y, [Z_j])``, with the Z_j in the order of ``prob.blocks``,
+    starts the iteration at y, S_j = A_j(y) and Z_j instead of the default
+    point; it raises ``ValueError`` unless every S_j and Z_j is positive
+    definite (see ``_start_blocks``).
+    """
     opts = opts or SdpOptions()
     c = prob.c
     N = prob.num_vars
@@ -459,10 +493,19 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
                      max(float(np.max(np.abs(blk.const), initial=0.0)) for blk in blocks))
     cost_scale = max(1.0, float(np.max(np.abs(c), initial=0.0)))
 
-    # "big identity" strictly feasible start
-    y = np.zeros(N)
-    S = [10.0 * data_scale * np.broadcast_to(np.eye(blk.dim), blk.const.shape) for blk in stacks]
-    Z = [10.0 * cost_scale * np.broadcast_to(np.eye(blk.dim), blk.const.shape) for blk in stacks]
+    if start is not None:
+        y, Zs = _start_blocks(prob, start)
+        S = [blk.at(y) for blk in stacks]
+        Z = [np.stack([Zs[j] for j in js]).reshape(blk.const.shape)
+             for js, blk in zip(members, stacks)]
+    else:
+        # "big identity" start: interior to the cones, though not feasible,
+        # as the iteration is infeasible-start
+        y = np.zeros(N)
+        S = [10.0 * data_scale * np.broadcast_to(np.eye(blk.dim), blk.const.shape)
+             for blk in stacks]
+        Z = [10.0 * cost_scale * np.broadcast_to(np.eye(blk.dim), blk.const.shape)
+             for blk in stacks]
 
     cnorm = 1.0 + cost_scale
 

@@ -5,7 +5,8 @@ orthonormal polynomials, their values and their expansions through these
 coefficients, the SOS
 multipliers expanded as polynomials, the per-row density table formatter, the localizing matrix
 summed one index table per term, the upper bound as the smallest eigenvalue
-of the monomial moment pencil, and helpers.
+of the monomial moment pencil, and helpers, among them the benchmark's
+box_deep problem file.
 
 The oracles live here, not in the library: the package only ever uses the
 recurrence coefficients of each measure, and the tests check what it derives
@@ -13,8 +14,11 @@ from them against numerical integration, a Gram-matrix factorization and
 the monomial moment matrices, computed by independent routes.
 """
 
+import importlib.util
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +180,17 @@ def multiplier_poly(cert, j):
                 e = tuple(x + z for x, z in zip(basis.exponents[a], basis.exponents[b]))
                 psi = psi + Polynomial.monomial(g.n, e, Q[a, b])
     return psi
+
+
+def box_deep_problem(variant):
+    """The benchmark's box_deep problem file (n = 2, degree 6, orders 3..6)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads.box_deep(variant).text()
 
 
 def random_polynomial(rng, n, degree, density=0.7):

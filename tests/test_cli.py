@@ -1,14 +1,12 @@
-import importlib.util
 import io
 import json
 import os
-import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import box_grid, density_csv_per_row
+from conftest import box_deep_problem, box_grid, density_csv_per_row
 
 from cdmos import cli
 from cdmos.cli import (ProblemFileError, main, parse_problem, run,
@@ -260,22 +258,11 @@ class TestDensitySampling:
         assert peaks[1] - peaks[0] <= 2e6
 
 
-def _box_deep_problem(variant):
-    """The benchmark's box_deep problem file (n = 2, degree 6, orders 3..6)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
-    return workloads.box_deep(variant).text()
-
-
 @pytest.mark.parametrize("variant", [0, 11])
 def test_box_deep_density_at_every_order(variant):
     # sigma is read off y* at 2t = 10 and 12 too, and at the certified
     # minimizer it is T(xi): the density is the kernel section
-    doc = run(parse_problem(_box_deep_problem(variant))).to_dict()
+    doc = run(parse_problem(box_deep_problem(variant))).to_dict()
     measure = UniformBox((-1.0, -1.0), (1.0, 1.0))
     rows = {r["t"]: r for r in doc["rows"]}
     assert sorted(rows) == [3, 4, 5, 6]
@@ -330,6 +317,37 @@ class TestCommandLine:
                      "--max-order", "1"]) == 0
         doc = json.loads(out.read_text())
         assert [r["t"] for r in doc["rows"]] == [1]
+
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_tol_not_positive_exit_code(self, tmp_path, capsys, tol):
+        # as `tol = 0` in the file is; it used to run every order to "infeasible"
+        prob = tmp_path / "p.txt"
+        prob.write_text(UNIVARIATE)
+        assert main(["solve", str(prob), "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "must be positive" in err
+
+    def test_max_order_below_first_order_exit_code(self, tmp_path, capsys):
+        prob = tmp_path / "p.txt"
+        prob.write_text(UNIVARIATE.replace("orders = 1..2", "orders = 2..3"))
+        assert main(["solve", str(prob), "--max-order", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "below the first requested order 2" in err
+
+    def test_orders_below_minimum_relaxation_order_exit_code(self, tmp_path, capsys):
+        prob = tmp_path / "p.txt"
+        prob.write_text(UNIVARIATE.replace("objective = x", "objective = x^4 - x")
+                        .replace("orders = 1..2", "orders = 1..1"))
+        assert main(["solve", str(prob)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "below the minimum relaxation order 2" in err
+
+    def test_negative_density_grid_exit_code(self, tmp_path, capsys):
+        prob = tmp_path / "p.txt"
+        prob.write_text(UNIVARIATE)
+        assert main(["solve", str(prob), "--density-grid", "-3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--density-grid must be >= 0" in err
 
     def test_basis_json(self, capsys):
         assert main(["basis", "uniform_box", "2", "--grid", "3",

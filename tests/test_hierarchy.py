@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (moment_value, multiplier_poly, ortho_expansion_poly,
-                      pencil_upper_bound, random_polynomial, smoothed_objective)
+from conftest import (box_deep_problem, moment_value, multiplier_poly,
+                      ortho_expansion_poly, pencil_upper_bound, random_polynomial,
+                      smoothed_objective)
 
+from cdmos import hierarchy
 from cdmos.cli import parse_problem
 from cdmos.hierarchy import (certify_and_extract, lower_bound,
                              min_relaxation_order, reconstruct_density,
@@ -14,6 +17,7 @@ from cdmos.measures import CountingHypercube, UniformBox, moments
 from cdmos.momentmat import SemialgebraicSet
 from cdmos.orthobasis import BasisConstructionError, build_basis, cd_kernel
 from cdmos.polyring import Polynomial, enumerate_basis
+from cdmos.sdp import SdpStatus, solve_sdp
 
 X = Polynomial.variable(1, 0)
 UNIT_INTERVAL = SemialgebraicSet(1, (1.0 - X * X,), box=((-1.0,), (1.0,)))
@@ -349,3 +353,95 @@ class TestHypercube:
         B = SemialgebraicSet(2, (X1 * X1 - 1.0,))
         assert min_relaxation_order(X1 * X2, B) == 1
         assert min_relaxation_order((X1 * X2) * (X1 * X2), B) == 2
+
+
+# ROADMAP item 4's cubic on [-1, 1]^3, minimum -2.2
+CUBIC = """\
+variables = x1 x2 x3
+objective = x1 x2 + x2 x3 - 0.5 x1 + 0.3 x3^3
+constraint = 1 - x1^2 >= 0
+constraint = 1 - x2^2 >= 0
+constraint = 1 - x3^2 >= 0
+measure = uniform_box
+box = -1 1 ; -1 1 ; -1 1
+orders = 2..4
+"""
+
+
+def _assert_rows_as_lone(f, B, measure, t_max, t_min=None):
+    """Every sweep row is bit for bit the result of its order solved alone."""
+    rows = sandwich_sweep(f, B, measure, t_max, t_min=t_min)
+    assert rows[0].lower.extraction.certified   # so the next order may start warm
+    for row in rows:
+        lone = lower_bound(f, B, row.t, measure=measure)
+        assert row.rho == lone.rho
+        assert row.lower.solution.iterations == lone.solution.iterations
+        np.testing.assert_array_equal(row.lower.y.values, lone.y.values)
+        assert row.lower.extraction == lone.extraction
+
+
+class TestWarmStart:
+    """Orders above a certified one start from its minimizers and its Gram
+    blocks, mixed with the reference measure and the identity."""
+
+    def test_measure_wider_than_b_starts_cold(self):
+        # mu on [-2, 2]^2 is not supported on B = [-1, 1]^2, so its
+        # localizing blocks are indefinite
+        f = X1 * X2 + 0.5 * X1 - 0.3 * X2 + X1 * X1 * X1 * X1
+        _assert_rows_as_lone(f, UNIT_SQUARE, UniformBox((-2.0, -2.0), (2.0, 2.0)), 4)
+
+    def test_measure_on_the_boundary_starts_cold(self):
+        # the counting measure's localizing blocks of 1 - x_i^2 are exactly 0
+        f = X1 * X2 + 0.5 * X1 - 0.3 * X2
+        _assert_rows_as_lone(f, UNIT_SQUARE, CountingHypercube(2), 3)
+
+    def test_non_optimal_warm_solve_is_solved_cold(self, monkeypatch):
+        warm = []
+
+        def forced(prob, opts=None, start=None):
+            sol = solve_sdp(prob, opts, start=start)
+            if start is None:
+                return sol
+            warm.append(sol.iterations)
+            return dataclasses.replace(sol, status=SdpStatus.MAX_ITER)
+
+        monkeypatch.setattr(hierarchy, "solve_sdp", forced)
+        _assert_rows_as_lone(X, UNIT_INTERVAL, UNIT_MEASURE, 3)
+        assert len(warm) == 2
+
+    @pytest.mark.parametrize("text", [box_deep_problem(0), CUBIC], ids=["sextic", "cubic"])
+    def test_sweep_agrees_with_lone_orders(self, text):
+        pf = parse_problem(text)
+        f, B, mu = pf.objective, pf.semialgebraic_set(), pf.measure
+        rows = sandwich_sweep(f, B, mu, pf.orders[1], t_min=pf.orders[0])
+        iterations = np.zeros(2, dtype=int)
+        for row in rows:
+            lone = lower_bound(f, B, row.t, measure=mu)
+            # measured 3.8e-8, 4.9e-9 and 2.9e-8 at most
+            assert abs(row.rho - lone.rho) <= 1e-6
+            ex, lone_ex = row.lower.extraction, lone.extraction
+            assert ex.certified == lone_ex.certified
+            assert len(ex.minimizers) == len(lone_ex.minimizers)
+            for (xi, _), (lone_xi, _) in zip(ex.minimizers, lone_ex.minimizers):
+                np.testing.assert_allclose(xi, lone_xi, rtol=0, atol=1e-6)
+            scale = np.max(np.abs(lone.sigma))
+            np.testing.assert_allclose(row.lower.sigma, lone.sigma, rtol=0, atol=1e-6 * scale)
+            if row.t > pf.orders[0]:
+                iterations += [row.lower.solution.iterations, lone.solution.iterations]
+        # measured 22 against 36 (sextic) and 17 against 28 (cubic)
+        assert iterations[0] < iterations[1]
+
+    @pytest.mark.parametrize("objective, g, box, orders", [
+        # ROADMAP item 3's quartic; t = 10 fails when solved alone
+        ("x^4 - 3 x^2 + 0.7 x", "-x^2 + x + 6", (-2.0, 3.0), (2, 9)),
+        # the off-centre box, on which t = 5 fails either way
+        ("x^4 - 7 x^3 + 17 x^2 - 17 x", "-x^2 + 3.5 x - 1.5", (0.5, 3.0), (2, 4)),
+    ])
+    def test_warm_starts_lose_no_order(self, objective, g, box, orders):
+        pf = parse_problem(f"variables = x\nobjective = {objective}\n"
+                           f"constraint = {g} >= 0\nmeasure = uniform_box\n"
+                           f"box = {box[0]} {box[1]}\norders = {orders[0]}..{orders[1]}\n")
+        rows = sandwich_sweep(pf.objective, pf.semialgebraic_set(), pf.measure,
+                              orders[1], t_min=orders[0])
+        assert [row.t for row in rows if row.lower_error is None] == list(
+            range(orders[0], orders[1] + 1))

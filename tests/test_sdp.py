@@ -110,6 +110,36 @@ class TestSolveSdp:
         assert sol.status in (SdpStatus.INFEASIBLE, SdpStatus.MAX_ITER)
         assert sol.status is not SdpStatus.OPTIMAL
 
+    def test_warm_start_in_callers_order(self):
+        # y = 0 is strictly feasible, so mixing it into the optimum keeps
+        # every S_j positive definite; the Z_j go in the blocks' order
+        c, blocks = interleaved_problem()
+        prob = SdpProblem(c=c, blocks=blocks)
+        cold = solve_sdp(prob)
+        start = (0.7 * cold.y, [0.7 * Z + 0.3 * np.eye(Z.shape[0]) for Z in cold.dual_blocks])
+        warm = solve_sdp(prob, start=start)
+        assert warm.status is SdpStatus.OPTIMAL
+        assert warm.iterations < cold.iterations
+        # y* itself is determined only to about sqrt(tol): 3.7e-5 apart
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
+
+    @pytest.mark.parametrize("y, Zs, match", [
+        ([0.0], [], "1 blocks"),
+        ([0.0], [np.eye(3)], "shape"),
+        ([0.0, 0.0], [np.eye(2)], "shape"),
+        ([2.0], [np.eye(2)], "slack block 0"),     # [[1, 2], [2, 1]]
+        ([1.0], [np.eye(2)], "slack block 0"),     # singular
+        ([0.0], [-np.eye(2)], "dual block 0"),
+    ])
+    def test_malformed_start_rejected(self, y, Zs, match):
+        with pytest.raises(ValueError, match=match):
+            solve_sdp(correlation_problem(), start=(np.array(y), Zs))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="must be positive"):
+            SdpOptions(tol=tol)
+
 
 def interleaved_problem():
     """A small SDP in three variables whose blocks have sides 3, 1, 3, 1.
