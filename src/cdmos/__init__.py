@@ -5,14 +5,13 @@ from .hierarchy import (DensityReconstruction, Extraction, HierarchyError,
                         LowerBoundResult, SweepRow, UpperBoundResult,
                         certify_and_extract, lower_bound, reconstruct_density,
                         sandwich_sweep, upper_bound)
-from .measures import (CountingHypercube, MomentSequence, UniformBox,
-                       dirac_moments, moments)
+from .measures import CountingHypercube, MomentSequence, UniformBox, moments
 from .momentmat import SemialgebraicSet, localizing_matrix, moment_matrix
 from .orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
                          cd_kernel, christoffel, reproduce)
 from .polyring import (MonomialBasis, Polynomial, coeff_vector, enumerate_basis,
                        parse_polynomial)
 from .sdp import (SdpBlock, SdpOptions, SdpProblem, SdpSolution, SdpStatus,
-                  gen_eig_min, solve_sdp)
+                  solve_sdp)
 
 __version__ = "0.1.0"

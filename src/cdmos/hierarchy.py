@@ -19,14 +19,11 @@ density is the kernel section x -> K_2t(xi, x), and its value at xi is the
 reciprocal Christoffel function.  Both densities are read through T(x).
 
 A sweep over orders passes each order's result to the next.  Once order t-1
-is certified, the order-t optimum is known up to the solver's tolerance:
-y* holds the moments of the Dirac measures at the extracted minimizers, and
-the lower order's Gram blocks, padded with zeros, still form a certificate.
-The order-t solve therefore starts from a mix of these and of an interior
-point, the moments of mu and the identity, in place of the solver's default
-start; it takes fewer iterations and gives the same bound to the solver's
-tolerance.  mu is interior to every moment and localizing cone when its
-support is B; otherwise the order starts cold.
+is certified, the order-t optimum is known in closed form: y* holds the
+moments of a mixture of Dirac measures at the extracted minimizers, and the
+lower order's Gram blocks, padded with zeros, still form a certificate.  The
+pair is taken when it passes the solver's own stopping test, and the order
+is solved otherwise.
 """
 
 from __future__ import annotations
@@ -38,20 +35,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .measures import (MomentSequence, ReferenceMeasure, dirac_moments,
-                       moments)
+from .measures import MomentSequence, ReferenceMeasure
 from .momentmat import SemialgebraicSet, half_degree, moment_matrix
 from .orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
                          christoffel, multiplication)
 from .polyring import (MonomialBasis, Polynomial, _grlex_rank, coeff_vector,
-                       enumerate_basis)
+                       enumerate_basis, monomial_values)
 from .sdp import (SdpBlock, SdpOptions, SdpProblem, SdpSolution, SdpStatus,
-                  solve_sdp)
+                  check_pair, solve_sdp)
 
 RANK_TOL = 1e-6
-# weight of the reference measure's moments and of the scaled identity in
-# the warm start of an order from a certified lower one (``_warm_start``)
-WARM_THETA = 0.3
 FEASIBILITY_TOL = 1e-6
 OPTIMALITY_TOL = 1e-6
 CLUSTER_TOL = 1e-5
@@ -154,38 +147,23 @@ def min_relaxation_order(f: Polynomial, B: SemialgebraicSet) -> int:
     return max([math.ceil(f.degree / 2), 1] + B.half_degrees)
 
 
-def _warm_start(prev: LowerBoundResult, prob: SdpProblem, t: int,
-                measure: ReferenceMeasure):
-    """The order-t start (y, [Z_j]) for ``solve_sdp`` from a certified lower
-    order ``prev``.
-
-    y mixes the Dirac moments at its minimizers, the order-t optimum once the
-    relaxation is exact, with the moments of mu; Z mixes the lower order's
-    Gram blocks, placed top-left (the graded-lex basis of degree s - 1 is a
-    prefix of that of degree s), with the cold start's cost scale times I.
-    Raises ``ValueError`` unless mu is interior to every moment and
-    localizing cone, i.e. mu's blocks pass a plain Cholesky factorization:
-    a measure on a larger set makes a localizing block indefinite, and one
-    on B's boundary makes it singular, which leaves the mix on the cone's
-    boundary or outside it.
-    """
-    mu = moments(measure, 2 * t).values
-    for j, blk in enumerate(prob.blocks):
-        try:
-            np.linalg.cholesky(blk.at(mu[1:]))
-        except np.linalg.LinAlgError:
-            raise ValueError(f"the reference measure is not interior to block {j}") from None
-    dirac = np.mean([dirac_moments(xi, 2 * t).values
-                     for xi, _ in prev.extraction.minimizers], axis=0)
-    y = (1.0 - WARM_THETA) * dirac + WARM_THETA * mu
-    kappa = max(1.0, float(np.max(np.abs(prob.c), initial=0.0)))
-    Zs = []
-    for blk, (_, _, Q) in zip(prob.blocks, prev.certificate.multipliers):
-        Z = WARM_THETA * kappa * np.eye(blk.dim)
-        q = Q.shape[0]
-        Z[:q, :q] += (1.0 - WARM_THETA) * Q
-        Zs.append(Z)
-    return y[1:], Zs
+def _closed_form(prev: LowerBoundResult, prob: SdpProblem, basis2t: MonomialBasis,
+                 opts: Optional[SdpOptions]) -> Optional[SdpSolution]:
+    """The optimum of ``prob`` read off a certified lower order ``prev``, or
+    None when it fails the solver's stopping test (``check_pair``): y holds
+    the moments of sum_i w_i delta_xi_i at prev's minimizers, w fit to prev's
+    moments by least squares and scaled to sum 1, and Z_j is prev's Gram
+    block Q_j padded with zeros (the graded-lex basis of degree s - 1 is a
+    prefix of that of degree s), so prev's SOS identity holds unchanged."""
+    points = np.array([xi for xi, _ in prev.extraction.minimizers])
+    w = np.linalg.lstsq(monomial_values(prev.y.basis, points).T, prev.y.values,
+                        rcond=None)[0]
+    if (w < 0.0).any():
+        return None
+    y = (w / w.sum()) @ monomial_values(basis2t, points)
+    Zs = [np.pad(Q, (0, blk.dim - len(Q)))
+          for blk, (_, _, Q) in zip(prob.blocks, prev.certificate.multipliers)]
+    return check_pair(prob, y[1:], Zs, opts)
 
 
 def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
@@ -195,11 +173,10 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
     """Order-t moment relaxation; returns rho_t, y*, SOS certificate, and the
     signed density coefficients when a reference measure is declared.
 
-    ``prev``, the result of the same problem at a lower order, warm-starts
-    the solve when that order was certified and a measure is declared (see
-    ``_warm_start``).  The order is solved cold instead when the solver
-    rejects the start or the warm solve ends other than optimal, so a warm
-    start never loses an order that solves cold.
+    ``prev``, the result of the same problem at a lower order, gives the
+    order-t optimum in closed form when that order was certified (see
+    ``_closed_form``); the order is solved when it was not or the closed
+    form fails the solver's stopping test.
     """
     if f.n != B.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {B.n}")
@@ -211,13 +188,9 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
     gs = [(g, t - half_degree(g)) for g in (Polynomial.constant(B.n, 1.0),) + B.constraints]
     prob = SdpProblem(c=c[1:], blocks=_moment_blocks(gs, basis2t))
     sol = None
-    if (prev is not None and measure is not None and prev.extraction is not None
-            and prev.extraction.certified):
-        try:
-            sol = solve_sdp(prob, opts, start=_warm_start(prev, prob, t, measure))
-        except ValueError:
-            pass
-    if sol is None or sol.status is not SdpStatus.OPTIMAL:
+    if prev is not None and prev.extraction is not None and prev.extraction.certified:
+        sol = _closed_form(prev, prob, basis2t, opts)
+    if sol is None:
         sol = solve_sdp(prob, opts)
     if sol.status is not SdpStatus.OPTIMAL:
         raise HierarchyError(t, f"SDP solver returned {sol.status.value}")

@@ -13,11 +13,11 @@ so every moment is a product of entries (J^j)[0, 0], with no integration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
-from .polyring import MonomialBasis, enumerate_basis, monomial_values
+from .polyring import MonomialBasis, enumerate_basis
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,3 @@ def moments(measure: ReferenceMeasure, t: int) -> MomentSequence:
     for k, P in enumerate(jacobi_powers(measure, t // 2 + 1, t)):
         values *= P[:, 0, 0][basis.array[:, k]]
     return MomentSequence(values, basis)
-
-
-def dirac_moments(x: Sequence[float], t: int) -> MomentSequence:
-    """Moments of the Dirac measure at x: y_alpha = x^alpha."""
-    basis = enumerate_basis(len(x), t)
-    return MomentSequence(monomial_values(basis, x), basis)
-

@@ -65,6 +65,7 @@ class SdpStatus(enum.Enum):
     OPTIMAL = "optimal"
     MAX_ITER = "max_iter"
     INFEASIBLE = "infeasible"
+    UNBOUNDED = "unbounded"
     NUMERICAL_FAILURE = "numerical_failure"
 
 
@@ -307,6 +308,26 @@ class SdpProblem:
     def num_vars(self) -> int:
         return self.c.shape[0]
 
+    @functools.cached_property
+    def data_scale(self) -> float:
+        """The largest |entry| of any block's constant or coefficients, at least 1."""
+        return max(1.0, *(float(np.max(np.abs(m), initial=0.0))
+                          for blk in self.blocks for m in (blk.val, blk.const)))
+
+    @functools.cached_property
+    def cost_scale(self) -> float:
+        return max(1.0, float(np.max(np.abs(self.c), initial=0.0)))
+
+    def stopping(self, violation: float, rd: np.ndarray, pobj: float, dobj: float,
+                 gap: float) -> Tuple[float, float, float]:
+        """The three relative measures of ``solve_sdp``'s stopping test: the
+        primal violation over 1 + data_scale, max |c - A*(Z)| (rd) over
+        1 + cost_scale, and the gap <S, Z> over 1 + |pobj| + |dobj|.  The
+        test passes when all three are <= the tolerance."""
+        return (violation / (1.0 + self.data_scale),
+                float(np.max(np.abs(rd), initial=0.0)) / (1.0 + self.cost_scale),
+                abs(gap) / (1.0 + abs(pobj) + abs(dobj)))
+
 
 @dataclass
 class SdpOptions:
@@ -315,6 +336,10 @@ class SdpOptions:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"solver tolerance must be positive, got {self.tol}")
+
+    def met_by(self, measures: Sequence[float]) -> bool:
+        """The stopping test: every measure of ``SdpProblem.stopping`` <= tol."""
+        return all(m <= self.tol for m in measures)
 
 
 @dataclass
@@ -437,38 +462,8 @@ _STEP_FRACTION = 0.98
 _MAX_ITER = 200   # solve_sdp stops with status max_iter after these iterations
 
 
-def _start_blocks(prob: SdpProblem, start) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """The checked warm start (y, [Z_j]): y of the problem's length, one
-    positive definite Z_j per block and of its side, and every S_j = A_j(y)
-    positive definite too, by a plain Cholesky factorization without jitter."""
-    y, Zs = start
-    y = np.asarray(y, dtype=float)
-    if y.shape != (prob.num_vars,):
-        raise ValueError(f"start y has shape {y.shape}, want ({prob.num_vars},)")
-    if len(Zs) != len(prob.blocks):
-        raise ValueError(f"start has {len(Zs)} dual blocks for {len(prob.blocks)} blocks")
-    Zs = [np.asarray(Z, dtype=float) for Z in Zs]
-    for j, (blk, Z) in enumerate(zip(prob.blocks, Zs)):
-        if Z.shape != (blk.dim, blk.dim):
-            raise ValueError(f"start dual block {j} has shape {Z.shape}, "
-                             f"want ({blk.dim}, {blk.dim})")
-        for name, m in (("slack", blk.at(y)), ("dual", Z)):
-            try:
-                np.linalg.cholesky(m)
-            except np.linalg.LinAlgError:
-                raise ValueError(f"start {name} block {j} is not positive definite") from None
-    return y, Zs
-
-
-def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
-              start=None) -> SdpSolution:
-    """Primal-dual predictor-corrector path following; see module docstring.
-
-    ``start = (y, [Z_j])``, with the Z_j in the order of ``prob.blocks``,
-    starts the iteration at y, S_j = A_j(y) and Z_j instead of the default
-    point; it raises ``ValueError`` unless every S_j and Z_j is positive
-    definite (see ``_start_blocks``).
-    """
+def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolution:
+    """Primal-dual predictor-corrector path following; see module docstring."""
     opts = opts or SdpOptions()
     c = prob.c
     N = prob.num_vars
@@ -489,25 +484,14 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
     # one Schur workspace for every stack and iteration
     work = np.empty(max(blk.schur_floats for blk in stacks))
 
-    data_scale = max(1.0, max(float(np.max(np.abs(blk.val), initial=0.0)) for blk in blocks),
-                     max(float(np.max(np.abs(blk.const), initial=0.0)) for blk in blocks))
-    cost_scale = max(1.0, float(np.max(np.abs(c), initial=0.0)))
-
-    if start is not None:
-        y, Zs = _start_blocks(prob, start)
-        S = [blk.at(y) for blk in stacks]
-        Z = [np.stack([Zs[j] for j in js]).reshape(blk.const.shape)
-             for js, blk in zip(members, stacks)]
-    else:
-        # "big identity" start: interior to the cones, though not feasible,
-        # as the iteration is infeasible-start
-        y = np.zeros(N)
-        S = [10.0 * data_scale * np.broadcast_to(np.eye(blk.dim), blk.const.shape)
-             for blk in stacks]
-        Z = [10.0 * cost_scale * np.broadcast_to(np.eye(blk.dim), blk.const.shape)
-             for blk in stacks]
-
-    cnorm = 1.0 + cost_scale
+    data_scale, cost_scale = prob.data_scale, prob.cost_scale
+    # "big identity" start: interior to the cones, though not feasible, as
+    # the iteration is infeasible-start
+    y = np.zeros(N)
+    S = [10.0 * data_scale * np.broadcast_to(np.eye(blk.dim), blk.const.shape)
+         for blk in stacks]
+    Z = [10.0 * cost_scale * np.broadcast_to(np.eye(blk.dim), blk.const.shape)
+         for blk in stacks]
 
     status = SdpStatus.MAX_ITER
     it = 0
@@ -522,12 +506,10 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
 
         pobj = float(c @ y)
         dobj = -sum(float(np.sum(blk.const * Z[s])) for s, blk in enumerate(stacks))
-        gap_abs = mu * total_dim
-        gap_rel = gap_abs / (1.0 + abs(pobj) + abs(dobj))
-        pres = max(float(np.max(np.abs(Rres[s]))) for s in range(ns)) / (1.0 + data_scale)
-        dres = float(np.max(np.abs(rd), initial=0.0)) / cnorm
-
-        if pres <= opts.tol and dres <= opts.tol and gap_rel <= opts.tol:
+        pres, dres, gap_rel = prob.stopping(
+            max(float(np.max(np.abs(Rres[s]))) for s in range(ns)), rd, pobj, dobj,
+            mu * total_dim)
+        if opts.met_by((pres, dres, gap_rel)):
             status = SdpStatus.OPTIMAL
             break
 
@@ -536,8 +518,11 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
         if mu < 1e-14 * data_scale and (pres > 1e-6 or dres > 1e-6):
             status = SdpStatus.INFEASIBLE
             break
+        # a diverging objective: c'y running to -inf over primal-feasible
+        # iterates is an unbounded problem, any other divergence infeasible
         if abs(dobj) > 1e12 * cost_scale or abs(pobj) > 1e12 * cost_scale:
-            status = SdpStatus.INFEASIBLE
+            status = (SdpStatus.UNBOUNDED if pobj < -1e12 * cost_scale and pres <= opts.tol
+                      else SdpStatus.INFEASIBLE)
             break
 
         try:
@@ -615,6 +600,28 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
         dual_blocks=dual_blocks, slack_blocks=[blk.at(y) for blk in blocks],
         status=status, iterations=it,
         primal_residual=float(pres), dual_residual=float(dres), gap=float(gap_rel))
+
+
+def check_pair(prob: SdpProblem, y: np.ndarray, Zs: Sequence[np.ndarray],
+               opts: Optional[SdpOptions] = None) -> Optional[SdpSolution]:
+    """The pair (y, [Z_j]) with PSD Z_j, in the order of ``prob.blocks``, as
+    an optimal solution with S_j = A_j(y) and 0 iterations when it passes
+    ``solve_sdp``'s stopping test, else None; its primal violation is the
+    largest -lambda_min(S_j), or 0."""
+    opts = opts or SdpOptions()
+    S = [blk.at(y) for blk in prob.blocks]
+    rd = prob.c - sum(blk.adjoint(Z) for blk, Z in zip(prob.blocks, Zs))
+    pobj = float(prob.c @ y)
+    dobj = -sum(float(np.sum(blk.const * Z)) for blk, Z in zip(prob.blocks, Zs))
+    violation = max(0.0, -min(float(np.linalg.eigvalsh(m)[0]) for m in S))
+    measures = prob.stopping(violation, rd, pobj, dobj,
+                             sum(float(np.sum(m * Z)) for m, Z in zip(S, Zs)))
+    if not opts.met_by(measures):
+        return None
+    return SdpSolution(y=y, objective=pobj, dual_objective=dobj, dual_blocks=list(Zs),
+                       slack_blocks=S, status=SdpStatus.OPTIMAL, iterations=0,
+                       primal_residual=measures[0], dual_residual=measures[1],
+                       gap=measures[2])
 
 
 def gen_eig_min(A: np.ndarray, B: np.ndarray) -> Tuple[float, np.ndarray]:

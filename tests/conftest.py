@@ -2,11 +2,11 @@
 Cholesky-of-Gram orthonormal basis, the monomial coefficients of the
 orthonormal polynomials from their recurrences run on coefficient rows, the
 orthonormal polynomials, their values and their expansions through these
-coefficients, the SOS
-multipliers expanded as polynomials, the per-row density table formatter, the localizing matrix
-summed one index table per term, the upper bound as the smallest eigenvalue
-of the monomial moment pencil, and helpers, among them the benchmark's
-box_deep problem file.
+coefficients, the SOS multipliers expanded as polynomials, the per-row
+density table formatter, the localizing matrix summed one index table per
+term, the upper bound as the smallest eigenvalue of the monomial moment
+pencil, the moments of a Dirac measure, and helpers, among them the
+benchmark's box_deep problem file.
 
 The oracles live here, not in the library: the package only ever uses the
 recurrence coefficients of each measure, and the tests check what it derives
@@ -47,6 +47,12 @@ def box_quadrature(func, lo, hi, points=40):
             w *= axes_w[i][k]
         total += w * func(x)
     return total
+
+
+def dirac_moments(x, t):
+    """Moments of the Dirac measure at x: y_alpha = x^alpha."""
+    basis = enumerate_basis(len(x), t)
+    return MomentSequence(monomial_values(basis, x), basis)
 
 
 def make_moment_sequence(n, t, values):

@@ -8,16 +8,14 @@ from conftest import (box_deep_problem, moment_value, multiplier_poly,
                       ortho_expansion_poly, pencil_upper_bound, random_polynomial,
                       smoothed_objective)
 
-from cdmos import hierarchy
 from cdmos.cli import parse_problem
-from cdmos.hierarchy import (certify_and_extract, lower_bound,
+from cdmos.hierarchy import (HierarchyError, certify_and_extract, lower_bound,
                              min_relaxation_order, reconstruct_density,
                              sandwich_sweep, upper_bound)
 from cdmos.measures import CountingHypercube, UniformBox, moments
 from cdmos.momentmat import SemialgebraicSet
 from cdmos.orthobasis import BasisConstructionError, build_basis, cd_kernel
-from cdmos.polyring import Polynomial, enumerate_basis
-from cdmos.sdp import SdpStatus, solve_sdp
+from cdmos.polyring import Polynomial, enumerate_basis, monomial_values
 
 X = Polynomial.variable(1, 0)
 UNIT_INTERVAL = SemialgebraicSet(1, (1.0 - X * X,), box=((-1.0,), (1.0,)))
@@ -79,6 +77,12 @@ class TestLowerBound:
                 r = r - multiplier_poly(cert, j) * g
             expected = max((abs(c) for c in r.terms.values()), default=0.0)
             assert cert.residual() == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("f", [X, X * X * X], ids=["x", "x^3"])
+    def test_unbounded_reported_as_such(self, f):
+        # c'y runs to -inf over primal-feasible iterates
+        with pytest.raises(HierarchyError, match="unbounded"):
+            lower_bound(f, SemialgebraicSet(1, ()), 2)
 
     def test_sigma_populated_with_measure(self):
         r = lower_bound(X, UNIT_INTERVAL, 1, measure=UNIT_MEASURE)
@@ -368,53 +372,17 @@ orders = 2..4
 """
 
 
-def _assert_rows_as_lone(f, B, measure, t_max, t_min=None):
-    """Every sweep row is bit for bit the result of its order solved alone."""
-    rows = sandwich_sweep(f, B, measure, t_max, t_min=t_min)
-    assert rows[0].lower.extraction.certified   # so the next order may start warm
-    for row in rows:
-        lone = lower_bound(f, B, row.t, measure=measure)
-        assert row.rho == lone.rho
-        assert row.lower.solution.iterations == lone.solution.iterations
-        np.testing.assert_array_equal(row.lower.y.values, lone.y.values)
-        assert row.lower.extraction == lone.extraction
-
-
 class TestWarmStart:
-    """Orders above a certified one start from its minimizers and its Gram
-    blocks, mixed with the reference measure and the identity."""
-
-    def test_measure_wider_than_b_starts_cold(self):
-        # mu on [-2, 2]^2 is not supported on B = [-1, 1]^2, so its
-        # localizing blocks are indefinite
-        f = X1 * X2 + 0.5 * X1 - 0.3 * X2 + X1 * X1 * X1 * X1
-        _assert_rows_as_lone(f, UNIT_SQUARE, UniformBox((-2.0, -2.0), (2.0, 2.0)), 4)
-
-    def test_measure_on_the_boundary_starts_cold(self):
-        # the counting measure's localizing blocks of 1 - x_i^2 are exactly 0
-        f = X1 * X2 + 0.5 * X1 - 0.3 * X2
-        _assert_rows_as_lone(f, UNIT_SQUARE, CountingHypercube(2), 3)
-
-    def test_non_optimal_warm_solve_is_solved_cold(self, monkeypatch):
-        warm = []
-
-        def forced(prob, opts=None, start=None):
-            sol = solve_sdp(prob, opts, start=start)
-            if start is None:
-                return sol
-            warm.append(sol.iterations)
-            return dataclasses.replace(sol, status=SdpStatus.MAX_ITER)
-
-        monkeypatch.setattr(hierarchy, "solve_sdp", forced)
-        _assert_rows_as_lone(X, UNIT_INTERVAL, UNIT_MEASURE, 3)
-        assert len(warm) == 2
+    """Orders above a certified one start from it: its minimizers and Gram
+    blocks give their optimum in closed form, which is taken when it passes
+    the solver's stopping test; otherwise the order is solved cold."""
 
     @pytest.mark.parametrize("text", [box_deep_problem(0), CUBIC], ids=["sextic", "cubic"])
     def test_sweep_agrees_with_lone_orders(self, text):
         pf = parse_problem(text)
         f, B, mu = pf.objective, pf.semialgebraic_set(), pf.measure
         rows = sandwich_sweep(f, B, mu, pf.orders[1], t_min=pf.orders[0])
-        iterations = np.zeros(2, dtype=int)
+        assert rows[0].lower.extraction.certified
         for row in rows:
             lone = lower_bound(f, B, row.t, measure=mu)
             # measured 3.8e-8, 4.9e-9 and 2.9e-8 at most
@@ -426,10 +394,46 @@ class TestWarmStart:
                 np.testing.assert_allclose(xi, lone_xi, rtol=0, atol=1e-6)
             scale = np.max(np.abs(lone.sigma))
             np.testing.assert_allclose(row.lower.sigma, lone.sigma, rtol=0, atol=1e-6 * scale)
-            if row.t > pf.orders[0]:
-                iterations += [row.lower.solution.iterations, lone.solution.iterations]
-        # measured 22 against 36 (sextic) and 17 against 28 (cubic)
-        assert iterations[0] < iterations[1]
+            if row.t == pf.orders[0]:
+                continue
+            # the closed form: y* = sum_i w_i delta_xi_i, sigma = sum_i w_i T(xi_i)
+            assert row.lower.solution.iterations == 0
+            assert row.lower.certificate.residual() <= 1e-9
+            points = np.array([xi for xi, _ in ex.minimizers])
+            dirac = monomial_values(row.lower.y.basis, points)
+            w = np.linalg.lstsq(dirac.T, row.lower.y.values, rcond=None)[0]
+            sigma = w @ row.lower.density_basis.eval_all(points)
+            scale = np.max(np.abs(row.lower.sigma))
+            np.testing.assert_allclose(row.lower.sigma, sigma, rtol=0, atol=1e-8 * scale)
+
+    def test_failed_closed_form_is_solved_cold(self):
+        # the Dirac moments at a minimizer moved by 1e-3 fail the stopping
+        # test, so the order is solved as if alone
+        f = X1 * X2 + 0.5 * X1 - 0.3 * X2 + X1 * X1 * X1 * X1
+        prev = lower_bound(f, UNIT_SQUARE, 2, measure=SQUARE_MEASURE)
+        assert prev.extraction.certified
+        moved = [(tuple(x + 1e-3 for x in xi), fv) for xi, fv in prev.extraction.minimizers]
+        prev.extraction = dataclasses.replace(prev.extraction, minimizers=moved)
+        row = lower_bound(f, UNIT_SQUARE, 3, measure=SQUARE_MEASURE, prev=prev)
+        lone = lower_bound(f, UNIT_SQUARE, 3, measure=SQUARE_MEASURE)
+        assert row.solution.iterations == lone.solution.iterations > 0
+        assert row.rho == lone.rho
+        np.testing.assert_array_equal(row.y.values, lone.y.values)
+        np.testing.assert_array_equal(row.sigma, lone.sigma)
+        assert row.extraction == lone.extraction
+
+    def test_measureless_sweep_takes_the_closed_form(self):
+        # the closed form needs no reference measure, and gives the same rows
+        f = X1 * X2 + 0.5 * X1 - 0.3 * X2 + X1 * X1 * X1 * X1
+        bare = sandwich_sweep(f, UNIT_SQUARE, None, 4)
+        with_mu = sandwich_sweep(f, UNIT_SQUARE, SQUARE_MEASURE, 4)
+        assert bare[0].lower.extraction.certified
+        for row, other in zip(bare, with_mu):
+            assert row.rho == other.rho
+            assert row.lower.extraction == other.lower.extraction
+        for row in bare[1:]:
+            assert row.lower.solution.iterations == 0
+            assert row.lower.certificate.residual() <= 1e-9
 
     @pytest.mark.parametrize("objective, g, box, orders", [
         # ROADMAP item 3's quartic; t = 10 fails when solved alone

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from conftest import box_quadrature, moment_value, random_polynomial
+from conftest import box_quadrature, dirac_moments, moment_value, random_polynomial
 
-from cdmos.measures import CountingHypercube, UniformBox, dirac_moments, moments
+from cdmos.measures import CountingHypercube, UniformBox, moments
 from cdmos.momentmat import moment_matrix
 from cdmos.polyring import Polynomial, coeff_vector
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from conftest import (localizing_matrix_per_term, make_moment_sequence, moment_value,
-                      random_polynomial)
+from conftest import (dirac_moments, localizing_matrix_per_term, make_moment_sequence,
+                      moment_value, random_polynomial)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdmos.measures import UniformBox, dirac_moments, moments
+from cdmos.measures import UniformBox, moments
 from cdmos.momentmat import localizing_matrix, moment_matrix
 from cdmos.polyring import Polynomial, enumerate_basis, monomial_values
 

@@ -2,12 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import (box_quadrature, cholesky_basis, gram_matrix,
+from conftest import (box_quadrature, cholesky_basis, dirac_moments, gram_matrix,
                       monomial_route_eval, ortho_expansion_poly, ortho_polynomial,
                       random_polynomial, tensor_basis)
 
-from cdmos.measures import (CountingHypercube, UniformBox, dirac_moments,
-                            moments)
+from cdmos.measures import CountingHypercube, UniformBox, moments
 from cdmos.orthobasis import (BasisConstructionError, build_basis, cd_kernel,
                               christoffel, reproduce)
 from cdmos.polyring import Polynomial

@@ -10,7 +10,8 @@ import pytest
 import cdmos
 from cdmos.polyring import enumerate_basis
 from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, _jittered_cholesky,
-                       _lower_inv, _nt_scaling, _stack_cholesky, gen_eig_min, solve_sdp)
+                       _lower_inv, _nt_scaling, _stack_cholesky, check_pair, gen_eig_min,
+                       solve_sdp)
 
 
 def single_block_problem(c, coeffs, const=None):
@@ -106,34 +107,31 @@ class TestSolveSdp:
         blk1 = SdpBlock(np.array([[-1.0]]), np.array([[[1.0]]]))
         blk2 = SdpBlock(np.array([[0.0]]), np.array([[[-1.0]]]))
         prob = SdpProblem(c=np.array([0.0]), blocks=[blk1, blk2])
-        sol = solve_sdp(prob)
-        assert sol.status in (SdpStatus.INFEASIBLE, SdpStatus.MAX_ITER)
-        assert sol.status is not SdpStatus.OPTIMAL
+        # the dual objective diverges while the primal residual stays put:
+        # infeasible, not unbounded
+        assert solve_sdp(prob).status is SdpStatus.INFEASIBLE
 
-    def test_warm_start_in_callers_order(self):
-        # y = 0 is strictly feasible, so mixing it into the optimum keeps
-        # every S_j positive definite; the Z_j go in the blocks' order
+    def test_optimal_pair_passes_the_stopping_test(self):
+        # the solver's own optimum passes, with iterations 0 and S_j = A_j(y)
         c, blocks = interleaved_problem()
         prob = SdpProblem(c=c, blocks=blocks)
-        cold = solve_sdp(prob)
-        start = (0.7 * cold.y, [0.7 * Z + 0.3 * np.eye(Z.shape[0]) for Z in cold.dual_blocks])
-        warm = solve_sdp(prob, start=start)
-        assert warm.status is SdpStatus.OPTIMAL
-        assert warm.iterations < cold.iterations
-        # y* itself is determined only to about sqrt(tol): 3.7e-5 apart
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
+        sol = solve_sdp(prob)
+        pair = check_pair(prob, sol.y, sol.dual_blocks)
+        assert pair.status is SdpStatus.OPTIMAL and pair.iterations == 0
+        assert pair.objective == sol.objective
+        assert max(pair.primal_residual, pair.dual_residual, pair.gap) <= SdpOptions().tol
+        for S, blk in zip(pair.slack_blocks, blocks):
+            np.testing.assert_array_equal(S, blk.at(sol.y))
 
-    @pytest.mark.parametrize("y, Zs, match", [
-        ([0.0], [], "1 blocks"),
-        ([0.0], [np.eye(3)], "shape"),
-        ([0.0, 0.0], [np.eye(2)], "shape"),
-        ([2.0], [np.eye(2)], "slack block 0"),     # [[1, 2], [2, 1]]
-        ([1.0], [np.eye(2)], "slack block 0"),     # singular
-        ([0.0], [-np.eye(2)], "dual block 0"),
-    ])
-    def test_malformed_start_rejected(self, y, Zs, match):
-        with pytest.raises(ValueError, match=match):
-            solve_sdp(correlation_problem(), start=(np.array(y), Zs))
+    def test_perturbed_pair_fails_the_stopping_test(self):
+        prob = correlation_problem()
+        sol = solve_sdp(prob)
+        # [[1, y], [y, 1]] is indefinite at y = -1 - 1e-6
+        assert check_pair(prob, sol.y - 1e-6, sol.dual_blocks) is None
+        # Z no longer matches c: the dual residual is 1e-3 / 2
+        assert check_pair(prob, sol.y, [1.001 * Z for Z in sol.dual_blocks]) is None
+        # a feasible y away from the optimum leaves a gap of 1e-3
+        assert check_pair(prob, sol.y + 1e-3, sol.dual_blocks) is None
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_tolerance_must_be_positive(self, tol):
