@@ -42,7 +42,7 @@ from .orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
 from .polyring import (MonomialBasis, Polynomial, _grlex_rank, coeff_vector,
                        enumerate_basis, monomial_values)
 from .sdp import (SdpBlock, SdpOptions, SdpProblem, SdpSolution, SdpStatus,
-                  check_pair, solve_sdp)
+                  solve_sdp)
 
 RANK_TOL = 1e-6
 FEASIBILITY_TOL = 1e-6
@@ -147,23 +147,21 @@ def min_relaxation_order(f: Polynomial, B: SemialgebraicSet) -> int:
     return max([math.ceil(f.degree / 2), 1] + B.half_degrees)
 
 
-def _closed_form(prev: LowerBoundResult, prob: SdpProblem, basis2t: MonomialBasis,
-                 opts: Optional[SdpOptions]) -> Optional[SdpSolution]:
-    """The optimum of ``prob`` read off a certified lower order ``prev``, or
-    None when it fails the solver's stopping test (``check_pair``): y holds
-    the moments of sum_i w_i delta_xi_i at prev's minimizers, w fit to prev's
-    moments by least squares and scaled to sum 1, and Z_j is prev's Gram
-    block Q_j padded with zeros (the graded-lex basis of degree s - 1 is a
-    prefix of that of degree s), so prev's SOS identity holds unchanged."""
+def _closed_form(prev: LowerBoundResult, prob: SdpProblem, basis2t: MonomialBasis):
+    """The candidate optimum (y, [Z_j]) of ``prob`` read off a certified lower
+    order ``prev``, or None when its weights are not >= 0: y holds the moments
+    of sum_i w_i delta_xi_i at prev's minimizers, w fit to prev's moments by
+    least squares and scaled to sum 1, and Z_j is prev's Gram block Q_j padded
+    with zeros (the graded-lex basis of degree s - 1 is a prefix of that of
+    degree s), so prev's SOS identity holds unchanged."""
     points = np.array([xi for xi, _ in prev.extraction.minimizers])
     w = np.linalg.lstsq(monomial_values(prev.y.basis, points).T, prev.y.values,
                         rcond=None)[0]
     if (w < 0.0).any():
         return None
     y = (w / w.sum()) @ monomial_values(basis2t, points)
-    Zs = [np.pad(Q, (0, blk.dim - len(Q)))
-          for blk, (_, _, Q) in zip(prob.blocks, prev.certificate.multipliers)]
-    return check_pair(prob, y[1:], Zs, opts)
+    return y[1:], [np.pad(Q, (0, blk.dim - len(Q)))
+                   for blk, (_, _, Q) in zip(prob.blocks, prev.certificate.multipliers)]
 
 
 def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
@@ -175,8 +173,8 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
 
     ``prev``, the result of the same problem at a lower order, gives the
     order-t optimum in closed form when that order was certified (see
-    ``_closed_form``); the order is solved when it was not or the closed
-    form fails the solver's stopping test.
+    ``_closed_form``), which ``solve_sdp`` takes when it passes the stopping
+    test; the order is solved otherwise, as if alone.
     """
     if f.n != B.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {B.n}")
@@ -187,11 +185,11 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
     # (g_j, s_j = t - d_j) for j = 0..m, with g_0 == 1
     gs = [(g, t - half_degree(g)) for g in (Polynomial.constant(B.n, 1.0),) + B.constraints]
     prob = SdpProblem(c=c[1:], blocks=_moment_blocks(gs, basis2t))
-    sol = None
-    if prev is not None and prev.extraction is not None and prev.extraction.certified:
-        sol = _closed_form(prev, prob, basis2t, opts)
-    if sol is None:
-        sol = solve_sdp(prob, opts)
+    candidate = None
+    if (prev is not None and prev.t < t and prev.extraction is not None
+            and prev.extraction.certified):
+        candidate = _closed_form(prev, prob, basis2t)
+    sol = solve_sdp(prob, opts, candidate)
     if sol.status is not SdpStatus.OPTIMAL:
         raise HierarchyError(t, f"SDP solver returned {sol.status.value}")
     y = MomentSequence(np.concatenate(([1.0], sol.y)), basis2t)

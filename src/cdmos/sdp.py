@@ -319,14 +319,15 @@ class SdpProblem:
         return max(1.0, float(np.max(np.abs(self.c), initial=0.0)))
 
     def stopping(self, violation: float, rd: np.ndarray, pobj: float, dobj: float,
-                 gap: float) -> Tuple[float, float, float]:
-        """The three relative measures of ``solve_sdp``'s stopping test: the
+                 gap: float, tol: float) -> Tuple[bool, Tuple[float, float, float]]:
+        """``solve_sdp``'s stopping test and its three relative measures: the
         primal violation over 1 + data_scale, max |c - A*(Z)| (rd) over
-        1 + cost_scale, and the gap <S, Z> over 1 + |pobj| + |dobj|.  The
-        test passes when all three are <= the tolerance."""
-        return (violation / (1.0 + self.data_scale),
-                float(np.max(np.abs(rd), initial=0.0)) / (1.0 + self.cost_scale),
-                abs(gap) / (1.0 + abs(pobj) + abs(dobj)))
+        1 + cost_scale, and the gap <S, Z> over 1 + |pobj| + |dobj|.  It
+        passes when all three are <= tol."""
+        measures = (violation / (1.0 + self.data_scale),
+                    float(np.max(np.abs(rd), initial=0.0)) / (1.0 + self.cost_scale),
+                    abs(gap) / (1.0 + abs(pobj) + abs(dobj)))
+        return all(m <= tol for m in measures), measures
 
 
 @dataclass
@@ -336,10 +337,6 @@ class SdpOptions:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"solver tolerance must be positive, got {self.tol}")
-
-    def met_by(self, measures: Sequence[float]) -> bool:
-        """The stopping test: every measure of ``SdpProblem.stopping`` <= tol."""
-        return all(m <= self.tol for m in measures)
 
 
 @dataclass
@@ -462,13 +459,36 @@ _STEP_FRACTION = 0.98
 _MAX_ITER = 200   # solve_sdp stops with status max_iter after these iterations
 
 
-def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolution:
-    """Primal-dual predictor-corrector path following; see module docstring."""
+def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
+              candidate=None) -> SdpSolution:
+    """Primal-dual predictor-corrector path following; see module docstring.
+
+    ``candidate = (y, [Z_j])``, PSD Z_j in the order of ``prob.blocks``, is
+    returned as an optimal solution with S_j = A_j(y) and 0 iterations when
+    it passes the stopping test, its primal violation being the largest
+    -lambda_min(S_j) or 0.  Otherwise the iteration runs from its default
+    start, as without a candidate: the candidate is never iterated from.
+    """
     opts = opts or SdpOptions()
     c = prob.c
     N = prob.num_vars
     blocks = prob.blocks
     total_dim = sum(blk.dim for blk in blocks)
+
+    if candidate is not None:
+        y, Zs = candidate
+        if ([np.shape(y)] + [np.shape(Z) for Z in Zs]
+                != [(N,)] + [(blk.dim, blk.dim) for blk in blocks]):
+            raise ValueError("candidate does not match the problem's variables and blocks")
+        S = [blk.at(y) for blk in blocks]
+        pobj = float(c @ y)
+        dobj = -sum(float(np.sum(blk.const * Z)) for blk, Z in zip(blocks, Zs))
+        passed, measures = prob.stopping(
+            max(0.0, -min(float(np.linalg.eigvalsh(m)[0]) for m in S)),
+            c - sum(blk.adjoint(Z) for blk, Z in zip(blocks, Zs)), pobj, dobj,
+            sum(float(np.sum(m * Z)) for m, Z in zip(S, Zs)), opts.tol)
+        if passed:
+            return SdpSolution(y, pobj, dobj, list(Zs), S, SdpStatus.OPTIMAL, 0, *measures)
 
     # one stack per block side, in order of first appearance; every block
     # step below is one batched call per stack.  A side with one block keeps
@@ -506,10 +526,10 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
 
         pobj = float(c @ y)
         dobj = -sum(float(np.sum(blk.const * Z[s])) for s, blk in enumerate(stacks))
-        pres, dres, gap_rel = prob.stopping(
+        passed, (pres, dres, gap_rel) = prob.stopping(
             max(float(np.max(np.abs(Rres[s]))) for s in range(ns)), rd, pobj, dobj,
-            mu * total_dim)
-        if opts.met_by((pres, dres, gap_rel)):
+            mu * total_dim, opts.tol)
+        if passed:
             status = SdpStatus.OPTIMAL
             break
 
@@ -600,28 +620,6 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None) -> SdpSolutio
         dual_blocks=dual_blocks, slack_blocks=[blk.at(y) for blk in blocks],
         status=status, iterations=it,
         primal_residual=float(pres), dual_residual=float(dres), gap=float(gap_rel))
-
-
-def check_pair(prob: SdpProblem, y: np.ndarray, Zs: Sequence[np.ndarray],
-               opts: Optional[SdpOptions] = None) -> Optional[SdpSolution]:
-    """The pair (y, [Z_j]) with PSD Z_j, in the order of ``prob.blocks``, as
-    an optimal solution with S_j = A_j(y) and 0 iterations when it passes
-    ``solve_sdp``'s stopping test, else None; its primal violation is the
-    largest -lambda_min(S_j), or 0."""
-    opts = opts or SdpOptions()
-    S = [blk.at(y) for blk in prob.blocks]
-    rd = prob.c - sum(blk.adjoint(Z) for blk, Z in zip(prob.blocks, Zs))
-    pobj = float(prob.c @ y)
-    dobj = -sum(float(np.sum(blk.const * Z)) for blk, Z in zip(prob.blocks, Zs))
-    violation = max(0.0, -min(float(np.linalg.eigvalsh(m)[0]) for m in S))
-    measures = prob.stopping(violation, rd, pobj, dobj,
-                             sum(float(np.sum(m * Z)) for m, Z in zip(S, Zs)))
-    if not opts.met_by(measures):
-        return None
-    return SdpSolution(y=y, objective=pobj, dual_objective=dobj, dual_blocks=list(Zs),
-                       slack_blocks=S, status=SdpStatus.OPTIMAL, iterations=0,
-                       primal_residual=measures[0], dual_residual=measures[1],
-                       gap=measures[2])
 
 
 def gen_eig_min(A: np.ndarray, B: np.ndarray) -> Tuple[float, np.ndarray]:

@@ -373,9 +373,9 @@ orders = 2..4
 
 
 class TestWarmStart:
-    """Orders above a certified one start from it: its minimizers and Gram
-    blocks give their optimum in closed form, which is taken when it passes
-    the solver's stopping test; otherwise the order is solved cold."""
+    """Orders above a certified one are taken in closed form: its minimizers
+    and Gram blocks give their optimum, which is taken when it passes the
+    solver's stopping test; otherwise the order is solved cold."""
 
     @pytest.mark.parametrize("text", [box_deep_problem(0), CUBIC], ids=["sextic", "cubic"])
     def test_sweep_agrees_with_lone_orders(self, text):
@@ -421,6 +421,16 @@ class TestWarmStart:
         np.testing.assert_array_equal(row.y.values, lone.y.values)
         np.testing.assert_array_equal(row.sigma, lone.sigma)
         assert row.extraction == lone.extraction
+
+    def test_higher_prev_is_solved_cold(self):
+        # a certified prev of a higher order gives no closed form
+        f = X1 * X2 + 0.5 * X1 - 0.3 * X2 + X1 * X1 * X1 * X1
+        prev = lower_bound(f, UNIT_SQUARE, 3)
+        assert prev.extraction.certified
+        row = lower_bound(f, UNIT_SQUARE, 2, prev=prev)
+        lone = lower_bound(f, UNIT_SQUARE, 2)
+        assert row.solution.iterations == lone.solution.iterations > 0
+        np.testing.assert_array_equal(row.y.values, lone.y.values)
 
     def test_measureless_sweep_takes_the_closed_form(self):
         # the closed form needs no reference measure, and gives the same rows

@@ -10,8 +10,7 @@ import pytest
 import cdmos
 from cdmos.polyring import enumerate_basis
 from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, _jittered_cholesky,
-                       _lower_inv, _nt_scaling, _stack_cholesky, check_pair, gen_eig_min,
-                       solve_sdp)
+                       _lower_inv, _nt_scaling, _stack_cholesky, gen_eig_min, solve_sdp)
 
 
 def single_block_problem(c, coeffs, const=None):
@@ -111,27 +110,39 @@ class TestSolveSdp:
         # infeasible, not unbounded
         assert solve_sdp(prob).status is SdpStatus.INFEASIBLE
 
-    def test_optimal_pair_passes_the_stopping_test(self):
+    def test_optimal_candidate_is_returned(self):
         # the solver's own optimum passes, with iterations 0 and S_j = A_j(y)
         c, blocks = interleaved_problem()
         prob = SdpProblem(c=c, blocks=blocks)
         sol = solve_sdp(prob)
-        pair = check_pair(prob, sol.y, sol.dual_blocks)
+        pair = solve_sdp(prob, candidate=(sol.y, sol.dual_blocks))
         assert pair.status is SdpStatus.OPTIMAL and pair.iterations == 0
         assert pair.objective == sol.objective
         assert max(pair.primal_residual, pair.dual_residual, pair.gap) <= SdpOptions().tol
         for S, blk in zip(pair.slack_blocks, blocks):
             np.testing.assert_array_equal(S, blk.at(sol.y))
 
-    def test_perturbed_pair_fails_the_stopping_test(self):
+    @pytest.mark.parametrize("dy, scale", [
+        (-1e-6, 1.0),    # [[1, y], [y, 1]] is indefinite at y = -1 - 1e-6
+        (0.0, 1.001),    # Z no longer matches c: the dual residual is 1e-3 / 2
+        (1e-3, 1.0),     # a feasible y away from the optimum leaves a gap of 1e-3
+    ])
+    def test_failed_candidate_is_solved_cold(self, dy, scale):
         prob = correlation_problem()
         sol = solve_sdp(prob)
-        # [[1, y], [y, 1]] is indefinite at y = -1 - 1e-6
-        assert check_pair(prob, sol.y - 1e-6, sol.dual_blocks) is None
-        # Z no longer matches c: the dual residual is 1e-3 / 2
-        assert check_pair(prob, sol.y, [1.001 * Z for Z in sol.dual_blocks]) is None
-        # a feasible y away from the optimum leaves a gap of 1e-3
-        assert check_pair(prob, sol.y + 1e-3, sol.dual_blocks) is None
+        got = solve_sdp(prob, candidate=(sol.y + dy, [scale * Z for Z in sol.dual_blocks]))
+        assert got.iterations == sol.iterations > 0
+        np.testing.assert_array_equal(got.y, sol.y)
+        np.testing.assert_array_equal(got.dual_blocks[0], sol.dual_blocks[0])
+
+    @pytest.mark.parametrize("y, Zs", [
+        (np.zeros(2), [np.eye(2)]),
+        (np.zeros(1), [np.eye(3)]),
+        (np.zeros(1), [np.eye(2), np.eye(2)]),
+    ], ids=["y length", "block side", "block count"])
+    def test_malformed_candidate_rejected(self, y, Zs):
+        with pytest.raises(ValueError, match="candidate does not match"):
+            solve_sdp(correlation_problem(), candidate=(y, Zs))
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_tolerance_must_be_positive(self, tol):
