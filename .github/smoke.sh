@@ -1,0 +1,54 @@
+#!/usr/bin/env bash
+# Smoke-run the CLI and the scripts from the repository root:
+#   bash .github/smoke.sh
+# Needs `cdmos` and `python` on PATH, with the package importable (installed,
+# or PYTHONPATH=src). Writes its files to $RUNNER_TEMP, or to a fresh
+# temporary directory when that is unset.
+set -euo pipefail
+tmp="${RUNNER_TEMP:-$(mktemp -d)}"
+
+cdmos solve problems/box_bilinear.txt > /dev/null
+cdmos solve problems/box_bilinear.txt --density-grid 5 > /dev/null
+python -m cdmos.cli solve problems/box_bilinear.txt --density-grid 5 > /dev/null
+# the JSON report and the density table are bit-for-bit
+# deterministic; the table has 1 + 21^2 lines
+cdmos solve problems/box_bilinear.txt --density-grid 21 --density-out "$tmp/a.csv" --json "$tmp/a.json" > /dev/null
+cdmos solve problems/box_bilinear.txt --density-grid 21 --density-out "$tmp/b.csv" --json "$tmp/b.json" > /dev/null
+cmp "$tmp/a.csv" "$tmp/b.csv"
+cmp "$tmp/a.json" "$tmp/b.json"
+test "$(wc -l < "$tmp/a.csv")" -eq $((1 + 21 * 21))
+python -m cdmos.cli basis uniform_box 4 --dim 2 --format csv > /dev/null
+python -m cdmos.cli basis counting_hypercube 1 --dim 3 --format csv > /dev/null
+# the printed monomial coefficients stop at the degree cap 8, with exit code 2
+cdmos basis uniform_box 8 --dim 2 --format csv > /dev/null
+status=0; cdmos basis uniform_box 9 > /dev/null 2>&1 || status=$?
+test "$status" -eq 2
+# sigma has no degree cap: the order-6 row (2t = 12) carries it
+cdmos solve problems/univariate_deep.txt > "$tmp/deep.json"
+python -c 'import json, sys; r = {row["t"]: row for row in json.load(sys.stdin)["rows"]}; sys.exit(0 if r[6]["sigma"] is not None else "no sigma at t = 6")' < "$tmp/deep.json"
+# orders above a certified one are taken in closed form: rows
+# t = 3..6 report 0 solver iterations and a certificate residual
+# <= 1e-9, and each order solved alone (a copy with orders = t..t)
+# gives the same rho to 1e-6
+for t in 2 3 4 5 6; do
+  sed "s/^orders .*/orders     = $t..$t/" problems/univariate_deep.txt > "$tmp/deep-$t.txt"
+  cdmos solve "$tmp/deep-$t.txt" > "$tmp/deep-$t.json"
+done
+python -c '
+import json, sys
+d = sys.argv[1]
+sweep = json.load(open(d + "/deep.json"))["rows"]
+lone = [json.load(open("%s/deep-%d.json" % (d, r["t"])))["rows"][0] for r in sweep]
+bad = [r["t"] for r, s in zip(sweep, lone) if abs(r["rho"] - s["rho"]) > 1e-6]
+solved = [r["t"] for r in sweep if r["t"] >= 3 and not (
+    r["solver"]["iterations"] == 0 and r["certificate_residual"] <= 1e-9)]
+print("solver iterations: sweep", [r["solver"]["iterations"] for r in sweep],
+      "orders alone", [r["solver"]["iterations"] for r in lone])
+sys.exit("rho differs at t = %s" % bad if bad else
+         "no closed form at t = %s" % solved if solved else 0)
+' "$tmp"
+python scripts/density_profile.py > /dev/null
+python scripts/sandwich_demo.py > /dev/null
+# u_t and the SOS density above order 1
+python scripts/sandwich_demo.py 6 > /dev/null
+python scripts/density_profile.py 4 > /dev/null

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from cdmos.hierarchy import lower_bound, reconstruct_density, upper_bound
+from cdmos.hierarchy import lower_bound, upper_bound
 from cdmos.measures import UniformBox
 from cdmos.momentmat import SemialgebraicSet
 from cdmos.orthobasis import cd_kernel
@@ -31,19 +31,19 @@ def main():
     mu = UniformBox((-1.0,), (1.0,))
 
     r = lower_bound(x, B, t, measure=mu)
-    d = reconstruct_density(r)
+    christoffel_at = r.christoffel_at()
     ub = upper_bound(x, mu, t)
 
     print(f"order t = {t}: rho_t = {r.rho:.8f}, u_t = {ub.u:.8f}")
     if r.extraction.certified:
         for xi, _ in r.extraction.minimizers:
             print(f"certified minimizer {xi}, "
-                  f"christoffel value {d.christoffel_at[xi]:.8f} "
+                  f"christoffel value {christoffel_at[xi]:.8f} "
                   f"(= 1 / K({xi[0]:g}, {xi[0]:g}))")
     print(f"\n{'x':>8} {'sigma(x)':>12} {'K(x,x)':>12} {'sos density':>12}")
     for xv in np.linspace(-1.0, 1.0, grid_n):
         pt = (float(xv),)
-        print(f"{xv:8.3f} {d.sigma_poly(pt):12.6f} "
+        print(f"{xv:8.3f} {r.density(pt):12.6f} "
               f"{cd_kernel(r.density_basis, pt, pt):12.6f} "
               f"{ub.sos_density(pt):12.6f}")
 

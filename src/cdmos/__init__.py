@@ -1,9 +1,8 @@
 """Moment-SOS bounds for polynomial optimization, with the signed-density /
 Christoffel-Darboux reconstruction of the dual relaxation variable."""
 
-from .hierarchy import (DensityReconstruction, Extraction, HierarchyError,
-                        LowerBoundResult, SweepRow, UpperBoundResult,
-                        certify_and_extract, lower_bound, reconstruct_density,
+from .hierarchy import (Extraction, HierarchyError, LowerBoundResult, SweepRow,
+                        UpperBoundResult, certify_and_extract, lower_bound,
                         sandwich_sweep, upper_bound)
 from .measures import CountingHypercube, MomentSequence, UniformBox, moments
 from .momentmat import SemialgebraicSet, localizing_matrix, moment_matrix

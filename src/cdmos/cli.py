@@ -30,13 +30,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .hierarchy import (SweepRow, min_relaxation_order, reconstruct_density,
-                        sandwich_sweep)
+from .hierarchy import SweepRow, min_relaxation_order, sandwich_sweep
 from .measures import CountingHypercube, ReferenceMeasure, UniformBox
 from .momentmat import SemialgebraicSet
 from .orthobasis import OrthoBasis, build_basis
-from .polyring import (PolyParseError, Polynomial, enumerate_basis,
-                       parse_polynomial)
+from .polyring import PolyParseError, Polynomial, parse_polynomial
 from .sdp import SdpOptions
 
 # the density readout evaluates T and writes the CSV on chunks of grid points
@@ -230,9 +228,8 @@ class RunReport:
                     r["minimizers"] = [{"point": list(xi), "value": fv}
                                        for xi, fv in ex.minimizers]
                     if lb.sigma is not None:
-                        r["christoffel"] = [
-                            {"point": list(xi), "value": value} for xi, value in
-                            reconstruct_density(lb).christoffel_at.items()]
+                        r["christoffel"] = [{"point": list(xi), "value": value}
+                                            for xi, value in lb.christoffel_at().items()]
                 else:
                     r["exactness"] = "not_certified"
                 if lb.sigma is not None:
@@ -244,8 +241,8 @@ class RunReport:
                                "primal_residual": lb.solution.primal_residual,
                                "dual_residual": lb.solution.dual_residual}
             rows_out.append(r)
-        basis_labels = (None if self.density_order is None else
-                        [list(a) for a in enumerate_basis(pf.n, 2 * self.density_order)])
+        drow = self.density_row()
+        basis_labels = None if drow is None else [list(a) for a in drow.lower.y.basis]
         return {
             "problem": {
                 "variables": pf.var_names,

@@ -1,5 +1,5 @@
 """Lower- and upper-bound hierarchies, exactness certification, minimizer
-extraction, and reconstruction of the signed polynomial density.
+extraction, and the signed polynomial density.
 
 The lower bound at order t is computed purely in moment form:
 
@@ -13,10 +13,12 @@ multiplication operator on the orthonormal basis T up to degree t.
 
 Once a reference measure is fixed, the optimal moment vector y* turns into
 coefficients sigma_alpha = L_y*(T_alpha) of a signed polynomial density in
-the orthonormal basis, read off y* by T's recurrence (``OrthoBasis.riesz``);
-at an exact relaxation with minimizer xi, sigma_alpha = T_alpha(xi), the
-density is the kernel section x -> K_2t(xi, x), and its value at xi is the
-reciprocal Christoffel function.  Both densities are read through T(x).
+the orthonormal basis, indexed like y* and read off it by T's recurrence
+(``OrthoBasis.riesz``); at an exact relaxation with minimizer xi,
+sigma_alpha = T_alpha(xi), the density is the kernel section
+x -> K_2t(xi, x), and its value at xi is the reciprocal Christoffel function
+(``LowerBoundResult.density`` and ``christoffel_at``).  Both hierarchies'
+densities are read through T(x), on the basis their result holds.
 
 A sweep over orders passes each order's result to the next.  Once order t-1
 is certified, the order-t optimum is known in closed form: y* holds the
@@ -28,7 +30,6 @@ is solved otherwise.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -96,8 +97,25 @@ class LowerBoundResult:
     solution: SdpSolution
     extraction: Optional[Extraction] = None
     sigma: Optional[np.ndarray] = None      # L_y*(T_alpha), when a measure is declared
-    density_basis: Optional[OrthoBasis] = None
+    density_basis: Optional[OrthoBasis] = None   # T on y.basis, sigma's index
     density_error: Optional[str] = None
+
+    def _require_density(self) -> OrthoBasis:
+        if self.sigma is None:
+            raise ValueError(f"order {self.t} has no density: "
+                             f"{self.density_error or 'no reference measure declared'}")
+        return self.density_basis
+
+    def density(self, x) -> np.ndarray:
+        """The signed density sigma(x) = T(x)' sigma at a point, or at each
+        row of a (k, n) array."""
+        return self._require_density().eval_all(x) @ self.sigma
+
+    def christoffel_at(self) -> Dict[Tuple[float, ...], float]:
+        """The Christoffel function 1 / K_2t(xi, xi) at each certified minimizer xi."""
+        B, ex = self._require_density(), self.extraction
+        minimizers = ex.minimizers if ex is not None and ex.certified else []
+        return {xi: christoffel(B, xi) for xi, _ in minimizers}
 
 
 @dataclass
@@ -105,26 +123,11 @@ class UpperBoundResult:
     t: int
     u: float
     eigvec: np.ndarray       # unit v in the orthonormal basis T, eigenvector for u
-    measure: ReferenceMeasure
-
-    @functools.cached_property
-    def basis(self) -> OrthoBasis:
-        return build_basis(self.measure, self.t)
+    basis: OrthoBasis
 
     def sos_density(self, x) -> np.ndarray:
         """sigma(x) = (v' T(x))^2 at a point, or at each row of a (k, n) array."""
         return (self.basis.eval_all(x) @ self.eigvec) ** 2
-
-
-@dataclass
-class DensityReconstruction:
-    sigma: np.ndarray
-    basis: OrthoBasis
-    christoffel_at: Dict[Tuple[float, ...], float]
-
-    def sigma_poly(self, x) -> np.ndarray:
-        """sigma' T(x) at a point, or at each row of a (k, n) array."""
-        return self.basis.eval_all(x) @ self.sigma
 
 
 def _moment_blocks(gs: List[Tuple[Polynomial, int]],
@@ -202,7 +205,7 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
     result.extraction = certify_and_extract(result, B)
     if measure is not None:
         try:
-            basis = build_basis(measure, 2 * t)
+            basis = OrthoBasis(measure, basis2t)
         except BasisConstructionError as exc:
             # no degree-2t orthonormal family for this measure (e.g. counting
             # hypercube beyond multilinear degree)
@@ -217,8 +220,8 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
 # Exactness certification via flat truncation, and minimizer extraction.
 # ---------------------------------------------------------------------------
 
-def _numerical_rank(M: np.ndarray) -> int:
-    w = np.linalg.eigvalsh(M)
+def _numerical_rank(w: np.ndarray) -> int:
+    """The number of eigenvalues, in ascending order w, above RANK_TOL of the largest."""
     wmax = float(w[-1])
     if wmax <= 0.0:
         return 0
@@ -240,13 +243,13 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet) -> Extraction:
     Mt = moment_matrix(y, t)
     m = math.comb(n + t - 1, t - 1)
     Mlow = Mt[:m, :m]
-    rank_high = _numerical_rank(Mt)
-    rank_low = _numerical_rank(Mlow)
+    w, Q = np.linalg.eigh(Mlow)
+    rank_high = _numerical_rank(np.linalg.eigvalsh(Mt))
+    rank_low = _numerical_rank(w)
     if rank_high == 0 or rank_high != rank_low:
         return Extraction(certified=False, rank_high=rank_high, rank_low=rank_low)
 
     rank = rank_high
-    w, Q = np.linalg.eigh(Mlow)
     U = Q[:, -rank:]
     G = U.T @ Mlow @ U
     rows = _grlex_rank(y.basis.array[:m, None, :] + np.eye(n, dtype=np.intp))
@@ -287,22 +290,6 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet) -> Extraction:
 
 
 # ---------------------------------------------------------------------------
-# Signed density reconstruction and its Christoffel interpretation.
-# ---------------------------------------------------------------------------
-
-def reconstruct_density(r: LowerBoundResult) -> DensityReconstruction:
-    """The signed density with coefficients sigma = L_y*(T) that ``lower_bound``
-    stored, and the Christoffel function at each certified minimizer."""
-    if r.sigma is None:
-        raise ValueError(f"order {r.t} has no density: "
-                         f"{r.density_error or 'no reference measure declared'}")
-    ex = r.extraction
-    minimizers = ex.minimizers if ex is not None and ex.certified else []
-    return DensityReconstruction(sigma=r.sigma, basis=r.density_basis, christoffel_at={
-        xi: christoffel(r.density_basis, xi) for xi, _ in minimizers})
-
-
-# ---------------------------------------------------------------------------
 # Upper-bound hierarchy (SOS densities) via a symmetric eigenvalue problem.
 # ---------------------------------------------------------------------------
 
@@ -313,8 +300,9 @@ def upper_bound(f: Polynomial, measure: ReferenceMeasure, t: int) -> UpperBoundR
         raise ValueError(f"dimension mismatch: {f.n} vs {measure.n}")
     if t < 0:
         raise ValueError(f"order must be >= 0, got {t}")
-    w, V = np.linalg.eigh(multiplication(measure, f, t))
-    return UpperBoundResult(t=t, u=float(w[0]), eigvec=V[:, 0], measure=measure)
+    basis = build_basis(measure, t)
+    w, V = np.linalg.eigh(multiplication(basis, f))
+    return UpperBoundResult(t=t, u=float(w[0]), eigvec=V[:, 0], basis=basis)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ read by running them on values at points (``_axis_table``), at any degree.
 The integrals int f T_a T_b dmu are products of powers of the Jacobi
 matrices (``multiplication``).  The same recurrence run on a moment vector
 gives sigma_alpha = L_y(T_alpha) (``OrthoBasis.riesz``), at any degree too;
-run on the unit moment vectors it gives T's monomial coefficients.
+run on the unit moment vectors it gives T's monomial coefficients.  Every
+readout takes an ``OrthoBasis``, which checks on construction that the
+measure's support carries the family up to its degree.
 """
 
 from __future__ import annotations
@@ -30,10 +32,25 @@ class BasisConstructionError(RuntimeError):
 
 @dataclass
 class OrthoBasis:
-    """The orthonormal polynomials T_alpha, |alpha| <= t, in ``basis`` order."""
+    """The orthonormal polynomials T_alpha, |alpha| <= t, in ``basis`` order.
+
+    Built only when the measure's support carries p_0..p_t on each axis:
+    a_j = 0 in its ``recurrence(t)`` ends that axis's family at degree j - 1.
+    """
 
     measure: ReferenceMeasure
     basis: MonomialBasis
+
+    def __post_init__(self):
+        if self.measure.n != self.n:
+            raise ValueError(f"measure dimension {self.measure.n} does not match "
+                             f"basis dimension {self.n}")
+        for k, (a, _) in enumerate(self.measure.recurrence(self.t)):
+            if 0.0 in a[1:]:
+                j = list(a[1:]).index(0.0) + 1
+                raise BasisConstructionError(
+                    f"Gram matrix singular at degree {j}: the support of the "
+                    f"measure has only {j} points on axis {k + 1}")
 
     @property
     def n(self) -> int:
@@ -56,7 +73,7 @@ class OrthoBasis:
             raise ValueError(f"points of shape {x.shape} do not match basis dimension {self.n}")
         E = self.basis.array
         V = np.ones(x.shape[:-1] + (len(E),))
-        for k, ab in enumerate(_recurrence(self.measure, self.t)):
+        for k, ab in enumerate(self.measure.recurrence(self.t)):
             P = _axis_table(ab, self.t, np.ones(x.shape[:-1]), lambda p: x[..., k] * p)
             # one row per point: (p_j at the point)_j, gathered into rows alpha_k
             V *= np.take(P.T, E[:, k], axis=-1)
@@ -80,26 +97,13 @@ class OrthoBasis:
         # row N stands for every moment past degree t and stays 0
         V = np.concatenate([y, np.zeros((1,) + y.shape[1:])])
         below_t = E.sum(axis=1) < t
-        for k, ab in enumerate(_recurrence(self.measure, t)):
+        for k, ab in enumerate(self.measure.recurrence(t)):
             e_k = np.eye(self.n, dtype=np.intp)[k]
             up = np.append(np.where(below_t, _grlex_rank(E + e_k), N), N)
             P = _axis_table(ab, t, V, lambda p: p[up])
             # row beta is (p_{beta_k}(x_k) L)(x^beta / x_k^beta_k)
             V = P[np.append(E[:, k], 0), np.append(_grlex_rank(E - E[:, k, None] * e_k), N)]
         return V[:N]
-
-
-def _recurrence(measure: ReferenceMeasure, t: int):
-    """The measure's ``recurrence(t)``, once every axis is known to carry
-    p_0..p_t: a_j = 0 ends an axis's family at degree j - 1."""
-    rec = measure.recurrence(t)
-    for k, (a, _) in enumerate(rec):
-        if 0.0 in a[1:]:
-            j = list(a[1:]).index(0.0) + 1
-            raise BasisConstructionError(
-                f"Gram matrix singular at degree {j}: the support of the "
-                f"measure has only {j} points on axis {k + 1}")
-    return rec
 
 
 def _axis_table(ab: tuple[np.ndarray, np.ndarray], t: int, first: np.ndarray,
@@ -117,22 +121,18 @@ def _axis_table(ab: tuple[np.ndarray, np.ndarray], t: int, first: np.ndarray,
 
 
 def build_basis(measure: ReferenceMeasure, t: int) -> OrthoBasis:
-    """Orthonormal basis up to degree t; the support must carry p_t on each axis."""
-    if t < 0:
-        raise ValueError(f"degree bound must be >= 0, got {t}")
-    _recurrence(measure, t)
+    """Orthonormal basis up to degree t >= 0; the support must carry p_t on each axis."""
     return OrthoBasis(measure, enumerate_basis(measure.n, t))
 
 
-def multiplication(measure: ReferenceMeasure, f: Polynomial, t: int) -> np.ndarray:
+def multiplication(B: OrthoBasis, f: Polynomial) -> np.ndarray:
     """A[a, b] = int f T_a T_b dmu = sum_alpha f_alpha prod_k (J_k^alpha_k)[a_k, b_k]
-    over |a|, |b| <= t: f's multiplication operator truncated to degree t.
-    Jacobi matrices of side t + deg f // 2 + 1 make every entry exact."""
-    _recurrence(measure, t)
-    E = enumerate_basis(measure.n, t).array
-    alphas = np.array(list(f.terms), dtype=np.intp).reshape(-1, measure.n)
+    over the basis T_a, |a| <= t: f's multiplication operator truncated to
+    degree t.  Jacobi matrices of side t + deg f // 2 + 1 make every entry exact."""
+    E = B.basis.array
+    alphas = np.array(list(f.terms), dtype=np.intp).reshape(-1, B.n)
     A = np.ones((len(alphas), len(E), len(E)))
-    for k, P in enumerate(jacobi_powers(measure, t + f.degree // 2 + 1, f.degree)):
+    for k, P in enumerate(jacobi_powers(B.measure, B.t + f.degree // 2 + 1, f.degree)):
         A *= P[alphas[:, k, None, None], E[None, :, k, None], E[None, None, :, k]]
     return np.tensordot(np.fromiter(f.terms.values(), float, len(alphas)), A, axes=1)
 
@@ -149,7 +149,7 @@ def reproduce(B: OrthoBasis, p: Polynomial, x: Sequence[float]) -> float:
         raise ValueError(f"dimension mismatch: {p.n} vs {B.n}")
     if p.degree > B.t:
         raise ValueError(f"degree {p.degree} exceeds kernel degree {B.t}")
-    return float(B.eval_all(x) @ multiplication(B.measure, p, B.t)[:, 0])
+    return float(B.eval_all(x) @ multiplication(B, p)[:, 0])
 
 
 def christoffel(B: OrthoBasis, x: Sequence[float]) -> float:

@@ -81,14 +81,25 @@ class SdpBlock:
     returns (g, d, d), adjoint takes (g, d, d) and sums over the members, and
     schur sums the members' Schur complements.
 
-    ``SdpBlock(const, coeffs)`` converts dense (N, d, d) coefficients once;
+    ``SdpBlock(const, num_vars, var, pos, val)`` takes the pattern as it is;
     ``SdpBlock.from_terms`` builds moment and localizing blocks from integer
-    index tables; ``SdpBlock.stack`` concatenates blocks of one side.  The
-    solver only uses the three pattern operators ``apply``, ``adjoint`` and
+    index tables; ``SdpBlock.dense`` converts dense (N, d, d) coefficients
+    once; ``SdpBlock.stack`` concatenates blocks of one side.  The solver
+    only uses the three pattern operators ``apply``, ``adjoint`` and
     ``schur``.
     """
 
-    def __init__(self, const, coeffs):
+    def __init__(self, const, num_vars: int, var, pos, val):
+        self.const = np.asarray(const, dtype=float)
+        self.num_vars = num_vars
+        self.var = np.asarray(var, dtype=np.intp)
+        self.pos = np.asarray(pos, dtype=np.intp)
+        self.val = np.asarray(val, dtype=float)
+
+    @classmethod
+    def dense(cls, const, coeffs) -> "SdpBlock":
+        """Block of side d from a symmetric (d, d) constant and a stack of
+        symmetric (N, d, d) coefficient matrices A_1..A_N."""
         const = np.asarray(const, dtype=float)
         coeffs = np.asarray(coeffs, dtype=float)
         d = const.shape[0]
@@ -99,7 +110,7 @@ class SdpBlock:
         if not np.allclose(coeffs, np.transpose(coeffs, (0, 2, 1))):
             raise ValueError("block coefficient matrices must be symmetric")
         k, a, b = np.nonzero(coeffs)
-        self._set_pattern(const, coeffs.shape[0], k, a * d + b, coeffs[k, a, b])
+        return cls(const, coeffs.shape[0], k, a * d + b, coeffs[k, a, b])
 
     @classmethod
     def from_terms(cls, dim: int, num_vars: int, terms) -> "SdpBlock":
@@ -120,7 +131,7 @@ class SdpBlock:
         val = np.repeat([float(w) for w, _ in terms], dim * dim)
         one = var == -1
         const = np.bincount(pos[one], val[one], minlength=dim * dim).reshape(dim, dim)
-        return cls._from_pattern(const, num_vars, var[~one], pos[~one], val[~one])
+        return cls(const, num_vars, var[~one], pos[~one], val[~one])
 
     @classmethod
     def stack(cls, blocks: Sequence["SdpBlock"]) -> "SdpBlock":
@@ -129,24 +140,11 @@ class SdpBlock:
         if any(blk.const.shape != (d, d) or blk.num_vars != N for blk in blocks):
             raise ValueError("stacked blocks must be single blocks of one side "
                              "and variable count")
-        return cls._from_pattern(
+        return cls(
             np.stack([blk.const for blk in blocks]), N,
             np.concatenate([blk.var for blk in blocks]),
             np.concatenate([blk.pos + j * d * d for j, blk in enumerate(blocks)]),
             np.concatenate([blk.val for blk in blocks]))
-
-    @classmethod
-    def _from_pattern(cls, const, num_vars, var, pos, val) -> "SdpBlock":
-        blk = cls.__new__(cls)
-        blk._set_pattern(const, num_vars, var, pos, val)
-        return blk
-
-    def _set_pattern(self, const, num_vars, var, pos, val):
-        self.const = const
-        self.num_vars = num_vars
-        self.var = np.asarray(var, dtype=np.intp)
-        self.pos = np.asarray(pos, dtype=np.intp)
-        self.val = np.asarray(val, dtype=float)
 
     @property
     def dim(self) -> int:

@@ -13,8 +13,7 @@ from conftest import (box_quadrature, ortho_polynomial, random_polynomial,
                       smoothed_objective)
 
 from cdmos.cli import main, parse_problem, run
-from cdmos.hierarchy import (certify_and_extract, lower_bound,
-                             reconstruct_density, sandwich_sweep,
+from cdmos.hierarchy import (certify_and_extract, lower_bound, sandwich_sweep,
                              upper_bound)
 from cdmos.measures import CountingHypercube, UniformBox, moments
 from cdmos.momentmat import SemialgebraicSet
@@ -97,10 +96,9 @@ def test_criterion_2_sandwich_and_monotonicity():
 
 def test_criterion_3_kernel_section_reconstruction():
     r = lower_bound(X, UNIT_INTERVAL, 1, measure=UNIT_MEASURE)
-    d = reconstruct_density(r)
     expected = r.density_basis.eval_all((-1.0,))
-    sigma_err = float(np.max(np.abs(d.sigma - expected)))
-    peak = d.sigma_poly((-1.0,))
+    sigma_err = float(np.max(np.abs(r.sigma - expected)))
+    peak = r.density((-1.0,))
     chris = christoffel(r.density_basis, (-1.0,))
     ok = (r.extraction.certified and sigma_err <= 1e-5 and
           abs(peak - 9.0) <= 1e-4 and abs(chris - 1 / 9) <= 1e-5)

@@ -163,6 +163,11 @@ class TestRunReport:
         report = run(parse_problem(BILINEAR))
         # order 1 is exact but not flat; order 2 certifies
         assert report.density_order == 2
+        # the labels are sigma's index, which is y*'s
+        lb = report.density_row().lower
+        labels = report.to_dict()["density_basis_labels"]
+        assert labels == [list(a) for a in lb.y.basis.exponents]
+        assert len(labels) == len(lb.sigma)
 
     def test_json_deterministic(self):
         a = run(parse_problem(UNIVARIATE)).to_json()

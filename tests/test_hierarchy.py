@@ -9,12 +9,12 @@ from conftest import (box_deep_problem, moment_value, multiplier_poly,
                       smoothed_objective)
 
 from cdmos.cli import parse_problem
-from cdmos.hierarchy import (HierarchyError, certify_and_extract, lower_bound,
-                             min_relaxation_order, reconstruct_density,
-                             sandwich_sweep, upper_bound)
+from cdmos.hierarchy import (HierarchyError, UpperBoundResult, certify_and_extract,
+                             lower_bound, min_relaxation_order, sandwich_sweep,
+                             upper_bound)
 from cdmos.measures import CountingHypercube, UniformBox, moments
 from cdmos.momentmat import SemialgebraicSet
-from cdmos.orthobasis import BasisConstructionError, build_basis, cd_kernel
+from cdmos.orthobasis import BasisConstructionError, OrthoBasis, build_basis, cd_kernel
 from cdmos.polyring import Polynomial, enumerate_basis, monomial_values
 
 X = Polynomial.variable(1, 0)
@@ -89,11 +89,29 @@ class TestLowerBound:
         assert r.sigma is not None and r.density_basis is not None
         assert r.sigma.shape == (3,)
 
+    def test_density_basis_shares_y_index(self):
+        # sigma is indexed exactly like y*: its basis is built on y's own index
+        r = lower_bound(X1 * X2, UNIT_SQUARE, 2, measure=SQUARE_MEASURE)
+        assert r.density_basis.basis is r.y.basis
+        assert r.sigma.shape == r.y.values.shape
+
+    def test_measure_of_other_dimension_rejected(self):
+        with pytest.raises(ValueError, match="measure dimension 1 does not match"):
+            lower_bound(X1 * X2, UNIT_SQUARE, 1, measure=UNIT_MEASURE)
+
 
 class TestUpperBound:
     def test_constant_density_order_zero(self):
         u = upper_bound(X, UNIT_MEASURE, 0)
         assert u.u == pytest.approx(0.0, abs=1e-12)
+
+    def test_result_holds_its_basis(self):
+        # the basis upper_bound built is stored, not its measure
+        names = {f.name for f in dataclasses.fields(UpperBoundResult)}
+        assert "basis" in names and "measure" not in names
+        u = upper_bound(X1 * X2 + X1, SQUARE_MEASURE, 2)
+        assert isinstance(u.basis, OrthoBasis) and u.basis.t == 2
+        assert len(u.eigvec) == len(u.basis.basis)
 
     def test_strictly_decreasing_sweep(self):
         us = [upper_bound(X, UNIT_MEASURE, t).u for t in range(1, 5)]
@@ -222,15 +240,14 @@ class TestCertifyAndExtract:
 class TestReconstructDensity:
     def test_kernel_section_at_certified_minimizer(self):
         r = lower_bound(X, UNIT_INTERVAL, 1, measure=UNIT_MEASURE)
-        d = reconstruct_density(r)
         expected = r.density_basis.eval_all((-1.0,))
-        np.testing.assert_allclose(d.sigma, expected, atol=1e-5)
-        np.testing.assert_allclose(d.sigma, [1.0, -np.sqrt(3), np.sqrt(5)],
+        np.testing.assert_allclose(r.sigma, expected, atol=1e-5)
+        np.testing.assert_allclose(r.sigma, [1.0, -np.sqrt(3), np.sqrt(5)],
                                    atol=1e-5)
-        assert d.sigma_poly((-1.0,)) == pytest.approx(9.0, abs=1e-4)
-        (xi, chris), = d.christoffel_at.items()
+        assert r.density((-1.0,)) == pytest.approx(9.0, abs=1e-4)
+        (xi, chris), = r.christoffel_at().items()
         assert chris == pytest.approx(1 / 9, abs=1e-5)
-        assert d.sigma_poly(xi) * chris == pytest.approx(1.0, abs=1e-4)
+        assert r.density(xi) * chris == pytest.approx(1.0, abs=1e-4)
 
     def test_reference_moments_give_unit_density(self):
         basis = build_basis(UNIT_MEASURE, 2)
@@ -247,14 +264,16 @@ class TestReconstructDensity:
 
     def test_no_density_raises(self):
         r = lower_bound(X, UNIT_INTERVAL, 1)
-        with pytest.raises(ValueError, match="no reference measure"):
-            reconstruct_density(r)
+        for read in (lambda: r.density((0.0,)), r.christoffel_at):
+            with pytest.raises(ValueError, match="order 1 has no density: no reference measure"):
+                read()
         # no orthonormal family of degree 2t = 2 for the counting measure
         B = SemialgebraicSet(2, (X1 * X1 - 1.0, 1.0 - X1 * X1,
                                  X2 * X2 - 1.0, 1.0 - X2 * X2))
         r = lower_bound(X1 * X2, B, 1, measure=CountingHypercube(2))
-        with pytest.raises(ValueError, match="degree 2"):
-            reconstruct_density(r)
+        for read in (lambda: r.density((0.0, 0.0)), r.christoffel_at):
+            with pytest.raises(ValueError, match="degree 2"):
+                read()
 
 
 class TestChangeOfBasisIdentity:
@@ -372,10 +391,11 @@ orders = 2..4
 """
 
 
-class TestWarmStart:
+class TestClosedForm:
     """Orders above a certified one are taken in closed form: its minimizers
-    and Gram blocks give their optimum, which is taken when it passes the
-    solver's stopping test; otherwise the order is solved cold."""
+    and Gram blocks give their optimum, which ``solve_sdp`` returns when it
+    passes the stopping test; otherwise the order is solved from the default
+    start, as if alone."""
 
     @pytest.mark.parametrize("text", [box_deep_problem(0), CUBIC], ids=["sextic", "cubic"])
     def test_sweep_agrees_with_lone_orders(self, text):
@@ -451,7 +471,7 @@ class TestWarmStart:
         # the off-centre box, on which t = 5 fails either way
         ("x^4 - 7 x^3 + 17 x^2 - 17 x", "-x^2 + 3.5 x - 1.5", (0.5, 3.0), (2, 4)),
     ])
-    def test_warm_starts_lose_no_order(self, objective, g, box, orders):
+    def test_sweep_loses_no_order(self, objective, g, box, orders):
         pf = parse_problem(f"variables = x\nobjective = {objective}\n"
                            f"constraint = {g} >= 0\nmeasure = uniform_box\n"
                            f"box = {box[0]} {box[1]}\norders = {orders[0]}..{orders[1]}\n")

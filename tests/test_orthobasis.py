@@ -7,9 +7,9 @@ from conftest import (box_quadrature, cholesky_basis, dirac_moments, gram_matrix
                       random_polynomial, tensor_basis)
 
 from cdmos.measures import CountingHypercube, UniformBox, moments
-from cdmos.orthobasis import (BasisConstructionError, build_basis, cd_kernel,
-                              christoffel, reproduce)
-from cdmos.polyring import Polynomial
+from cdmos.orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
+                              cd_kernel, christoffel, reproduce)
+from cdmos.polyring import Polynomial, enumerate_basis
 
 UNIT = UniformBox((-1.0,), (1.0,))
 
@@ -52,6 +52,20 @@ class TestBuildBasis:
     def test_hypercube_degree_two_fails(self):
         with pytest.raises(BasisConstructionError, match="degree 2"):
             build_basis(CountingHypercube(2), 2)
+
+    def test_support_checked_on_construction(self):
+        # the support check belongs to the type, not to build_basis
+        with pytest.raises(BasisConstructionError, match="only 2 points on axis 1"):
+            OrthoBasis(CountingHypercube(2), enumerate_basis(2, 2))
+        OrthoBasis(CountingHypercube(2), enumerate_basis(2, 1))
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="degree bound must be >= 0, got -1"):
+            build_basis(UNIT, -1)
+
+    def test_dimension_checked_on_construction(self):
+        with pytest.raises(ValueError, match="measure dimension 1 does not match"):
+            OrthoBasis(UNIT, enumerate_basis(2, 1))
 
     def test_degree_cap(self):
         # only the monomial coefficients that `cdmos basis` prints are capped

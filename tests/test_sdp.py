@@ -16,8 +16,8 @@ from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, _jittered_ch
 def single_block_problem(c, coeffs, const=None):
     coeffs = np.asarray(coeffs, dtype=float)
     d = coeffs.shape[1]
-    blk = SdpBlock(const=np.zeros((d, d)) if const is None else const,
-                   coeffs=coeffs)
+    blk = SdpBlock.dense(const=np.zeros((d, d)) if const is None else const,
+                         coeffs=coeffs)
     return SdpProblem(c=np.asarray(c, dtype=float), blocks=[blk])
 
 
@@ -49,8 +49,8 @@ class TestSolveSdp:
         coeffs_l[1, 0, 0] = -1.0
         prob = SdpProblem(
             c=np.array([1.0, 0.0]),
-            blocks=[SdpBlock(np.diag([1.0, 0.0]), coeffs_m),
-                    SdpBlock(np.ones((1, 1)), coeffs_l)])
+            blocks=[SdpBlock.dense(np.diag([1.0, 0.0]), coeffs_m),
+                    SdpBlock.dense(np.ones((1, 1)), coeffs_l)])
         sol = solve_sdp(prob)
         assert sol.status is SdpStatus.OPTIMAL
 
@@ -80,7 +80,7 @@ class TestSolveSdp:
         def run():
             prob = SdpProblem(
                 c=np.array([1.0, 0.25]),
-                blocks=[SdpBlock(np.diag([1.0, 0.0]), coeffs)])
+                blocks=[SdpBlock.dense(np.diag([1.0, 0.0]), coeffs)])
             return solve_sdp(prob)
         a, b = run(), run()
         assert a.iterations == b.iterations
@@ -103,8 +103,8 @@ class TestSolveSdp:
 
     def test_infeasible_pair(self):
         # [y1 - 1] PSD and [-y1] PSD cannot both hold
-        blk1 = SdpBlock(np.array([[-1.0]]), np.array([[[1.0]]]))
-        blk2 = SdpBlock(np.array([[0.0]]), np.array([[[-1.0]]]))
+        blk1 = SdpBlock.dense(np.array([[-1.0]]), np.array([[[1.0]]]))
+        blk2 = SdpBlock.dense(np.array([[0.0]]), np.array([[[-1.0]]]))
         prob = SdpProblem(c=np.array([0.0]), blocks=[blk1, blk2])
         # the dual objective diverges while the primal residual stays put:
         # infeasible, not unbounded
@@ -163,10 +163,10 @@ def interleaved_problem():
         corr[k, a, b] = corr[k, b, a] = 1.0
     X = rng.standard_normal((3, 3, 3))
     return rng.standard_normal(3), [
-        SdpBlock(np.eye(3), corr),
-        SdpBlock([[0.5]], rng.standard_normal((3, 1, 1))),
-        SdpBlock(np.eye(3), 0.5 * (X + X.transpose(0, 2, 1))),
-        SdpBlock([[0.8]], rng.standard_normal((3, 1, 1)))]
+        SdpBlock.dense(np.eye(3), corr),
+        SdpBlock.dense([[0.5]], rng.standard_normal((3, 1, 1))),
+        SdpBlock.dense(np.eye(3), 0.5 * (X + X.transpose(0, 2, 1))),
+        SdpBlock.dense([[0.8]], rng.standard_normal((3, 1, 1)))]
 
 
 def dense_from_terms(dim, N, terms):
@@ -190,7 +190,7 @@ def dense_and_pattern_blocks(rng):
     N, d = 9, 5
     coeffs = rng.standard_normal((N, d, d)) * (rng.random((N, d, d)) < 0.4)
     coeffs = coeffs + coeffs.transpose(0, 2, 1)
-    yield SdpBlock(np.zeros((d, d)), coeffs), np.zeros((d, d)), coeffs
+    yield SdpBlock.dense(np.zeros((d, d)), coeffs), np.zeros((d, d)), coeffs
     # localizing-style block of g = 1.5 - 0.5 x1 + 2 x2^2 at order 1 in two
     # variables; the constant term appears twice, so its (k, a, b) entries
     # repeat across terms
