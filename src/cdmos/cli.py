@@ -242,7 +242,7 @@ class RunReport:
                                "dual_residual": lb.solution.dual_residual}
             rows_out.append(r)
         drow = self.density_row()
-        basis_labels = None if drow is None else [list(a) for a in drow.lower.y.basis]
+        basis_labels = None if drow is None else drow.lower.y.basis.array.tolist()
         return {
             "problem": {
                 "variables": pf.var_names,
@@ -435,6 +435,8 @@ def _cmd_basis(args) -> int:
             raise ValueError(f"degree {args.t} exceeds cap {_COEFF_DEGREE_CAP}; the monomial "
                              "coefficients of T_alpha grow with the degree, so float64 "
                              "evaluation loses accuracy beyond this")
+        if args.grid < 0:
+            raise ValueError(f"--grid must be >= 0, got {args.grid}")
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -445,7 +447,7 @@ def _cmd_basis(args) -> int:
                    for k in np.einsum("ij,ij->i", T, T).tolist()]
     if args.format == "json":
         doc = {"measure": type(measure).__name__, "t": args.t,
-               "exponents": [list(a) for a in basis.basis],
+               "exponents": basis.basis.array.tolist(),
                "coefficients": [[float(v) for v in row] for row in D],
                "kernel_diag_samples": [
                    {"x": x, "kernel_diag": k}

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .measures import MomentSequence, ReferenceMeasure
-from .momentmat import SemialgebraicSet, half_degree, moment_matrix
+from .momentmat import SemialgebraicSet, half_degree, localizing_pattern, moment_matrix
 from .orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
                          christoffel, multiplication)
 from .polyring import (MonomialBasis, Polynomial, _grlex_rank, coeff_vector,
@@ -132,18 +132,19 @@ class UpperBoundResult:
 
 def _moment_blocks(gs: List[Tuple[Polynomial, int]],
                    basis2t: MonomialBasis) -> List[SdpBlock]:
-    """One SDP block per pair (g_j, s_j): M_{s_j}(g_j y) as an affine map of
-    y_1..y_{N-1}, with y_0 = 1 substituted into the constant.
-
-    Position 0 of the graded-lex basis is the monomial 1, so shifting the
-    moment tables by -1 numbers the free moments from 0 and maps y_0 to the
-    index -1 that ``SdpBlock.from_terms`` reads as the constant 1.
-    """
+    """One SDP block per pair (g_j, s_j): M_{s_j}(g_j y) from
+    ``localizing_pattern`` as an affine map of y_1..y_{N-1}.  Position 0 of
+    the graded-lex basis is the monomial 1, so the entries at y_0 = 1 sum into
+    the constant and the rest number the free moments from 0."""
     N = len(basis2t) - 1
-    return [SdpBlock.from_terms(
-                math.comb(basis2t.n + s, s), N,
-                [(cg, basis2t.sum_index(s, gamma) - 1) for gamma, cg in g.terms.items()])
-            for g, s in gs]
+    blocks = []
+    for g, s in gs:
+        var, pos, val = localizing_pattern(basis2t, g, s)
+        d = math.comb(basis2t.n + s, s)
+        one = var == 0
+        const = np.bincount(pos[one], val[one], minlength=d * d).reshape(d, d)
+        blocks.append(SdpBlock(const, N, var[~one] - 1, pos[~one], val[~one]))
+    return blocks
 
 
 def min_relaxation_order(f: Polynomial, B: SemialgebraicSet) -> int:

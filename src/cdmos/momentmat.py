@@ -1,4 +1,6 @@
-"""Moment and localizing matrix assembly, and semialgebraic sets."""
+"""Moment and localizing matrix assembly, and semialgebraic sets.  The one
+assembly of M_s(g y) is ``localizing_pattern``: ``localizing_matrix`` sums it
+over a moment vector, and the relaxation's SDP blocks hold it."""
 
 from __future__ import annotations
 
@@ -9,17 +11,30 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .measures import MomentSequence
-from .polyring import Polynomial, _grlex_rank
+from .polyring import MonomialBasis, Polynomial, _grlex_rank
+
+
+def localizing_pattern(basis: MonomialBasis, g: Polynomial, s: int):
+    """M_s(g y) for moments y on ``basis`` (2s + deg g <= basis.t) as sparse
+    entries: val[e] * y[var[e]] adds to flat position pos[e] = a*m + b, m =
+    C(n+s, s).  One entry per term and position, in ``g.terms`` order and
+    row-major within a term; var is one rank table of delta + gamma over
+    |delta| <= 2s, read at the ranks of alpha_a + alpha_b."""
+    m = math.comb(basis.n + s, s)
+    deltas = basis.array[:math.comb(basis.n + 2 * s, 2 * s)]
+    gammas = np.array(list(g.terms), dtype=np.intp).reshape(-1, basis.n)
+    shifted = _grlex_rank(gammas[:, None, :] + deltas[None, :, :])
+    alphas = deltas[:m]
+    var = shifted[:, _grlex_rank(alphas[:, None, :] + alphas[None, :, :]).ravel()].ravel()
+    pos = np.tile(np.arange(m * m), len(gammas))
+    val = np.repeat(np.array(list(g.terms.values()), dtype=float), m * m)
+    return var, pos, val
 
 
 def localizing_matrix(y: MomentSequence, g: Polynomial, s: int) -> np.ndarray:
-    """M(alpha, beta) = sum_gamma g_gamma y_{alpha+beta+gamma}, order-s index set.
-
-    Built from the shifted moments z_delta = sum_gamma g_gamma y_{delta+gamma}
-    over |delta| <= 2s, one rank table for all terms, and read off as
-    M(alpha, beta) = z_{alpha+beta}; each entry gets the same additions, in
-    the same order, as the term-by-term sum of y's tables.
-    """
+    """M(alpha, beta) = sum_gamma g_gamma y_{alpha+beta+gamma}, order-s index set:
+    one bincount of ``localizing_pattern``, so each entry gets the same
+    additions, in the same order, as the term-by-term sum."""
     if g.n != y.n:
         raise ValueError(f"dimension mismatch: {g.n} vs {y.n}")
     if s < 0:
@@ -27,13 +42,9 @@ def localizing_matrix(y: MomentSequence, g: Polynomial, s: int) -> np.ndarray:
     if 2 * s + g.degree > y.t:
         raise ValueError(
             f"moment sequence too short: need degree {2 * s + g.degree}, have {y.t}")
-    deltas = y.basis.array[:math.comb(y.n + 2 * s, 2 * s)]
-    gammas = np.array(list(g.terms), dtype=np.intp).reshape(-1, y.n)
-    shifted = _grlex_rank(gammas[:, None, :] + deltas[None, :, :])
-    z = np.zeros(len(deltas))
-    for idx, c in zip(shifted, g.terms.values()):
-        z += c * y.values[idx]
-    return z[y.basis.sum_index(s)]
+    var, pos, val = localizing_pattern(y.basis, g, s)
+    m = math.comb(y.n + s, s)
+    return np.bincount(pos, val * y.values[var], minlength=m * m).reshape(m, m)
 
 
 def moment_matrix(y: MomentSequence, s: int) -> np.ndarray:

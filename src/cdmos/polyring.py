@@ -4,9 +4,10 @@ Monomials are exponent tuples (one non-negative int per variable).  Every
 matrix built downstream (moment matrices, change-of-basis, SDP blocks) is
 indexed by the graded lexicographic enumeration produced here, so there is
 exactly one canonical ordering in the whole package.  `MonomialBasis.array`,
-an `(m, n)` integer array, is the one exponent table: moments, monomial
-values, the change-of-basis matrix and the sum-index tables are array
-expressions over it.
+an `(m, n)` integer array, is the one exponent table, and `_grlex_rank` is the
+one map back from exponents to positions: moments, monomial values, the
+localizing-matrix patterns and coefficient vectors are array expressions over
+the two.
 """
 
 from __future__ import annotations
@@ -46,48 +47,21 @@ class MonomialBasis:
             blocks.append((idx[:, :, None] == np.arange(n)).sum(axis=1))
         self.array: np.ndarray = np.concatenate(blocks)
         self.array.flags.writeable = False
-        self.exponents: Tuple[Exponent, ...] = tuple(map(tuple, self.array.tolist()))
-        self._position: Dict[Exponent, int] = dict(zip(self.exponents,
-                                                       range(len(self.exponents))))
-        self._sum_index: Dict[Tuple[int, Exponent], np.ndarray] = {}
 
     def position(self, alpha: Exponent) -> int:
-        try:
-            return self._position[tuple(alpha)]
-        except KeyError:
+        if alpha not in self:
             raise ValueError(f"monomial {alpha} not in basis (n={self.n}, t={self.t})")
-
-    def sum_index(self, s: int, gamma: Sequence[int] | None = None) -> np.ndarray:
-        """Table idx[a, b] = position(alpha_a + alpha_b + gamma) over |alpha| <= s.
-
-        Rows and columns follow the degree-s basis, which is a prefix of this
-        one because graded-lex order does not depend on the degree bound.  A
-        localizing matrix is then sum_gamma g_gamma * y[idx_gamma].  Tables
-        are cached per (s, gamma) and returned read-only.
-        """
-        gamma = (0,) * self.n if gamma is None else tuple(int(v) for v in gamma)
-        if len(gamma) != self.n or any(v < 0 for v in gamma):
-            raise ValueError(f"bad exponent {gamma} for dimension {self.n}")
-        if s < 0 or 2 * s + sum(gamma) > self.t:
-            raise ValueError(f"order {s} with shift {gamma} exceeds basis degree {self.t}")
-        table = self._sum_index.get((s, gamma))
-        if table is None:
-            m = math.comb(self.n + s, s)
-            alphas = self.array[:m]
-            sums = alphas[:, None, :] + alphas[None, :, :] + np.array(gamma, dtype=int)
-            table = _grlex_rank(sums)
-            table.flags.writeable = False
-            self._sum_index[(s, gamma)] = table
-        return table
+        return int(_grlex_rank(np.asarray(alpha, dtype=np.intp)))
 
     def __len__(self) -> int:
-        return len(self.exponents)
+        return len(self.array)
 
     def __iter__(self) -> Iterator[Exponent]:
-        return iter(self.exponents)
+        return map(tuple, self.array.tolist())
 
     def __contains__(self, alpha) -> bool:
-        return tuple(alpha) in self._position
+        alpha = tuple(alpha)
+        return len(alpha) == self.n and min(alpha) >= 0 and sum(alpha) <= self.t
 
     def __repr__(self) -> str:
         return f"MonomialBasis(n={self.n}, t={self.t}, size={len(self)})"
@@ -106,11 +80,8 @@ def _grlex_rank(alphas: np.ndarray) -> np.ndarray:
     top = int(tail[..., 0].max(initial=0)) + n
     binom = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(top)],
                      dtype=np.intp)
-    rank = binom[n + tail[..., 0] - 1, n]
-    for i in range(n - 1):
-        k = n - 1 - i
-        rank = rank + binom[tail[..., i + 1] + k - 1, k]
-    return rank
+    k = np.arange(n - 1, 0, -1)                                # k_i for i < n-1
+    return binom[n + tail[..., 0] - 1, n] + binom[tail[..., 1:] + k - 1, k].sum(axis=-1)
 
 
 def enumerate_basis(n: int, t: int) -> MonomialBasis:
@@ -268,8 +239,8 @@ def coeff_vector(p: Polynomial, basis: MonomialBasis) -> np.ndarray:
     if p.degree > basis.t:
         raise ValueError(f"degree {p.degree} exceeds basis bound {basis.t}")
     v = np.zeros(len(basis))
-    for alpha, c in p.terms.items():
-        v[basis.position(alpha)] = c
+    ranks = _grlex_rank(np.array(list(p.terms), dtype=np.intp).reshape(-1, p.n))
+    v[ranks] = list(p.terms.values())
     return v
 
 

@@ -14,13 +14,12 @@ certificate, and its constant coefficient, the certified lower bound, is
 lambda = c_0 + dual objective.
 
 Each block stores its coefficient matrices A_kj as a sparse index pattern
-(for moment and localizing blocks, one table of moment positions per term of
-g_j), not as a dense (N, d, d) tensor.  Before the first iteration the solver
-stacks the blocks of each side d into one ``SdpBlock`` with (g, d, d) data (a
-side with one block keeps it), so every per-block step (residuals, NT
-scaling, step lengths, Newton directions, updates) is one batched numpy call
-per side; on a box, all the localizing blocks of 1 - x_i^2 share one stack.
-The solver touches the patterns only through A(y) = sum_k y_k A_k and
+(for moment and localizing blocks, ``momentmat.localizing_pattern``), not as
+a dense (N, d, d) tensor.  Before the first iteration the solver stacks the
+blocks of each side d into one ``SdpBlock`` with (g, d, d) data (a side with
+one block keeps it), so every per-block step (residuals, NT scaling, step
+lengths, Newton directions, updates) is one batched numpy call per side; on
+a box, all the localizing blocks of 1 - x_i^2 share one stack.  The solver touches the patterns only through A(y) = sum_k y_k A_k and
 A*(Z) = (<A_k, Z>)_k, both one bincount over the stack, and through the Schur
 complement sum_j tr(A_kj W_j^-1 A_lj W_j^-1), built in O(N d^3) per block
 from the pattern as in Fujisawa, Kojima and Nakata, "Exploiting sparsity in
@@ -82,11 +81,9 @@ class SdpBlock:
     schur sums the members' Schur complements.
 
     ``SdpBlock(const, num_vars, var, pos, val)`` takes the pattern as it is;
-    ``SdpBlock.from_terms`` builds moment and localizing blocks from integer
-    index tables; ``SdpBlock.dense`` converts dense (N, d, d) coefficients
-    once; ``SdpBlock.stack`` concatenates blocks of one side.  The solver
-    only uses the three pattern operators ``apply``, ``adjoint`` and
-    ``schur``.
+    ``SdpBlock.dense`` converts dense (N, d, d) coefficients once;
+    ``SdpBlock.stack`` concatenates blocks of one side.  The solver only uses
+    the three pattern operators ``apply``, ``adjoint`` and ``schur``.
     """
 
     def __init__(self, const, num_vars: int, var, pos, val):
@@ -111,27 +108,6 @@ class SdpBlock:
             raise ValueError("block coefficient matrices must be symmetric")
         k, a, b = np.nonzero(coeffs)
         return cls(const, coeffs.shape[0], k, a * d + b, coeffs[k, a, b])
-
-    @classmethod
-    def from_terms(cls, dim: int, num_vars: int, terms) -> "SdpBlock":
-        """Block of side dim equal to sum_i w_i * y[idx_i], with y[-1] read as 1.
-
-        Each term is a weight w_i and a symmetric (dim, dim) table idx_i of
-        variable indices, so A_k holds w_i wherever idx_i equals k, and the
-        constant holds w_i wherever idx_i equals -1.
-        """
-        tables = [np.asarray(idx) for _, idx in terms]
-        for idx in tables:
-            if idx.shape != (dim, dim) or not np.array_equal(idx, idx.T):
-                raise ValueError("index tables must be symmetric and of the block's shape")
-            if idx.min() < -1 or idx.max() >= num_vars:
-                raise ValueError("block variable index out of range")
-        var = np.asarray(tables, dtype=np.intp).ravel()
-        pos = np.tile(np.arange(dim * dim), len(tables))
-        val = np.repeat([float(w) for w, _ in terms], dim * dim)
-        one = var == -1
-        const = np.bincount(pos[one], val[one], minlength=dim * dim).reshape(dim, dim)
-        return cls(const, num_vars, var[~one], pos[~one], val[~one])
 
     @classmethod
     def stack(cls, blocks: Sequence["SdpBlock"]) -> "SdpBlock":

@@ -14,9 +14,9 @@ from them against numerical integration, a Gram-matrix factorization and
 the monomial moment matrices, computed by independent routes.
 """
 
+import functools
 import importlib.util
 import itertools
-import math
 import sys
 from pathlib import Path
 
@@ -145,13 +145,25 @@ def density_csv_per_row(points, sigma, kernel_diag):
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=None)
+def sum_table(n, t, s, gamma):
+    """idx[a, b] = the position of alpha_a + alpha_b + gamma (|alpha| <= s),
+    looked up in the enumeration of the degree-t basis."""
+    position = {alpha: i for i, alpha in enumerate(enumerate_basis(n, t))}
+    alphas = list(enumerate_basis(n, s))
+    idx = np.array([[position[tuple(p + q + r for p, q, r in zip(a, b, gamma))]
+                     for b in alphas] for a in alphas])
+    idx.flags.writeable = False     # one cached table serves every caller
+    return idx
+
+
 def localizing_matrix_per_term(y, g, s):
-    """M_s(g y) summed term by term: sum_gamma g_gamma * y[sum_index(s, gamma)],
+    """M_s(g y) summed term by term: sum_gamma g_gamma * y[sum_table(gamma)],
     starting from zeros, in ``g.terms`` order."""
-    m = math.comb(y.n + s, s)
+    m = len(enumerate_basis(y.n, s))
     M = np.zeros((m, m))
     for gamma, c in g.terms.items():
-        M += c * y.values[y.basis.sum_index(s, gamma)]
+        M += c * y.values[sum_table(y.n, y.t, s, gamma)]
     return M
 
 
@@ -183,7 +195,7 @@ def multiplier_poly(cert, j):
     for a in range(len(basis)):
         for b in range(len(basis)):
             if Q[a, b] != 0.0:
-                e = tuple(x + z for x, z in zip(basis.exponents[a], basis.exponents[b]))
+                e = tuple(basis.array[a] + basis.array[b])
                 psi = psi + Polynomial.monomial(g.n, e, Q[a, b])
     return psi
 

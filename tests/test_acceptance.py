@@ -8,16 +8,15 @@ import json
 import time
 
 import numpy as np
-import pytest
 from conftest import (box_quadrature, ortho_polynomial, random_polynomial,
                       smoothed_objective)
 
-from cdmos.cli import main, parse_problem, run
+from cdmos.cli import main
 from cdmos.hierarchy import (certify_and_extract, lower_bound, sandwich_sweep,
                              upper_bound)
 from cdmos.measures import CountingHypercube, UniformBox, moments
 from cdmos.momentmat import SemialgebraicSet
-from cdmos.orthobasis import build_basis, cd_kernel, christoffel, reproduce
+from cdmos.orthobasis import build_basis, christoffel, reproduce
 from cdmos.polyring import Polynomial, enumerate_basis
 
 X = Polynomial.variable(1, 0)

@@ -166,7 +166,7 @@ class TestRunReport:
         # the labels are sigma's index, which is y*'s
         lb = report.density_row().lower
         labels = report.to_dict()["density_basis_labels"]
-        assert labels == [list(a) for a in lb.y.basis.exponents]
+        assert labels == [list(a) for a in lb.y.basis]
         assert len(labels) == len(lb.sigma)
 
     def test_json_deterministic(self):
@@ -405,3 +405,8 @@ class TestCommandLine:
         assert main(["basis", "uniform_box", "9"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "exceeds cap" in err
+
+    def test_basis_negative_grid_exit_code(self, capsys):
+        assert main(["basis", "uniform_box", "2", "--grid", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --grid must be >= 0, got -1\n"

@@ -12,9 +12,9 @@ from cdmos.cli import parse_problem
 from cdmos.hierarchy import (HierarchyError, UpperBoundResult, certify_and_extract,
                              lower_bound, min_relaxation_order, sandwich_sweep,
                              upper_bound)
-from cdmos.measures import CountingHypercube, UniformBox, moments
-from cdmos.momentmat import SemialgebraicSet
-from cdmos.orthobasis import BasisConstructionError, OrthoBasis, build_basis, cd_kernel
+from cdmos.measures import CountingHypercube, MomentSequence, UniformBox, moments
+from cdmos.momentmat import SemialgebraicSet, localizing_matrix
+from cdmos.orthobasis import BasisConstructionError, OrthoBasis, build_basis
 from cdmos.polyring import Polynomial, enumerate_basis, monomial_values
 
 X = Polynomial.variable(1, 0)
@@ -98,6 +98,55 @@ class TestLowerBound:
     def test_measure_of_other_dimension_rejected(self):
         with pytest.raises(ValueError, match="measure dimension 1 does not match"):
             lower_bound(X1 * X2, UNIT_SQUARE, 1, measure=UNIT_MEASURE)
+
+
+def cube_wide_problem(variant):
+    """The benchmark's cube_wide draw: n = 10, sum_{i<j} s_ij x_i x_j with
+    s_ij = +-1 drawn in pair order, on the box constraints 1 - x_i^2."""
+    n = 10
+    x = [Polynomial.variable(n, i) for i in range(n)]
+    rng = np.random.default_rng([3, variant])
+    f = Polynomial.zero(n)
+    for i, j in itertools.combinations(range(n), 2):
+        f = f + float(rng.choice((-1.0, 1.0))) * x[i] * x[j]
+    return f, SemialgebraicSet(n, tuple(1.0 - v * v for v in x))
+
+
+class TestBlocksMatchReadout:
+    """The solver's blocks and ``localizing_matrix`` read one assembly of
+    M_s(g y), so they agree bit for bit on any moment vector.
+
+    The one exception is entry (0, 0), the only one y_0 enters, through g's
+    constant term: the block holds that term in its constant and adds it
+    after g's other terms, while the readout adds the terms in ``g.terms``
+    order.  With at most two terms, or the constant last, the sums are
+    the same; otherwise the entry is the constant plus the readout at
+    y_0 = 0, which is checked bit for bit too."""
+
+    @pytest.mark.parametrize("case", ["box", "many_terms", "hypercube"])
+    def test_blocks_equal_localizing_matrix(self, case, rng):
+        if case == "box":
+            pf = parse_problem(CUBIC)
+            f, B, t = pf.objective, pf.semialgebraic_set(), 3
+        elif case == "many_terms":
+            g = 1.5 - X1 * X1 - X2 * X2 + 0.3 * X1 * X2 - 0.2 * X1 + 0.1 * X2
+            f, B, t = X1 * X2, SemialgebraicSet(2, UNIT_SQUARE.constraints + (g,)), 2
+        else:
+            (f, B), t = cube_wide_problem(0), 1
+        r = lower_bound(f, B, t)
+        zero = (0,) * f.n
+        for _ in range(5):
+            y = np.concatenate(([1.0], rng.standard_normal(len(r.y.values) - 1)))
+            free = np.concatenate(([0.0], y[1:]))
+            for blk, (g, s, _) in zip(r.certificate.problem.blocks,
+                                      r.certificate.multipliers):
+                got = blk.at(y[1:])
+                M = localizing_matrix(MomentSequence(y, r.y.basis), g, s)
+                M_free = localizing_matrix(MomentSequence(free, r.y.basis), g, s)
+                assert np.array_equal(got.ravel()[1:], M.ravel()[1:])
+                assert got[0, 0] == g.terms.get(zero, 0.0) + M_free[0, 0]
+                if case != "many_terms":
+                    assert np.array_equal(got, M)
 
 
 class TestUpperBound:
@@ -362,14 +411,7 @@ class TestHypercube:
         # order); without the refinement solve in solve_sdp the certificate
         # residual of draw 1 is about 1e-9, with it about 1e-11.  The
         # residual moves with the summation order alone: up to 7x on draw 10
-        n = 10
-        x = [Polynomial.variable(n, i) for i in range(n)]
-        B = SemialgebraicSet(n, tuple(1.0 - v * v for v in x))
-        rng = np.random.default_rng([3, variant])
-        f = Polynomial.zero(n)
-        for i, j in itertools.combinations(range(n), 2):
-            f = f + float(rng.choice((-1.0, 1.0))) * x[i] * x[j]
-        r = lower_bound(f, B, 1)
+        r = lower_bound(*cube_wide_problem(variant), 1)
         assert r.certificate.residual() <= 1e-10
 
     def test_min_relaxation_order(self):

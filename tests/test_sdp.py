@@ -6,9 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import localizing_matrix_per_term
 
 import cdmos
-from cdmos.polyring import enumerate_basis
+from cdmos.hierarchy import _moment_blocks
+from cdmos.measures import MomentSequence
+from cdmos.momentmat import localizing_pattern
+from cdmos.polyring import Polynomial, enumerate_basis
 from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, _jittered_cholesky,
                        _lower_inv, _nt_scaling, _stack_cholesky, gen_eig_min, solve_sdp)
 
@@ -169,19 +173,16 @@ def interleaved_problem():
         SdpBlock.dense([[0.8]], rng.standard_normal((3, 1, 1)))]
 
 
-def dense_from_terms(dim, N, terms):
-    """Dense constant and (N, dim, dim) coefficients of sum_i w_i * y[idx_i],
-    with y[-1] read as 1."""
-    const = np.zeros((dim, dim))
-    coeffs = np.zeros((N, dim, dim))
-    for w, idx in terms:
-        for a in range(dim):
-            for b in range(dim):
-                if idx[a, b] == -1:
-                    const[a, b] += w
-                else:
-                    coeffs[idx[a, b], a, b] += w
-    return const, coeffs
+def dense_moments(gs, basis):
+    """Per pair (g, s), the dense constant and (N - 1, d, d) coefficients of
+    M_s(g y) with y_0 = 1 substituted: the per-term sum on unit moment
+    vectors."""
+    units = [MomentSequence(e, basis) for e in np.eye(len(basis))]
+    out = []
+    for g, s in gs:
+        mats = np.array([localizing_matrix_per_term(y, g, s) for y in units])
+        out.append((mats[0], mats[1:]))
+    return out
 
 
 def dense_and_pattern_blocks(rng):
@@ -191,19 +192,20 @@ def dense_and_pattern_blocks(rng):
     coeffs = rng.standard_normal((N, d, d)) * (rng.random((N, d, d)) < 0.4)
     coeffs = coeffs + coeffs.transpose(0, 2, 1)
     yield SdpBlock.dense(np.zeros((d, d)), coeffs), np.zeros((d, d)), coeffs
-    # localizing-style block of g = 1.5 - 0.5 x1 + 2 x2^2 at order 1 in two
-    # variables; the constant term appears twice, so its (k, a, b) entries
-    # repeat across terms
+    # localizing block of g = 1.5 - 0.5 x1 + 2 x2^2 at order 1 in two
+    # variables, y_0 = 1 substituted, so the entries at y_0 sit in the constant
     basis = enumerate_basis(2, 4)
-    terms = [(1.0, basis.sum_index(1)), (-0.5, basis.sum_index(1, (1, 0))),
-             (2.0, basis.sum_index(1, (0, 2))), (0.5, basis.sum_index(1))]
-    yield (SdpBlock.from_terms(3, len(basis), terms),
-           *dense_from_terms(3, len(basis), terms))
-    # the same block with y_0 = 1 substituted: tables shifted by -1, so the
-    # entries at y_0 move into the constant
-    shifted = [(w, idx - 1) for w, idx in terms]
-    yield (SdpBlock.from_terms(3, len(basis) - 1, shifted),
-           *dense_from_terms(3, len(basis) - 1, shifted))
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    g = 1.5 - 0.5 * x1 + 2.0 * x2 * x2
+    [(const, coeffs)] = dense_moments([(g, 1)], basis)
+    yield _moment_blocks([(g, 1)], basis)[0], const, coeffs
+    # its whole pattern over y_0..y_14 with the constant term split in two
+    # (1 + 0.5), so its (k, a, b) entries repeat across terms
+    one, rest = Polynomial.constant(2, 1.0), g - 1.5
+    var, pos, val = map(np.concatenate, zip(*(localizing_pattern(basis, h, 1)
+                                               for h in (one, rest, 0.5 * one))))
+    yield (SdpBlock(np.zeros((3, 3)), len(basis), var, pos, val), np.zeros((3, 3)),
+           np.concatenate([const[None], coeffs]))
 
 
 class TestPatternOperators:
@@ -232,13 +234,10 @@ class TestPatternOperators:
         # moment and 2-term localizing blocks of one side, y_0 substituted
         basis = enumerate_basis(2, 4)
         N = len(basis) - 1
-        tables = [[(1.0, basis.sum_index(1))],
-                  [(1.0, basis.sum_index(1)), (-1.0, basis.sum_index(1, (2, 0)))],
-                  [(1.0, basis.sum_index(1)), (-1.0, basis.sum_index(1, (0, 2)))]]
-        blocks = [SdpBlock.from_terms(3, N, [(w, idx - 1) for w, idx in terms])
-                  for terms in tables]
-        dense = [dense_from_terms(3, N, [(w, idx - 1) for w, idx in terms])
-                 for terms in tables]
+        x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        gs = [(Polynomial.constant(2, 1.0), 1), (1.0 - x1 * x1, 1), (1.0 - x2 * x2, 1)]
+        blocks = _moment_blocks(gs, basis)
+        dense = dense_moments(gs, basis)
         stack = SdpBlock.stack(blocks)
         y = rng.standard_normal(N)
         X = rng.standard_normal((3, 3, 3))
@@ -252,16 +251,17 @@ class TestPatternOperators:
                   for (_, coeffs), W in zip(dense, Winv))
         self.assert_close(stack.schur(Winv), ref)
         with pytest.raises(ValueError, match="one side"):
-            SdpBlock.stack([blocks[0], SdpBlock.from_terms(6, N, [(1.0, basis.sum_index(2) - 1)])])
+            SdpBlock.stack(blocks[:1] + _moment_blocks([(gs[0][0], 2)], basis))
 
     def test_schur_of_large_blocks(self, rng):
         # N = 209 (four variables, degree 6): the reduction onto k takes
         # several gathers, some of one layer and some of several
-        N = len(enumerate_basis(4, 6)) - 1
-        for stack, Winv, terms in box_dense_stacks(rng):
+        basis = enumerate_basis(4, 6)
+        N = len(basis) - 1
+        for stack, Winv, gs in box_dense_stacks(rng):
             # tr(A_k W A_l W) = vec(A_k)' (W kron W) vec(A_l) for symmetric W
             ref = sum(C @ np.kron(W, W) @ C.T for C, W in zip(
-                [dense_from_terms(stack.dim, N, t)[1].reshape(N, -1) for t in terms], Winv))
+                [coeffs.reshape(N, -1) for _, coeffs in dense_moments(gs, basis)], Winv))
             self.assert_close(stack.schur(Winv), ref)
 
     @pytest.mark.parametrize("first", [0, 1])
@@ -288,15 +288,6 @@ class TestPatternOperators:
                 tracemalloc.stop()
             assert peak < stack.const.size * stack.num_vars * 8 / 4
 
-    def test_from_terms_validation(self):
-        basis = enumerate_basis(1, 2)
-        with pytest.raises(ValueError, match="symmetric"):
-            SdpBlock.from_terms(2, 3, [(1.0, np.array([[0, 1], [2, 2]]))])
-        with pytest.raises(ValueError, match="out of range"):
-            SdpBlock.from_terms(2, 2, [(1.0, basis.sum_index(1))])
-        with pytest.raises(ValueError, match="out of range"):
-            SdpBlock.from_terms(2, 2, [(1.0, basis.sum_index(1) - 2)])
-
 
 def spd(rng, d):
     X = rng.standard_normal((d, d))
@@ -306,18 +297,15 @@ def spd(rng, d):
 def box_dense_stacks(rng):
     """The stacks of a four-variable box problem at order 3 (N = 209): the
     side-35 moment block, and the four side-15 localizing blocks of
-    1 - x_i^2; each with random SPD Winv and the members' index terms."""
+    1 - x_i^2; each with random SPD Winv and the members' pairs (g, s)."""
     basis = enumerate_basis(4, 6)
-    N = len(basis) - 1
-    e = np.eye(4, dtype=int)
+    xs = [Polynomial.variable(4, i) for i in range(4)]
     out = []
-    for dim, tables in [(35, [[(1.0, basis.sum_index(3))]]),
-                        (15, [[(1.0, basis.sum_index(2)), (-1.0, basis.sum_index(2, 2 * e[i]))]
-                              for i in range(4)])]:
-        terms = [[(w, idx - 1) for w, idx in t] for t in tables]
-        stack = SdpBlock.stack([SdpBlock.from_terms(dim, N, t) for t in terms])
-        Winv = np.linalg.inv(np.stack([spd(rng, dim) for _ in terms]))
-        out.append((stack, Winv, terms))
+    for dim, gs in [(35, [(Polynomial.constant(4, 1.0), 3)]),
+                    (15, [(1.0 - x * x, 2) for x in xs])]:
+        stack = SdpBlock.stack(_moment_blocks(gs, basis))
+        Winv = np.linalg.inv(np.stack([spd(rng, dim) for _ in gs]))
+        out.append((stack, Winv, gs))
     return out
 
 
