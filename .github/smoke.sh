@@ -26,6 +26,12 @@ test "$status" -eq 2
 # a negative sample grid is rejected before any output, with exit code 2
 status=0; cdmos basis uniform_box 2 --grid -1 > /dev/null 2>&1 || status=$?
 test "$status" -eq 2
+# an infinite tolerance and a NaN box bound are rejected before any solve
+# or output, with exit code 2
+status=0; cdmos solve problems/univariate_x.txt --tol inf > /dev/null 2>&1 || status=$?
+test "$status" -eq 2
+status=0; cdmos basis uniform_box 2 --lo nan > /dev/null 2>&1 || status=$?
+test "$status" -eq 2
 # sigma has no degree cap: the order-6 row (2t = 12) carries it
 cdmos solve problems/univariate_deep.txt > "$tmp/deep.json"
 python -c 'import json, sys; r = {row["t"]: row for row in json.load(sys.stdin)["rows"]}; sys.exit(0 if r[6]["sigma"] is not None else "no sigma at t = 6")' < "$tmp/deep.json"

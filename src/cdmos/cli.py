@@ -14,8 +14,9 @@ Problem file format (`key = value` lines, `#` comments):
 The JSON report has one row per requested order with the full column set;
 absent values are explicit nulls.  Exit code 0 iff every requested order
 solved (NotCertified is not a failure), and 2 when the file or an option is
-rejected before any solve: a parse error, a tolerance that is not positive,
-no order left to solve, or a negative density grid.
+rejected before any solve: a parse error, box bounds that are not finite with
+lo < hi, a tolerance that is not positive and finite, no order left to solve,
+or a negative density grid.
 """
 
 from __future__ import annotations
@@ -75,6 +76,30 @@ class ProblemFile:
 _SCALAR_KEYS = {"variables", "objective", "measure", "box", "orders", "tol"}
 
 
+def _named_measure(kind: str, n: int, box: Optional[tuple]) -> ReferenceMeasure:
+    """The reference measure called ``kind`` on n variables, for problem files
+    and ``cdmos basis``; uniform_box takes its bounds from box = (lo, hi)."""
+    name = kind.strip().lower()
+    if name == "uniform_box":
+        if box is None:
+            raise ValueError("measure uniform_box requires a 'box' line")
+        return UniformBox(*box)
+    if name == "counting_hypercube":
+        return CountingHypercube(n)
+    raise ValueError(f"unknown measure kind {kind!r}")
+
+
+def _at_line(lineno: int, make, *args):
+    """make(*args), with its ValueError re-raised as a ProblemFileError at
+    lineno (and at the column of a PolyParseError)."""
+    try:
+        return make(*args)
+    except PolyParseError as exc:
+        raise ProblemFileError(str(exc).rsplit(" (column", 1)[0], lineno, exc.column) from None
+    except ValueError as exc:
+        raise ProblemFileError(str(exc), lineno) from None
+
+
 def parse_problem(text: str) -> ProblemFile:
     """Parse and validate a problem file; see the module docstring for syntax."""
     raw: Dict[str, Tuple[str, int]] = {}
@@ -105,17 +130,10 @@ def parse_problem(text: str) -> ProblemFile:
                                raw["variables"][1])
     n = len(var_names)
 
-    def parse_poly_at(txt: str, lineno: int) -> Polynomial:
-        try:
-            return parse_polynomial(txt, var_names)
-        except PolyParseError as exc:
-            raise ProblemFileError(str(exc).rsplit(" (column", 1)[0], lineno,
-                                   exc.column)
-
     if "objective" not in raw:
         raise ProblemFileError("missing 'objective'", 1)
     obj_text, obj_line = raw["objective"]
-    objective = parse_poly_at(obj_text, obj_line)
+    objective = _at_line(obj_line, parse_polynomial, obj_text, var_names)
 
     constraints: List[Polynomial] = []
     for ctext, lineno in constraint_lines:
@@ -125,7 +143,7 @@ def parse_problem(text: str) -> ProblemFile:
             if rhs.strip() != "0":
                 raise ProblemFileError("constraints must end in '>= 0'", lineno)
             body = lhs.strip()
-        constraints.append(parse_poly_at(body, lineno))
+        constraints.append(_at_line(lineno, parse_polynomial, body, var_names))
 
     box = None
     if "box" in raw:
@@ -143,24 +161,13 @@ def parse_problem(text: str) -> ProblemFile:
                 a, b = float(vals[0]), float(vals[1])
             except ValueError:
                 raise ProblemFileError(f"bad box bound in {p!r}", bline)
-            if a >= b:
-                raise ProblemFileError("box bounds must satisfy lo < hi", bline)
             lo.append(a)
             hi.append(b)
         box = (tuple(lo), tuple(hi))
+        _at_line(bline, UniformBox, *box)
 
-    measure: Optional[ReferenceMeasure] = None
-    if "measure" in raw:
-        mtext, mline = raw["measure"]
-        kind = mtext.strip().lower()
-        if kind == "uniform_box":
-            if box is None:
-                raise ProblemFileError("measure uniform_box requires a 'box' line", mline)
-            measure = UniformBox(box[0], box[1])
-        elif kind == "counting_hypercube":
-            measure = CountingHypercube(n)
-        else:
-            raise ProblemFileError(f"unknown measure kind {mtext!r}", mline)
+    measure = (_at_line(raw["measure"][1], _named_measure, raw["measure"][0], n, box)
+               if "measure" in raw else None)
 
     if "orders" not in raw:
         raise ProblemFileError("missing 'orders'", 1)
@@ -183,8 +190,7 @@ def parse_problem(text: str) -> ProblemFile:
             tol = float(ttext)
         except ValueError:
             raise ProblemFileError(f"bad tolerance {ttext!r}", tline)
-        if tol <= 0:
-            raise ProblemFileError("tolerance must be positive", tline)
+        _at_line(tline, SdpOptions, tol)
 
     return ProblemFile(var_names=var_names, objective=objective,
                        constraints=constraints, measure=measure,
@@ -288,7 +294,7 @@ def run(pf: ProblemFile, max_order: Optional[int] = None,
     """Run the sandwich sweep over the requested orders and build the report.
 
     Raises ValueError, before any solve, for a tolerance that is not
-    positive or when no requested order is left to solve.
+    positive and finite or when no requested order is left to solve.
     """
     B = pf.semialgebraic_set()
     f = pf.objective
@@ -418,18 +424,10 @@ def _cmd_solve(args) -> int:
     return 0 if report.all_solved else 1
 
 
-def _parse_measure_arg(kind: str, dim: int, lo: float, hi: float) -> ReferenceMeasure:
-    kind = kind.lower()
-    if kind == "uniform_box":
-        return UniformBox((lo,) * dim, (hi,) * dim)
-    if kind == "counting_hypercube":
-        return CountingHypercube(dim)
-    raise ValueError(f"unknown measure kind {kind!r}")
-
-
 def _cmd_basis(args) -> int:
     try:
-        measure = _parse_measure_arg(args.measure, args.dim, args.lo, args.hi)
+        measure = _named_measure(args.measure, args.dim,
+                                 ((args.lo,) * args.dim, (args.hi,) * args.dim))
         basis = build_basis(measure, args.t)
         if args.t > _COEFF_DEGREE_CAP:
             raise ValueError(f"degree {args.t} exceeds cap {_COEFF_DEGREE_CAP}; the monomial "

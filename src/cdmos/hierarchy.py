@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .measures import MomentSequence, ReferenceMeasure
-from .momentmat import SemialgebraicSet, half_degree, localizing_pattern, moment_matrix
+from .momentmat import SemialgebraicSet, half_degree, localizing_pattern
 from .orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
                          christoffel, multiplication)
 from .polyring import (MonomialBasis, Polynomial, _grlex_rank, coeff_vector,
@@ -156,14 +156,14 @@ def _closed_form(prev: LowerBoundResult, prob: SdpProblem, basis2t: MonomialBasi
     order ``prev``, or None when its weights are not >= 0: y holds the moments
     of sum_i w_i delta_xi_i at prev's minimizers, w fit to prev's moments by
     least squares and scaled to sum 1, and Z_j is prev's Gram block Q_j padded
-    with zeros (the graded-lex basis of degree s - 1 is a prefix of that of
-    degree s), so prev's SOS identity holds unchanged."""
-    points = np.array([xi for xi, _ in prev.extraction.minimizers])
-    w = np.linalg.lstsq(monomial_values(prev.y.basis, points).T, prev.y.values,
-                        rcond=None)[0]
+    with zeros.  A graded-lex basis of lower degree is a prefix of one of
+    higher degree, so prev's moments pair with the leading monomials of
+    basis2t and prev's SOS identity holds unchanged."""
+    V = monomial_values(basis2t, np.array([xi for xi, _ in prev.extraction.minimizers]))
+    w = np.linalg.lstsq(V[:, :len(prev.y.values)].T, prev.y.values, rcond=None)[0]
     if (w < 0.0).any():
         return None
-    y = (w / w.sum()) @ monomial_values(basis2t, points)
+    y = (w / w.sum()) @ V
     return y[1:], [np.pad(Q, (0, blk.dim - len(Q)))
                    for blk, (_, _, Q) in zip(prob.blocks, prev.certificate.multipliers)]
 
@@ -239,9 +239,10 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet) -> Extraction:
     y, t, n = r.y, r.t, r.y.n
     if t < 1:
         return Extraction(certified=False)
-    # M_{t-1}(y) is the leading m x m block of M_t(y), and M_{t-1}(x_i y) is
-    # M_t(y)[rows_i, :m] with rows_i the positions of alpha + e_i, |alpha| < t
-    Mt = moment_matrix(y, t)
+    # M_t(y) is the relaxation's own moment block at y; M_{t-1}(y) is its
+    # leading m x m block, and M_{t-1}(x_i y) is M_t(y)[rows_i, :m] with
+    # rows_i the positions of alpha + e_i, |alpha| < t
+    Mt = r.certificate.problem.blocks[0].at(y.values[1:])
     m = math.comb(n + t - 1, t - 1)
     Mlow = Mt[:m, :m]
     w, Q = np.linalg.eigh(Mlow)
@@ -261,7 +262,7 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet) -> Extraction:
     wts = 0.5 + (np.arange(1, n + 1) * 0.6180339887498949) % 1.0
     wts /= wts.sum()
     Nc = sum(wi * Ni for wi, Ni in zip(wts, Ns))
-    vals, T = np.linalg.eig(Nc)
+    _, T = np.linalg.eig(Nc)
     try:
         Tinv = np.linalg.inv(T)
     except np.linalg.LinAlgError:

@@ -12,6 +12,7 @@ so every moment is a product of entries (J^j)[0, 0], with no integration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple, Union
 
@@ -34,8 +35,10 @@ class UniformBox:
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or not lo:
             raise ValueError("lo and hi must be non-empty and of equal length")
-        if any(a >= b for a, b in zip(lo, hi)):
-            raise ValueError("box bounds must satisfy lo < hi componentwise")
+        # the recurrence takes (lo + hi)/2 and (hi - lo)/2, so both must be finite
+        if not all(0 < b - a < math.inf and math.isfinite(a + b) for a, b in zip(lo, hi)):
+            raise ValueError("box bounds must satisfy lo < hi componentwise, "
+                             "with lo + hi and hi - lo finite")
 
     @property
     def n(self) -> int:

@@ -310,11 +310,9 @@ def parse_polynomial(text: str, var_names: Sequence[str]) -> Polynomial:
     while i < len(tokens):
         sign = 1.0
         # leading signs of the term
-        saw_sign = False
         while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
             if tokens[i][1] == "-":
                 sign = -sign
-            saw_sign = True
             i += 1
         if i >= len(tokens):
             raise PolyParseError("dangling sign at end of polynomial",

@@ -309,8 +309,8 @@ class SdpOptions:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"solver tolerance must be positive, got {self.tol}")
+        if not 0.0 < self.tol < float("inf"):
+            raise ValueError(f"solver tolerance must be positive and finite, got {self.tol}")
 
 
 @dataclass

@@ -126,6 +126,24 @@ class TestParseProblem:
             parse_problem(UNIVARIATE.replace("orders = 1..2", "orders = 3..2"))
         with pytest.raises(ProblemFileError, match="tolerance"):
             parse_problem(UNIVARIATE + "tol = -1e-8\n")
+        # SdpOptions' rule, at the tol line (line 8)
+        with pytest.raises(ProblemFileError, match="positive and finite") as err:
+            parse_problem(UNIVARIATE + "tol = inf\n")
+        assert err.value.line == 8
+
+    @pytest.mark.parametrize("bounds", ["nan 1", "-inf inf", "-1e308 1e308", "1 -1"])
+    def test_bad_box_bounds(self, bounds):
+        # UniformBox's rule, at the box line, with or without a measure
+        no_measure = UNIVARIATE.replace("measure = uniform_box\n", "")
+        for text, line in [(UNIVARIATE, 6), (no_measure, 5)]:
+            with pytest.raises(ProblemFileError, match="lo < hi") as err:
+                parse_problem(text.replace("box = -1 1", "box = " + bounds))
+            assert err.value.line == line
+
+    def test_unknown_measure_kind(self):
+        with pytest.raises(ProblemFileError, match="unknown measure kind 'gaussian'") as err:
+            parse_problem(UNIVARIATE.replace("measure = uniform_box", "measure = gaussian"))
+        assert err.value.line == 5
 
 
 class TestRunReport:
@@ -323,7 +341,7 @@ class TestCommandLine:
         doc = json.loads(out.read_text())
         assert [r["t"] for r in doc["rows"]] == [1]
 
-    @pytest.mark.parametrize("tol", ["0", "-1"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])
     def test_tol_not_positive_exit_code(self, tmp_path, capsys, tol):
         # as `tol = 0` in the file is; it used to run every order to "infeasible"
         prob = tmp_path / "p.txt"
@@ -399,6 +417,17 @@ class TestCommandLine:
     def test_basis_error_exit_code(self, capsys):
         assert main(["basis", "counting_hypercube", "2", "--dim", "2"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gaussian", "2"], "unknown measure kind 'gaussian'"),
+        (["uniform_box", "2", "--lo", "nan"], "lo < hi"),
+        (["uniform_box", "2", "--hi", "inf"], "lo < hi")],
+        ids=["unknown_kind", "nan_lo", "inf_hi"])
+    def test_basis_bad_measure_exit_code(self, capsys, argv, message):
+        # the same measure names and box rule as problem files
+        assert main(["basis"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err
 
     def test_basis_above_degree_cap_exit_code(self, capsys):
         # the basis itself has no cap, but the printed coefficients D do

@@ -8,6 +8,7 @@ from conftest import (box_deep_problem, moment_value, multiplier_poly,
                       ortho_expansion_poly, pencil_upper_bound, random_polynomial,
                       smoothed_objective)
 
+from cdmos import momentmat
 from cdmos.cli import parse_problem
 from cdmos.hierarchy import (HierarchyError, UpperBoundResult, certify_and_extract,
                              lower_bound, min_relaxation_order, sandwich_sweep,
@@ -276,6 +277,22 @@ class TestCertifyAndExtract:
         r.y = moments(UNIT_MEASURE, 4)
         ex = certify_and_extract(r, UNIT_INTERVAL)
         assert not ex.certified
+
+    def test_reads_the_relaxations_moment_block(self, monkeypatch):
+        # M_t(y*) is certificate.problem.blocks[0] at y*, assembled once; the
+        # readout localizing_matrix (and moment_matrix through it) is off the
+        # solve path, at a solved order and at a closed-form one
+        expected = [lower_bound(X1 * X2, UNIT_SQUARE, 2)]
+        expected.append(lower_bound(X1 * X2, UNIT_SQUARE, 3, prev=expected[0]))
+
+        def no_readout(*args):
+            raise AssertionError("localizing_matrix called on the solve path")
+
+        monkeypatch.setattr(momentmat, "localizing_matrix", no_readout)
+        r2 = lower_bound(X1 * X2, UNIT_SQUARE, 2)
+        r3 = lower_bound(X1 * X2, UNIT_SQUARE, 3, prev=r2)
+        assert r2.extraction.certified and r3.solution.iterations == 0
+        assert [r2.extraction, r3.extraction] == [r.extraction for r in expected]
 
     def test_extracted_points_feasible(self):
         r = lower_bound(X1 * X2, UNIT_SQUARE, 2)

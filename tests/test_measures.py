@@ -53,6 +53,14 @@ class TestUniformBoxMoments:
         with pytest.raises(ValueError):
             UniformBox((1.0,), (0.0,))
 
+    @pytest.mark.parametrize("lo, hi", [(float("nan"), 1.0), (-1.0, float("nan")),
+                                        (-float("inf"), 1.0), (-1e308, 1e308),
+                                        (1e308, 1.7e308)])
+    def test_non_finite_box(self, lo, hi):
+        # the recurrence's midpoint (lo + hi)/2 and half-width (hi - lo)/2 must be finite
+        with pytest.raises(ValueError, match="finite"):
+            UniformBox((lo,), (hi,))
+
 
 class TestCountingHypercubeMoments:
     def test_degree_two(self):

@@ -148,7 +148,7 @@ class TestSolveSdp:
         with pytest.raises(ValueError, match="candidate does not match"):
             solve_sdp(correlation_problem(), candidate=(y, Zs))
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_tolerance_must_be_positive(self, tol):
         with pytest.raises(ValueError, match="must be positive"):
             SdpOptions(tol=tol)
