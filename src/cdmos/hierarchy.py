@@ -195,7 +195,9 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
         candidate = _closed_form(prev, prob, basis2t)
     sol = solve_sdp(prob, opts, candidate)
     if sol.status is not SdpStatus.OPTIMAL:
-        raise HierarchyError(t, f"SDP solver returned {sol.status.value}")
+        raise HierarchyError(t, f"SDP solver returned {sol.status.value} after "
+                             f"{sol.iterations} iterations (primal {sol.primal_residual:.1e}, "
+                             f"dual {sol.dual_residual:.1e}, gap {sol.gap:.1e})")
     y = MomentSequence(np.concatenate(([1.0], sol.y)), basis2t)
     rho = float(c @ y.values)
     cert = SosCertificate(

@@ -142,9 +142,6 @@ class Polynomial:
             return 0
         return max(sum(a) for a in self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _check_dim(self, other: "Polynomial") -> None:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")

@@ -46,6 +46,11 @@ and corrector, each with one refinement step) is then two matrix-vector
 products.  The NT scaling reads its inverse factor off the SVD it already
 computes, so the module needs numpy alone.
 
+Statuses: ``optimal`` when the stopping test passes; ``unbounded``, or else
+``infeasible``, when the objective passes 1e12 * cost_scale (unbounded: c'y
+to -inf over primal-feasible iterates); ``numerical_failure`` when a Cholesky
+factorization fails even with jitter; else ``max_iter``.  A stall ends no run.
+
 Everything is deterministic: identical inputs and options give identical
 iterates within one build.
 """
@@ -488,8 +493,6 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
          for blk in stacks]
 
     status = SdpStatus.MAX_ITER
-    it = 0
-    pres = dres = gap_rel = np.inf
     for it in range(1, _MAX_ITER + 1):
         # residuals
         Rres = [blk.at(y) - S[s] for s, blk in enumerate(stacks)]
@@ -507,13 +510,6 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
             status = SdpStatus.OPTIMAL
             break
 
-        # crude infeasibility signal: complementarity collapsed but the affine
-        # residuals cannot be driven down
-        if mu < 1e-14 * data_scale and (pres > 1e-6 or dres > 1e-6):
-            status = SdpStatus.INFEASIBLE
-            break
-        # a diverging objective: c'y running to -inf over primal-feasible
-        # iterates is an unbounded problem, any other divergence infeasible
         if abs(dobj) > 1e12 * cost_scale or abs(pobj) > 1e12 * cost_scale:
             status = (SdpStatus.UNBOUNDED if pobj < -1e12 * cost_scale and pres <= opts.tol
                       else SdpStatus.INFEASIBLE)

@@ -102,7 +102,7 @@ class TestArithmetic:
     def test_additive_inverse_gives_zero(self):
         x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         p = 3.0 * x1 * x1 - x2 + 1.0
-        assert (p + (-1.0) * p).is_zero()
+        assert p + (-1.0) * p == Polynomial.zero(2)
         assert (p + (-1.0) * p).degree == 0
 
     def test_product_degree_additive(self, rng):
