@@ -10,13 +10,18 @@ tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 cdmos solve problems/box_bilinear.txt > /dev/null
 cdmos solve problems/box_bilinear.txt --density-grid 5 > /dev/null
 python -m cdmos.cli solve problems/box_bilinear.txt --density-grid 5 > /dev/null
-# the JSON report and the density table are bit-for-bit
-# deterministic; the table has 1 + 21^2 lines
-cdmos solve problems/box_bilinear.txt --density-grid 21 --density-out "$tmp/a.csv" --json "$tmp/a.json" > /dev/null
-cdmos solve problems/box_bilinear.txt --density-grid 21 --density-out "$tmp/b.csv" --json "$tmp/b.json" > /dev/null
-cmp "$tmp/a.csv" "$tmp/b.csv"
-cmp "$tmp/a.json" "$tmp/b.json"
-test "$(wc -l < "$tmp/a.csv")" -eq $((1 + 21 * 21))
+# every problem's JSON report and density table are bit-for-bit
+# deterministic (univariate_deep takes the closed forms, offcentre_quartic
+# an off-centre solve); box_bilinear's table (n = 2) has 1 + 21^2 lines
+for f in problems/*.txt; do
+  p="$(basename "$f" .txt)"
+  for run in a b; do
+    cdmos solve "$f" --density-grid 21 --density-out "$tmp/$p-$run.csv" --json "$tmp/$p-$run.json" > /dev/null
+  done
+  cmp "$tmp/$p-a.csv" "$tmp/$p-b.csv"
+  cmp "$tmp/$p-a.json" "$tmp/$p-b.json"
+done
+test "$(wc -l < "$tmp/box_bilinear-a.csv")" -eq $((1 + 21 * 21))
 python -m cdmos.cli basis uniform_box 4 --dim 2 --format csv > /dev/null
 python -m cdmos.cli basis counting_hypercube 1 --dim 3 --format csv > /dev/null
 # the printed monomial coefficients stop at the degree cap 8, with exit code 2

@@ -17,24 +17,28 @@ from .polyring import MonomialBasis, Polynomial, _grlex_rank
 def localizing_pattern(basis: MonomialBasis, g: Polynomial, s: int):
     """M_s(g y) for moments y on ``basis`` (2s + deg g <= basis.t) as sparse
     entries: val[e] * y[var[e]] adds to flat position pos[e] = a*m + b, m =
-    C(n+s, s).  One entry per term and position, in ``g.terms`` order and
-    row-major within a term; var is one rank table of delta + gamma over
+    C(n+s, s).  One entry per term and position, row-major within a term,
+    the terms in ``g.terms`` order but the constant last: an SDP block that
+    holds it in its constant then adds it to entry (0, 0) last too, as
+    ``localizing_matrix`` does.  var is one rank table of delta + gamma over
     |delta| <= 2s, read at the ranks of alpha_a + alpha_b."""
     m = math.comb(basis.n + s, s)
     deltas = basis.array[:math.comb(basis.n + 2 * s, 2 * s)]
-    gammas = np.array(list(g.terms), dtype=np.intp).reshape(-1, basis.n)
+    terms = sorted(g.terms.items(), key=lambda term: not any(term[0]))
+    gammas = np.array([gamma for gamma, _ in terms], dtype=np.intp).reshape(-1, basis.n)
     shifted = _grlex_rank(gammas[:, None, :] + deltas[None, :, :])
     alphas = deltas[:m]
     var = shifted[:, _grlex_rank(alphas[:, None, :] + alphas[None, :, :]).ravel()].ravel()
     pos = np.tile(np.arange(m * m), len(gammas))
-    val = np.repeat(np.array(list(g.terms.values()), dtype=float), m * m)
+    val = np.repeat(np.array([c for _, c in terms], dtype=float), m * m)
     return var, pos, val
 
 
 def localizing_matrix(y: MomentSequence, g: Polynomial, s: int) -> np.ndarray:
     """M(alpha, beta) = sum_gamma g_gamma y_{alpha+beta+gamma}, order-s index set:
     one bincount of ``localizing_pattern``, so each entry gets the same
-    additions, in the same order, as the term-by-term sum."""
+    additions, in the same order, as the term-by-term sum in ``g.terms``
+    order with the constant term last."""
     if g.n != y.n:
         raise ValueError(f"dimension mismatch: {g.n} vs {y.n}")
     if s < 0:

@@ -133,7 +133,8 @@ def multiplication(B: OrthoBasis, f: Polynomial) -> np.ndarray:
     alphas = np.array(list(f.terms), dtype=np.intp).reshape(-1, B.n)
     A = np.ones((len(alphas), len(E), len(E)))
     for k, P in enumerate(jacobi_powers(B.measure, B.t + f.degree // 2 + 1, f.degree)):
-        A *= P[alphas[:, k, None, None], E[None, :, k, None], E[None, None, :, k]]
+        # the powers' slabs on the basis once, then one slab per term
+        A *= P[:, E[:, k, None], E[None, :, k]][alphas[:, k]]
     return np.tensordot(np.fromiter(f.terms.values(), float, len(alphas)), A, axes=1)
 
 

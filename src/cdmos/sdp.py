@@ -16,12 +16,15 @@ lambda = c_0 + dual objective.
 Each block stores its coefficient matrices A_kj as a sparse index pattern
 (for moment and localizing blocks, ``momentmat.localizing_pattern``), not as
 a dense (N, d, d) tensor.  Before the first iteration the solver stacks the
-blocks of each side d into one ``SdpBlock`` with (g, d, d) data (a side with
-one block keeps it), so every per-block step (residuals, NT scaling, step
-lengths, Newton directions, updates) is one batched numpy call per side; on
-a box, all the localizing blocks of 1 - x_i^2 share one stack.  The solver touches the patterns only through A(y) = sum_k y_k A_k and
-A*(Z) = (<A_k, Z>)_k, both one bincount over the stack, and through the Schur
-complement sum_j tr(A_kj W_j^-1 A_lj W_j^-1), built in O(N d^3) per block
+blocks of each side d into one ``SdpBlock`` with (g, d, d) data, so every
+per-block step (residuals, NT scaling, Newton directions, updates) is one
+batched numpy call per side; on a box, all the localizing blocks of
+1 - x_i^2 share one stack.  Each phase (predictor, corrector) takes its
+primal and dual step lengths from one eigvalsh per stack, of the scaled
+directions dS~ and dZ~ stacked as a pair.  The solver touches the patterns
+only through A(y) = sum_k y_k A_k and A*(Z) = (<A_k, Z>)_k, both one
+bincount over the stack, and through the Schur complement
+sum_j tr(A_kj W_j^-1 A_lj W_j^-1), built in O(N d^3) per block
 from the pattern as in Fujisawa, Kojima and Nakata, "Exploiting sparsity in
 primal-dual interior-point methods for semidefinite programming" (Math. Prog.
 1997).  Its two sparse sums (rows of W^-1 scattered into A_l W^-1, products
@@ -80,7 +83,8 @@ class SdpBlock:
     The coefficient matrices A_k are stored as one sparse pattern, never as a
     dense (N, d, d) tensor: entry e adds val[e] to A_{var[e]} at the flat
     position pos[e] = a*d + b, and repeated entries add up.  The pattern is
-    symmetric: it lists (a, b) and (b, a) alike.  A stack has a (g, d, d)
+    symmetric: it lists (a, b) and (b, a) with the same values in the same
+    order, so A(y) is symmetric bit for bit.  A stack has a (g, d, d)
     constant and member j's entries sit at pos = j*d^2 + a*d + b, so apply
     returns (g, d, d), adjoint takes (g, d, d) and sums over the members, and
     schur sums the members' Schur complements.
@@ -111,6 +115,8 @@ class SdpBlock:
             raise ValueError("block constant matrix must be symmetric")
         if not np.allclose(coeffs, np.transpose(coeffs, (0, 2, 1))):
             raise ValueError("block coefficient matrices must be symmetric")
+        # the symmetric parts, so the pattern is symmetric bit for bit
+        const, coeffs = _sym(const), _sym(coeffs)
         k, a, b = np.nonzero(coeffs)
         return cls(const, coeffs.shape[0], k, a * d + b, coeffs[k, a, b])
 
@@ -408,15 +414,13 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
     return Rinv, lam
 
 
-def _max_step(lam: np.ndarray, dtilde: np.ndarray) -> float:
-    """sup {a : diag(lam) + a*dtilde PSD}, via the Lam^{-1/2}-scaled spectrum,
-    over every member of a stack."""
+def _max_step(lam: np.ndarray, dtS: np.ndarray, dtZ: np.ndarray) -> Tuple[float, float]:
+    """sup {a : diag(lam) + a*dt PSD} for dt = dtS and dt = dtZ over every member
+    of a stack: one eigvalsh of the Lam^{-1/2}-scaled pair."""
     s = 1.0 / np.sqrt(lam)
-    w = np.linalg.eigvalsh(s[..., :, None] * dtilde * s[..., None, :])
-    wmin = float(w[..., 0].min())
-    if wmin >= 0.0:
-        return np.inf
-    return -1.0 / wmin
+    w = np.linalg.eigvalsh(s[..., :, None] * np.stack((dtS, dtZ)) * s[..., None, :])
+    wmin = w[..., 0].reshape(2, -1).min(axis=1).tolist()
+    return tuple(np.inf if m >= 0.0 else -1.0 / m for m in wmin)
 
 
 def _diag(lam: np.ndarray) -> np.ndarray:
@@ -470,15 +474,12 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
             return SdpSolution(y, pobj, dobj, list(Zs), S, SdpStatus.OPTIMAL, 0, *measures)
 
     # one stack per block side, in order of first appearance; every block
-    # step below is one batched call per stack.  A side with one block keeps
-    # that block: on small problems the (1, d, d) stack's extra overhead
-    # shows in the solve time.
+    # step below is one batched call per stack
     sides = {}
     for j, blk in enumerate(blocks):
         sides.setdefault(blk.dim, []).append(j)
     members = list(sides.values())
-    stacks = [blocks[js[0]] if len(js) == 1 else SdpBlock.stack([blocks[j] for j in js])
-              for js in members]
+    stacks = [SdpBlock.stack([blocks[j] for j in js]) for js in members]
     ns = len(stacks)
     # one Schur workspace for every stack and iteration
     work = np.empty(max(blk.schur_floats for blk in stacks))
@@ -555,8 +556,7 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
             # predictor (affine scaling direction)
             _, _, _, dtS_a, dtZ_a = newton([_diag(-lam ** 2) for lam in lams])
 
-            ap = min(1.0, min(_max_step(lams[s], dtS_a[s]) for s in range(ns)))
-            ad = min(1.0, min(_max_step(lams[s], dtZ_a[s]) for s in range(ns)))
+            ap, ad = (min(1.0, *a) for a in zip(*map(_max_step, lams, dtS_a, dtZ_a)))
             mu_aff = sum(float(np.sum((_diag(lams[s]) + ap * dtS_a[s]) *
                                       _t(_diag(lams[s]) + ad * dtZ_a[s])))
                          for s in range(ns)) / total_dim
@@ -570,20 +570,19 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
-        ap = min(1.0, _STEP_FRACTION * min(_max_step(lams[s], dtS[s]) for s in range(ns)))
-        ad = min(1.0, _STEP_FRACTION * min(_max_step(lams[s], dtZ[s]) for s in range(ns)))
+        ap, ad = (min(1.0, _STEP_FRACTION * min(a)) for a in zip(*map(_max_step, lams, dtS, dtZ)))
 
+        # A(y) is symmetric bit for bit (see SdpBlock), so S needs no _sym
         y = y + ap * dy
         for s in range(ns):
-            S[s] = _sym(S[s] + ap * dS[s])
+            S[s] = S[s] + ap * dS[s]
             Z[s] = _sym(Z[s] + ad * dZ[s])
 
     pobj = float(c @ y)
     dobj = -sum(float(np.sum(blk.const * Z[s])) for s, blk in enumerate(stacks))
     dual_blocks = [None] * len(blocks)
     for js, Zs in zip(members, Z):
-        d = Zs.shape[-1]
-        for j, Zj in zip(js, Zs.reshape(-1, d, d)):
+        for j, Zj in zip(js, Zs):
             dual_blocks[j] = Zj.copy()
     return SdpSolution(
         y=y, objective=pobj, dual_objective=dobj,

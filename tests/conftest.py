@@ -159,10 +159,11 @@ def sum_table(n, t, s, gamma):
 
 def localizing_matrix_per_term(y, g, s):
     """M_s(g y) summed term by term: sum_gamma g_gamma * y[sum_table(gamma)],
-    starting from zeros, in ``g.terms`` order."""
+    starting from zeros, in ``g.terms`` order with the constant term last."""
     m = len(enumerate_basis(y.n, s))
     M = np.zeros((m, m))
-    for gamma, c in g.terms.items():
+    constant = (0,) * g.n
+    for gamma, c in sorted(g.terms.items(), key=lambda term: term[0] == constant):
         M += c * y.values[sum_table(y.n, y.t, s, gamma)]
     return M
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import localizing_matrix_per_term
+from conftest import localizing_matrix_per_term, random_polynomial
 
 import cdmos
 from cdmos.hierarchy import _moment_blocks
@@ -14,7 +14,8 @@ from cdmos.measures import MomentSequence
 from cdmos.momentmat import localizing_pattern
 from cdmos.polyring import Polynomial, enumerate_basis
 from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, _jittered_cholesky,
-                       _lower_inv, _nt_scaling, _stack_cholesky, gen_eig_min, solve_sdp)
+                       _lower_inv, _max_step, _nt_scaling, _stack_cholesky, gen_eig_min,
+                       solve_sdp)
 
 
 def single_block_problem(c, coeffs, const=None):
@@ -253,6 +254,26 @@ class TestPatternOperators:
         with pytest.raises(ValueError, match="one side"):
             SdpBlock.stack(blocks[:1] + _moment_blocks([(gs[0][0], 2)], basis))
 
+    def test_at_is_exactly_symmetric(self, rng):
+        # solve_sdp never symmetrizes S: the pattern lists (a, b) and (b, a)
+        # with the same terms in the same order, so A(y) is symmetric bit
+        # for bit; a moment block, a localizing block of a g with all ten
+        # terms of degree <= 2, a stack, and a dense block given symmetric
+        # only to roundoff, on y of widely spread scales
+        basis = enumerate_basis(3, 6)
+        g = random_polynomial(rng, 3, 2, density=1.0)
+        assert len(g.terms) == 10
+        blocks = _moment_blocks([(Polynomial.constant(3, 1.0), 3), (g, 2)], basis)
+        xs = [Polynomial.variable(3, i) for i in range(3)]
+        blocks.append(SdpBlock.stack(_moment_blocks([(1.0 - x * x, 2) for x in xs], basis)))
+        X = rng.standard_normal((9, 4, 4))
+        blocks.append(SdpBlock.dense(np.eye(4), X + X.transpose(0, 2, 1) + 1e-12 * X))
+        for blk in blocks:
+            for _ in range(5):
+                y = rng.standard_normal(blk.num_vars) * 10.0 ** rng.uniform(-6, 6, blk.num_vars)
+                M = blk.at(y)
+                np.testing.assert_array_equal(M, np.swapaxes(M, -1, -2))
+
     def test_schur_of_large_blocks(self, rng):
         # N = 209 (four variables, degree 6): the reduction onto k takes
         # several gathers, some of one layer and some of several
@@ -326,6 +347,27 @@ class TestDenseKernels:
         scale = np.linalg.norm(S) + np.linalg.norm(Z)
         assert np.linalg.norm(Rinv @ S @ Rinv.T - np.diag(lam)) <= 1e-12 * scale
         assert np.linalg.norm(Rinv.T @ np.diag(lam) @ Rinv - Z) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (3, 5)])
+    def test_max_step_pair_matches_one_direction(self, rng, shape):
+        # the pair's lengths are sup {a : diag(lam) + a*dt PSD} over the
+        # stack, each read off one direction's own eigvalsh; a direction
+        # that stays in the cone (dt PSD) gives +inf
+        lam = rng.uniform(0.1, 2.0, shape)
+        s = 1.0 / np.sqrt(lam)
+
+        def one_direction(dt):
+            wmin = float(np.linalg.eigvalsh(s[..., :, None] * dt * s[..., None, :])[..., 0].min())
+            return np.inf if wmin >= 0.0 else -1.0 / wmin
+
+        X = rng.standard_normal(shape + shape[-1:])
+        sym = X + np.swapaxes(X, -1, -2)
+        pd = X @ np.swapaxes(X, -1, -2) + np.eye(shape[-1])
+        for dtS, dtZ in [(sym, -sym), (sym, pd), (pd, -pd), (pd, pd)]:
+            got = _max_step(lam, dtS, dtZ)
+            assert got == (one_direction(dtS), one_direction(dtZ))
+            if dtZ is pd:
+                assert got[1] == np.inf
 
     def test_cli_imports_numpy_only(self):
         # every `cdmos` run pays for what the package imports: beyond numpy
