@@ -8,15 +8,16 @@ Problem file format (`key = value` lines, `#` comments):
     constraint = 1 - x2^2 >= 0
     measure    = uniform_box          # or counting_hypercube, or omitted
     box        = -1 1 ; -1 1          # per-variable bounds, required for uniform_box
-    orders     = 1..3
+    orders     = 1..3                 # or one order: orders = 3
     tol        = 1e-8                 # optional solver tolerance override
 
 The JSON report has one row per requested order with the full column set;
-absent values are explicit nulls.  Exit code 0 iff every requested order
-solved (NotCertified is not a failure), and 2 when the file or an option is
-rejected before any solve: a parse error, box bounds that are not finite with
-lo < hi, a tolerance that is not positive and finite, no order left to solve,
-or a negative density grid.
+absent values are explicit nulls.  Each row's status is ``ok``, ``partial``
+(one of the two hierarchies failed at that order) or ``failed`` (both).  Exit
+code 0 iff every row is ``ok`` (NotCertified is not a failure), 1 otherwise,
+and 2 when the file or an option is rejected before any solve: a parse error,
+box bounds that are not finite with lo < hi, a tolerance that is not positive
+and finite, no order left to solve, or a negative density grid.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def parse_problem(text: str) -> ProblemFile:
         else:
             orders = (int(otext), int(otext))
     except ValueError:
-        raise ProblemFileError(f"bad orders value {otext!r} (want 'a..b')", oline)
+        raise ProblemFileError(f"bad orders value {otext!r} (want 'a..b' or 'a')", oline)
     if orders[0] < 1 or orders[1] < orders[0]:
         raise ProblemFileError("orders must satisfy 1 <= a <= b", oline)
 
@@ -414,7 +415,7 @@ def _cmd_solve(args) -> int:
         try:
             samples = sample_density(report, args.density_grid)
         except ValueError as exc:
-            print(f"density unavailable: {exc}", file=sys.stderr)
+            print(exc, file=sys.stderr)
         else:
             if args.density_out:
                 with open(args.density_out, "w") as fh:

@@ -37,10 +37,11 @@ intermediate of that build (the products X = A_l W^-1 and B = W^-1 X, the
 gathers, each stack's sum) is carved out of one float64 workspace that
 ``solve_sdp`` allocates before its loop, sized for the largest stack, so
 the build takes no fresh pages after the first iteration; each stack's sum
-is added to the Schur complement before the next stack's build.  Cholesky
-jitter stays per matrix: a stack whose batched factorization fails is
-factored member by member, and a matrix gets jitter only after its plain
-factorization fails.
+is added to the Schur complement before the next stack's build.  One
+helper, ``_stack_cholesky``, factors each stack's S and Z as one pair and the
+Schur complement, jittered per matrix: a stack whose batched factorization
+fails is factored member by member, and a matrix gets jitter only after its
+own factorization fails.
 
 The Newton systems are solved through the explicit inverse of the Schur
 complement's Cholesky factor, formed once per iteration by 2x2 block
@@ -338,23 +339,6 @@ class SdpSolution:
     gap: float
 
 
-def _jittered_cholesky(M: np.ndarray, floor: float) -> np.ndarray:
-    """Lower Cholesky factor of M, or of M + jitter*I when that fails, with
-    escalating jitter from floor * max(1, max diag M): roundoff can push the
-    smallest eigenvalue of a positive definite M marginally negative."""
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        pass
-    jitter = floor * max(1.0, float(np.max(np.diag(M))))
-    for _ in range(5):
-        try:
-            return np.linalg.cholesky(M + jitter * np.eye(M.shape[0]))
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise np.linalg.LinAlgError("matrix is not numerically positive definite")
-
-
 _INV_LEAF = 48
 
 
@@ -380,22 +364,35 @@ def _lower_inv(L: np.ndarray) -> np.ndarray:
 
 def _chol_regularized(M: np.ndarray) -> np.ndarray:
     """Inverse Linv of the lower Cholesky factor of the Schur complement, with
-    escalating diagonal jitter (M loses definiteness to roundoff as the
-    barrier parameter collapses); M^-1 r = Linv' (Linv r)."""
-    return _lower_inv(_jittered_cholesky(M, 1e-14))
+    ``_stack_cholesky``'s escalating diagonal jitter (M loses definiteness to
+    roundoff as the barrier parameter collapses); M^-1 r = Linv' (Linv r)."""
+    return _lower_inv(_stack_cholesky(M, 1e-14))
 
 
 def _stack_cholesky(M: np.ndarray, floor: float) -> np.ndarray:
-    """Lower Cholesky factors of a matrix or a (g, d, d) stack, jittered per
-    matrix: the batched factorization is tried first, and if any member is
-    not numerically positive definite the members are factored one by one by
-    ``_jittered_cholesky``, so only the members that need jitter get it."""
+    """Lower Cholesky factors of a matrix or of any stack of them, jittered
+    per matrix: roundoff can push the smallest eigenvalue of a positive
+    definite matrix marginally negative.  The batched factorization is tried
+    first; if it fails, each member is factored alone, and a member whose own
+    factorization fails is retried with jitter*I added, from floor * max(1,
+    its max diagonal entry) up by 10x, 5 times."""
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        d = M.shape[-1]
-        return np.stack([_jittered_cholesky(m, floor)
-                         for m in M.reshape(-1, d, d)]).reshape(M.shape)
+        pass
+    d = M.shape[-1]
+    factors = []
+    for m in M.reshape(-1, d, d):
+        jitter = 0.0
+        for _ in range(6):    # the plain factorization, then 5 jitters
+            try:
+                factors.append(np.linalg.cholesky(m + jitter * np.eye(d) if jitter else m))
+                break
+            except np.linalg.LinAlgError:
+                jitter = 10.0 * jitter or floor * max(1.0, float(np.max(np.diag(m))))
+        else:
+            raise np.linalg.LinAlgError("matrix is not numerically positive definite")
+    return np.stack(factors).reshape(M.shape)
 
 
 def _nt_scaling(S: np.ndarray, Z: np.ndarray):
@@ -407,8 +404,7 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
     so W = R R' with W Z W = S, and both Rinv S Rinv' and R' Z R equal
     diag(lam).
     """
-    Ls = _stack_cholesky(S, 1e-15)
-    Lz = _stack_cholesky(Z, 1e-15)
+    Ls, Lz = _stack_cholesky(np.stack((S, Z)), 1e-15)
     U, lam, _ = np.linalg.svd(_t(Lz) @ Ls)
     Rinv = _t(U / np.sqrt(lam)[..., None, :]) @ _t(Lz)
     return Rinv, lam

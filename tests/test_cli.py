@@ -53,6 +53,25 @@ box = -1 1 ; 0 2 ; -1.5 0.5
 orders = 1..1
 """
 
+# the counting hypercube's support has 2 points per axis, so its orthonormal
+# basis stops at degree 1 and every upper bound past t = 1 fails
+HYPERCUBE_BILINEAR = """\
+variables = x1 x2
+objective = x1 x2
+constraint = 1 - x1^2 >= 0
+constraint = 1 - x2^2 >= 0
+measure = counting_hypercube
+orders = 1..3
+"""
+
+# no constraint, so the lower bound of x is unbounded at every order
+HYPERCUBE_UNCONSTRAINED = """\
+variables = x
+objective = x
+measure = counting_hypercube
+orders = 1..2
+"""
+
 
 def csv_text(samples):
     """The density CSV as ``write_density_csv`` writes it, read back as text."""
@@ -140,6 +159,27 @@ class TestParseProblem:
                 parse_problem(text.replace("box = -1 1", "box = " + bounds))
             assert err.value.line == line
 
+    @pytest.mark.parametrize("old, new, message, line", [
+        ("measure = uniform_box", "measure uniform_box", "expected 'key = value'", 5),
+        ("variables = x", "variables = x x", "variables must be distinct", 2),
+        ("1 - x^2 >= 0", "1 - x^2 >= 1", "must end in '>= 0'", 4),
+        ("box = -1 1", "box = -1", "each box range needs 'lo hi'", 6),
+        ("box = -1 1", "box = -1 one", "bad box bound in '-1 one'", 6),
+        ("orders = 1..2", "orders = 1..2..3", "bad orders value '1..2..3'", 7),
+        ("orders = 1..2", "orders = 1..2\ntol = abc", "bad tolerance 'abc'", 8),
+    ], ids=["no_equals", "repeated_variable", "constraint_rhs", "one_box_bound",
+            "non_numeric_box_bound", "three_part_orders", "non_numeric_tol"])
+    def test_error_names_its_line(self, old, new, message, line):
+        text = UNIVARIATE.replace(old, new)
+        assert text != UNIVARIATE
+        with pytest.raises(ProblemFileError, match=message) as err:
+            parse_problem(text)
+        assert err.value.line == line
+        assert str(err.value).endswith(f"(line {line})")
+
+    def test_single_order(self):
+        assert parse_problem(UNIVARIATE.replace("orders = 1..2", "orders = 3")).orders == (3, 3)
+
     def test_unknown_measure_kind(self):
         with pytest.raises(ProblemFileError, match="unknown measure kind 'gaussian'") as err:
             parse_problem(UNIVARIATE.replace("measure = uniform_box", "measure = gaussian"))
@@ -192,6 +232,27 @@ class TestRunReport:
         b = run(parse_problem(UNIVARIATE)).to_json()
         assert a == b
         json.loads(a)  # well formed
+
+    def test_failed_upper_bound_is_partial(self):
+        # the sweep isolates each order's failure: the upper bound fails at
+        # t = 2 and 3, the lower bound still solves there
+        doc = run(parse_problem(HYPERCUBE_BILINEAR)).to_dict()
+        assert [(r["t"], r["status"]) for r in doc["rows"]] == [
+            (1, "ok"), (2, "partial"), (3, "partial")]
+        for r in doc["rows"][1:]:
+            assert r["lower_error"] is None
+            assert r["rho"] == pytest.approx(-1.0, abs=1e-6)
+            assert r["u"] is None
+            assert "only 2 points" in r["upper_error"]
+
+    def test_failed_lower_bound_is_partial_and_both_failed(self):
+        doc = run(parse_problem(HYPERCUBE_UNCONSTRAINED)).to_dict()
+        assert [(r["t"], r["status"]) for r in doc["rows"]] == [(1, "partial"), (2, "failed")]
+        first, second = doc["rows"]
+        assert "unbounded" in first["lower_error"] and first["rho"] is None
+        assert first["upper_error"] is None and first["u"] == pytest.approx(-1.0)
+        assert "unbounded" in second["lower_error"]
+        assert "only 2 points" in second["upper_error"]
 
     def test_tol_override_tightens(self):
         pf = parse_problem(UNIVARIATE + "tol = 1e-6\n")
@@ -371,6 +432,25 @@ class TestCommandLine:
         assert main(["solve", str(prob), "--density-grid", "-3"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "--density-grid must be >= 0" in err
+
+    @pytest.mark.parametrize("text", [HYPERCUBE_BILINEAR, HYPERCUBE_UNCONSTRAINED],
+                             ids=["upper_fails", "lower_fails"])
+    def test_failed_order_exit_code(self, tmp_path, capsys, text):
+        # the report is still written, one row per order
+        prob = tmp_path / "p.txt"
+        prob.write_text(text)
+        assert main(["solve", str(prob)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert "partial" in [r["status"] for r in doc["rows"]]
+
+    def test_density_unavailable_message_printed_once(self, tmp_path, capsys):
+        # x1 x2 on the hypercube at t = 1 has no degree-2 orthonormal basis
+        prob = tmp_path / "p.txt"
+        prob.write_text(HYPERCUBE_BILINEAR.replace("orders = 1..3", "orders = 1..1"))
+        assert main(["solve", str(prob), "--density-grid", "5"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["density_order"] is None
+        assert err == "density unavailable: no reconstructed density in report\n"
 
     def test_basis_json(self, capsys):
         assert main(["basis", "uniform_box", "2", "--grid", "3",

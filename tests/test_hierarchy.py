@@ -10,7 +10,7 @@ from conftest import (box_deep_problem, moment_value, multiplier_poly,
                       ortho_expansion_poly, pencil_upper_bound, random_polynomial,
                       smoothed_objective)
 
-from cdmos import momentmat
+from cdmos import hierarchy, momentmat
 from cdmos.cli import parse_problem
 from cdmos.hierarchy import (HierarchyError, UpperBoundResult, certify_and_extract,
                              lower_bound, min_relaxation_order, sandwich_sweep,
@@ -19,6 +19,7 @@ from cdmos.measures import CountingHypercube, MomentSequence, UniformBox, moment
 from cdmos.momentmat import SemialgebraicSet, localizing_matrix
 from cdmos.orthobasis import BasisConstructionError, OrthoBasis, build_basis
 from cdmos.polyring import Polynomial, enumerate_basis, monomial_values
+from cdmos.sdp import SdpOptions
 
 X = Polynomial.variable(1, 0)
 UNIT_INTERVAL = SemialgebraicSet(1, (1.0 - X * X,), box=((-1.0,), (1.0,)))
@@ -491,6 +492,27 @@ class TestClosedForm:
         np.testing.assert_array_equal(row.sigma, lone.sigma)
         assert row.extraction == lone.extraction
 
+    def test_negative_weight_is_solved_cold(self, monkeypatch):
+        # Dirac moments at 0.5 and 0.9 fit order 1's y* = (1, -1, 1) only with
+        # a negative weight, so no candidate is offered and order 2 is solved
+        # as if alone
+        prev = lower_bound(X, UNIT_INTERVAL, 1, measure=UNIT_MEASURE)
+        assert prev.extraction.certified
+        moved = [((0.5,), 0.5), ((0.9,), 0.9)]
+        prev.extraction = dataclasses.replace(prev.extraction, minimizers=moved)
+        V = monomial_values(prev.y.basis, np.array([xi for xi, _ in moved]))
+        assert (np.linalg.lstsq(V.T, prev.y.values, rcond=None)[0] < 0.0).any()
+        candidates, solve = [], hierarchy.solve_sdp
+        monkeypatch.setattr(hierarchy, "solve_sdp", lambda prob, opts, candidate:
+                            candidates.append(candidate) or solve(prob, opts, candidate))
+        row = lower_bound(X, UNIT_INTERVAL, 2, measure=UNIT_MEASURE, prev=prev)
+        lone = lower_bound(X, UNIT_INTERVAL, 2, measure=UNIT_MEASURE)
+        assert candidates == [None, None]
+        assert row.solution.iterations == lone.solution.iterations > 0
+        assert row.rho == lone.rho
+        np.testing.assert_array_equal(row.y.values, lone.y.values)
+        assert row.extraction == lone.extraction
+
     def test_higher_prev_is_solved_cold(self):
         # a certified prev of a higher order gives no closed form
         f = X1 * X2 + 0.5 * X1 - 0.3 * X2 + X1 * X1 * X1 * X1
@@ -571,3 +593,41 @@ class TestBoxStatuses:
                 lower_bound(f, B, t)
             except HierarchyError as exc:
                 assert "infeasible" not in str(exc) and "unbounded" not in str(exc)
+
+
+@st.composite
+def box_quartics(draw):
+    """A quartic with coefficients in [-1, 1] on [-1, 1]^n, n = 1 or 2, and
+    the uniform measure on that box."""
+    n = draw(st.sampled_from([1, 2]))
+    exps = [a for a in itertools.product(range(5), repeat=n) if sum(a) <= 4]
+    coeffs = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(exps), max_size=len(exps)))
+    x = [Polynomial.variable(n, i) for i in range(n)]
+    B = SemialgebraicSet(n, tuple(1.0 - v * v for v in x), box=((-1.0,) * n, (1.0,) * n))
+    return Polynomial(n, dict(zip(exps, coeffs))), B, UniformBox(*B.box)
+
+
+class TestSweepInvariants:
+    """ROADMAP item 4's invariants (c) and (f) on random box quartics: rho_t
+    does not decrease and u_t does not increase with t, and each row of a
+    sweep, closed form or solved, agrees with its order solved alone."""
+
+    # 30 draws, orders 2..5 swept and solved alone: about 2 s on 2 vCPUs
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(problem=box_quartics())
+    def test_monotone_and_agrees_with_lone_orders(self, problem):
+        f, B, mu = problem
+        rows = sandwich_sweep(f, B, mu, 5, t_min=2)
+        assert [row.lower_error for row in rows] == [None] * 4
+        for a, b in zip(rows, rows[1:]):
+            # rho_t, a primal objective, lies above order t's optimum by at
+            # most the absolute gap the stopping test allows
+            sol = a.lower.solution
+            slack = SdpOptions().tol * (1.0 + abs(sol.objective) + abs(sol.dual_objective))
+            assert b.rho >= a.rho - slack
+            # u_t, an eigenvalue over nested spaces, moves only by rounding
+            assert b.u <= a.u + 1e-12 * (1.0 + abs(a.u))
+        for row in rows:
+            lone = lower_bound(f, B, row.t, measure=mu)
+            assert abs(row.rho - lone.rho) <= 1e-6
+            assert row.lower.extraction.certified == lone.extraction.certified

@@ -13,9 +13,8 @@ from cdmos.hierarchy import _moment_blocks
 from cdmos.measures import MomentSequence
 from cdmos.momentmat import localizing_pattern
 from cdmos.polyring import Polynomial, enumerate_basis
-from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, _jittered_cholesky,
-                       _lower_inv, _max_step, _nt_scaling, _stack_cholesky, gen_eig_min,
-                       solve_sdp)
+from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, _lower_inv, _max_step,
+                       _nt_scaling, _stack_cholesky, gen_eig_min, solve_sdp)
 
 
 def single_block_problem(c, coeffs, const=None):
@@ -388,11 +387,35 @@ class TestDenseKernels:
             np.linalg.cholesky(S)
         L = _stack_cholesky(S, 1e-15)
         for Lj, Sj in zip(L, S):
-            np.testing.assert_array_equal(Lj, _jittered_cholesky(Sj, 1e-15))
+            np.testing.assert_array_equal(Lj, _stack_cholesky(Sj, 1e-15))
         for j in (0, 2):
             np.testing.assert_array_equal(L[j], np.linalg.cholesky(S[j]))
         jitter = np.diag(L[1] @ L[1].T - S[1])
         assert np.all(jitter > 0.0)
+
+    @pytest.mark.parametrize("diag, jitter", [
+        ((0.5, -0.003), 1e-2),      # floor * max(1, 0.5), then 10x that
+        ((4.0, -0.01), 4e-2),
+        ((4.0, -39.0), 40.0),       # the fifth and last jitter
+        ((4.0, -41.0), None)])      # beyond it
+    def test_stack_cholesky_jitter_schedule(self, rng, diag, jitter):
+        # a matrix alone and inside a stacked (S, Z) pair get the same factor
+        # and the jitter floor * max(1, max diagonal) * 10^k of the first k
+        # that factors; the healthy members get none
+        m = np.diag(diag)
+        pair = np.stack((np.stack((spd(rng, 2), m)), np.stack((m, spd(rng, 2)))))
+        if jitter is None:
+            for M in (m, pair):
+                with pytest.raises(np.linalg.LinAlgError, match="not numerically"):
+                    _stack_cholesky(M, 1e-3)
+            return
+        L = _stack_cholesky(m, 1e-3)
+        np.testing.assert_allclose(L @ L.T, m + jitter * np.eye(2), rtol=1e-12)
+        Lp = _stack_cholesky(pair, 1e-3)
+        assert Lp.shape == pair.shape
+        for Lj, Pj in zip(Lp.reshape(-1, 2, 2), pair.reshape(-1, 2, 2)):
+            np.testing.assert_array_equal(
+                Lj, L if np.array_equal(Pj, m) else np.linalg.cholesky(Pj))
 
 
 class TestGenEigMin:
