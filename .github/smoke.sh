@@ -37,6 +37,12 @@ status=0; cdmos solve problems/univariate_x.txt --tol inf > /dev/null 2>&1 || st
 test "$status" -eq 2
 status=0; cdmos basis uniform_box 2 --lo nan > /dev/null 2>&1 || status=$?
 test "$status" -eq 2
+# so is a coefficient that is not finite, at its line: exit code 2, no report
+printf 'variables = x\nobjective = 1e999 x\norders = 1\n' > "$tmp/inf.txt"
+status=0; cdmos solve "$tmp/inf.txt" > "$tmp/inf.out" 2> "$tmp/inf.err" || status=$?
+test "$status" -eq 2
+test ! -s "$tmp/inf.out"
+grep -q "non-finite coefficient inf at exponent (1,) (line 2)" "$tmp/inf.err"
 # sigma has no degree cap: the order-6 row (2t = 12) carries it
 cdmos solve problems/univariate_deep.txt > "$tmp/deep.json"
 python -c 'import json, sys; r = {row["t"]: row for row in json.load(sys.stdin)["rows"]}; sys.exit(0 if r[6]["sigma"] is not None else "no sigma at t = 6")' < "$tmp/deep.json"

@@ -19,7 +19,7 @@ def show(name, f, B, measure, t_max):
         u = "-" if row.u is None else f"{row.u:14.8f}"
         gap = "-" if row.gap is None else f"{row.gap:12.2e}"
         cert = ""
-        if row.lower is not None and row.lower.extraction is not None:
+        if row.lower is not None:
             ex = row.lower.extraction
             if ex.certified:
                 pts = ", ".join("(" + ", ".join(f"{v:.4f}" for v in xi) + ")"

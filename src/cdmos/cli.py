@@ -15,9 +15,10 @@ The JSON report has one row per requested order with the full column set;
 absent values are explicit nulls.  Each row's status is ``ok``, ``partial``
 (one of the two hierarchies failed at that order) or ``failed`` (both).  Exit
 code 0 iff every row is ``ok`` (NotCertified is not a failure), 1 otherwise,
-and 2 when the file or an option is rejected before any solve: a parse error,
-box bounds that are not finite with lo < hi, a tolerance that is not positive
-and finite, no order left to solve, or a negative density grid.
+and 2 when the file or an option is rejected before any solve: a parse error
+(a coefficient that is not finite among them), box bounds that are not finite
+with lo < hi, a tolerance that is not positive and finite, no order left to
+solve, or a negative density grid.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .hierarchy import SweepRow, min_relaxation_order, sandwich_sweep
 from .measures import CountingHypercube, ReferenceMeasure, UniformBox
 from .momentmat import SemialgebraicSet
-from .orthobasis import OrthoBasis, build_basis
+from .orthobasis import BasisConstructionError, OrthoBasis, build_basis
 from .polyring import PolyParseError, Polynomial, parse_polynomial
 from .sdp import SdpOptions
 
@@ -230,7 +231,7 @@ class RunReport:
             if lb is not None:
                 r["rho"] = lb.rho
                 ex = lb.extraction
-                if ex is not None and ex.certified:
+                if ex.certified:
                     r["exactness"] = "certified"
                     r["minimizers"] = [{"point": list(xi), "value": fv}
                                        for xi, fv in ex.minimizers]
@@ -284,8 +285,7 @@ def _pick_density_order(rows: Sequence[SweepRow]) -> Optional[int]:
     if not with_density:
         return None
     for row in with_density:
-        ex = row.lower.extraction
-        if ex is not None and ex.certified:
+        if row.lower.extraction.certified:
             return row.t
     return with_density[-1].t
 
@@ -436,7 +436,7 @@ def _cmd_basis(args) -> int:
                              "evaluation loses accuracy beyond this")
         if args.grid < 0:
             raise ValueError(f"--grid must be >= 0, got {args.grid}")
-    except Exception as exc:
+    except (ValueError, BasisConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # row alpha: T_alpha's coefficient of x^beta is L(T_alpha) for y = e_beta

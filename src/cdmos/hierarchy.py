@@ -83,8 +83,6 @@ class SosCertificate:
 class Extraction:
     certified: bool
     minimizers: List[Tuple[Tuple[float, ...], float]] = field(default_factory=list)
-    rank_high: int = 0
-    rank_low: int = 0
 
 
 @dataclass
@@ -95,7 +93,7 @@ class LowerBoundResult:
     y: MomentSequence
     certificate: SosCertificate
     solution: SdpSolution
-    extraction: Optional[Extraction] = None
+    extraction: Extraction = field(default_factory=lambda: Extraction(certified=False))
     sigma: Optional[np.ndarray] = None      # L_y*(T_alpha), when a measure is declared
     density_basis: Optional[OrthoBasis] = None   # T on y.basis, sigma's index
     density_error: Optional[str] = None
@@ -114,7 +112,7 @@ class LowerBoundResult:
     def christoffel_at(self) -> Dict[Tuple[float, ...], float]:
         """The Christoffel function 1 / K_2t(xi, xi) at each certified minimizer xi."""
         B, ex = self._require_density(), self.extraction
-        minimizers = ex.minimizers if ex is not None and ex.certified else []
+        minimizers = ex.minimizers if ex.certified else []
         return {xi: christoffel(B, xi) for xi, _ in minimizers}
 
 
@@ -190,8 +188,7 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
     gs = [(g, t - half_degree(g)) for g in (Polynomial.constant(B.n, 1.0),) + B.constraints]
     prob = SdpProblem(c=c[1:], blocks=_moment_blocks(gs, basis2t))
     candidate = None
-    if (prev is not None and prev.t < t and prev.extraction is not None
-            and prev.extraction.certified):
+    if prev is not None and prev.t < t and prev.extraction.certified:
         candidate = _closed_form(prev, prob, basis2t)
     sol = solve_sdp(prob, opts, candidate)
     if sol.status is not SdpStatus.OPTIMAL:
@@ -224,11 +221,9 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
 # ---------------------------------------------------------------------------
 
 def _numerical_rank(w: np.ndarray) -> int:
-    """The number of eigenvalues, in ascending order w, above RANK_TOL of the largest."""
-    wmax = float(w[-1])
-    if wmax <= 0.0:
-        return 0
-    return int(np.sum(w > RANK_TOL * wmax))
+    """The number of eigenvalues, in ascending order w, above RANK_TOL of the
+    largest; for a moment matrix that is >= y_0 = 1."""
+    return int(np.sum(w > RANK_TOL * float(w[-1])))
 
 
 def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet) -> Extraction:
@@ -239,8 +234,6 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet) -> Extraction:
     and |f(xi) - rho| <= 1e-6.  A failed rank test is an honest NotCertified.
     """
     y, t, n = r.y, r.t, r.y.n
-    if t < 1:
-        return Extraction(certified=False)
     # M_t(y) is the relaxation's own moment block at y; M_{t-1}(y) is its
     # leading m x m block, and M_{t-1}(x_i y) is M_t(y)[rows_i, :m] with
     # rows_i the positions of alpha + e_i, |alpha| < t
@@ -248,12 +241,10 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet) -> Extraction:
     m = math.comb(n + t - 1, t - 1)
     Mlow = Mt[:m, :m]
     w, Q = np.linalg.eigh(Mlow)
-    rank_high = _numerical_rank(np.linalg.eigvalsh(Mt))
-    rank_low = _numerical_rank(w)
-    if rank_high == 0 or rank_high != rank_low:
-        return Extraction(certified=False, rank_high=rank_high, rank_low=rank_low)
+    rank = _numerical_rank(w)
+    if _numerical_rank(np.linalg.eigvalsh(Mt)) != rank:
+        return Extraction(certified=False)
 
-    rank = rank_high
     U = Q[:, -rank:]
     G = U.T @ Mlow @ U
     rows = _grlex_rank(y.basis.array[:m, None, :] + np.eye(n, dtype=np.intp))
@@ -268,7 +259,7 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet) -> Extraction:
     try:
         Tinv = np.linalg.inv(T)
     except np.linalg.LinAlgError:
-        return Extraction(certified=False, rank_high=rank_high, rank_low=rank_low)
+        return Extraction(certified=False)
     candidates = []
     for col in range(rank):
         xi = tuple(float(np.real((Tinv[col] @ Ni @ T[:, col]))) for Ni in Ns)
@@ -287,10 +278,9 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet) -> Extraction:
             continue
         accepted.append((xi, fval))
     if not accepted:
-        return Extraction(certified=False, rank_high=rank_high, rank_low=rank_low)
+        return Extraction(certified=False)
     accepted.sort(key=lambda p: p[0])
-    return Extraction(certified=True, minimizers=accepted,
-                      rank_high=rank_high, rank_low=rank_low)
+    return Extraction(certified=True, minimizers=accepted)
 
 
 # ---------------------------------------------------------------------------

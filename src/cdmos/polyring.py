@@ -90,7 +90,7 @@ def enumerate_basis(n: int, t: int) -> MonomialBasis:
 
 
 class Polynomial:
-    """Sparse polynomial: exponent tuple -> float coefficient, zeros dropped."""
+    """Sparse polynomial: exponent tuple -> finite float coefficient, zeros dropped."""
 
     __slots__ = ("n", "terms")
 
@@ -106,6 +106,9 @@ class Polynomial:
             c = float(c)
             if c != 0.0:
                 clean[alpha] = clean.get(alpha, 0.0) + c
+                if not math.isfinite(clean[alpha]):
+                    raise ValueError(
+                        f"non-finite coefficient {clean[alpha]} at exponent {alpha}")
                 if clean[alpha] == 0.0:
                     del clean[alpha]
         self.terms = clean

@@ -13,10 +13,10 @@ their multipliers; at optimality the Z_j are the Gram matrices of the SOS
 certificate, and its constant coefficient, the certified lower bound, is
 lambda = c_0 + dual objective.
 
-Each block stores its coefficient matrices A_kj as a sparse index pattern
-(for moment and localizing blocks, ``momentmat.localizing_pattern``), not as
-a dense (N, d, d) tensor.  Before the first iteration the solver stacks the
-blocks of each side d into one ``SdpBlock`` with (g, d, d) data, so every
+Each block stores its coefficient matrices A_kj as a sparse index pattern,
+which for the relaxations comes from ``momentmat.localizing_pattern``, never
+as a dense (N, d, d) tensor.  Before the first iteration the solver stacks
+the blocks of each side d into one ``SdpBlock`` with (g, d, d) data, so every
 per-block step (residuals, NT scaling, Newton directions, updates) is one
 batched numpy call per side; on a box, all the localizing blocks of
 1 - x_i^2 share one stack.  Each phase (predictor, corrector) takes its
@@ -90,8 +90,8 @@ class SdpBlock:
     returns (g, d, d), adjoint takes (g, d, d) and sums over the members, and
     schur sums the members' Schur complements.
 
-    ``SdpBlock(const, num_vars, var, pos, val)`` takes the pattern as it is;
-    ``SdpBlock.dense`` converts dense (N, d, d) coefficients once;
+    ``SdpBlock(const, num_vars, var, pos, val)`` takes the pattern as it is
+    (the relaxation's blocks come from ``momentmat.localizing_pattern``);
     ``SdpBlock.stack`` concatenates blocks of one side.  The solver only uses
     the three pattern operators ``apply``, ``adjoint`` and ``schur``.
     """
@@ -102,24 +102,6 @@ class SdpBlock:
         self.var = np.asarray(var, dtype=np.intp)
         self.pos = np.asarray(pos, dtype=np.intp)
         self.val = np.asarray(val, dtype=float)
-
-    @classmethod
-    def dense(cls, const, coeffs) -> "SdpBlock":
-        """Block of side d from a symmetric (d, d) constant and a stack of
-        symmetric (N, d, d) coefficient matrices A_1..A_N."""
-        const = np.asarray(const, dtype=float)
-        coeffs = np.asarray(coeffs, dtype=float)
-        d = const.shape[0]
-        if const.shape != (d, d) or coeffs.ndim != 3 or coeffs.shape[1:] != (d, d):
-            raise ValueError("inconsistent block shapes")
-        if not np.allclose(const, const.T):
-            raise ValueError("block constant matrix must be symmetric")
-        if not np.allclose(coeffs, np.transpose(coeffs, (0, 2, 1))):
-            raise ValueError("block coefficient matrices must be symmetric")
-        # the symmetric parts, so the pattern is symmetric bit for bit
-        const, coeffs = _sym(const), _sym(coeffs)
-        k, a, b = np.nonzero(coeffs)
-        return cls(const, coeffs.shape[0], k, a * d + b, coeffs[k, a, b])
 
     @classmethod
     def stack(cls, blocks: Sequence["SdpBlock"]) -> "SdpBlock":
@@ -203,7 +185,7 @@ class SdpBlock:
         """The size of the workspace ``schur`` needs, in float64s."""
         return sum(self._schur_plan[2])
 
-    def schur(self, Winv: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
+    def schur(self, Winv: np.ndarray, work: np.ndarray) -> np.ndarray:
         """The matrix (sum_j tr(A_kj Winv_j A_lj Winv_j))_kl for symmetric Winv
         (one matrix per stack member), in O(N d^3) per member.
 
@@ -211,15 +193,13 @@ class SdpBlock:
         multiply every A_lj Winv_j by Winv_j in one batched matmul into B,
         and gather the products' entries onto k through the pattern.  X, B,
         the gathers and the result are carved out of ``work``, a flat float64
-        buffer of at least ``schur_floats`` entries (one is allocated if it
-        is None), so a solve that passes one buffer to every call takes no
-        fresh pages here.  The result is a view of ``work``: it is valid
-        until the next call that uses the same buffer.
+        buffer of at least ``schur_floats`` entries, so a solve that passes
+        one buffer to every call takes no fresh pages here.  The result is a
+        view of ``work``: it is valid until the next call that uses the same
+        buffer.
         """
         d, N = self.dim, self.num_vars
         (src, val, targets), reduce, (nx, _) = self._schur_plan
-        if work is None:
-            work = np.empty(self.schur_floats)
         rows = Winv.reshape(-1, d)                # row j*d + b is Winv_j[b]
         g = rows.shape[0] // d
         size = self.const.size * N
@@ -331,7 +311,6 @@ class SdpSolution:
     objective: float
     dual_objective: float
     dual_blocks: List[np.ndarray]    # Z_j: SOS-certificate Gram matrices
-    slack_blocks: List[np.ndarray]   # S_j = A0_j + sum_k y_k A_kj at the iterate
     status: SdpStatus
     iterations: int
     primal_residual: float
@@ -443,10 +422,10 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
     """Primal-dual predictor-corrector path following; see module docstring.
 
     ``candidate = (y, [Z_j])``, PSD Z_j in the order of ``prob.blocks``, is
-    returned as an optimal solution with S_j = A_j(y) and 0 iterations when
-    it passes the stopping test, its primal violation being the largest
-    -lambda_min(S_j) or 0.  Otherwise the iteration runs from its default
-    start, as without a candidate: the candidate is never iterated from.
+    returned as an optimal solution with 0 iterations when it passes the
+    stopping test, its primal violation being the largest -lambda_min(A_j(y))
+    or 0.  Otherwise the iteration runs from its default start, as without a
+    candidate: the candidate is never iterated from.
     """
     opts = opts or SdpOptions()
     c = prob.c
@@ -467,7 +446,7 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
             c - sum(blk.adjoint(Z) for blk, Z in zip(blocks, Zs)), pobj, dobj,
             sum(float(np.sum(m * Z)) for m, Z in zip(S, Zs)), opts.tol)
         if passed:
-            return SdpSolution(y, pobj, dobj, list(Zs), S, SdpStatus.OPTIMAL, 0, *measures)
+            return SdpSolution(y, pobj, dobj, list(Zs), SdpStatus.OPTIMAL, 0, *measures)
 
     # one stack per block side, in order of first appearance; every block
     # step below is one batched call per stack
@@ -582,8 +561,7 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
             dual_blocks[j] = Zj.copy()
     return SdpSolution(
         y=y, objective=pobj, dual_objective=dobj,
-        dual_blocks=dual_blocks, slack_blocks=[blk.at(y) for blk in blocks],
-        status=status, iterations=it,
+        dual_blocks=dual_blocks, status=status, iterations=it,
         primal_residual=float(pres), dual_residual=float(dres), gap=float(gap_rel))
 
 

@@ -160,8 +160,8 @@ def test_criterion_7_solver_invariants_and_discrete_case():
     for r in instances:
         sol = r.solution
         ok &= sol.dual_objective <= sol.objective + 1e-6
-        for S in sol.slack_blocks:
-            ok &= np.linalg.eigvalsh(S)[0] >= -1e-6
+        for blk in r.certificate.problem.blocks:
+            ok &= np.linalg.eigvalsh(blk.at(sol.y))[0] >= -1e-6
         resid = r.certificate.residual()
         worst_resid = max(worst_resid, resid)
         ok &= resid <= 1e-6

@@ -159,23 +159,36 @@ class TestParseProblem:
                 parse_problem(text.replace("box = -1 1", "box = " + bounds))
             assert err.value.line == line
 
-    @pytest.mark.parametrize("old, new, message, line", [
-        ("measure = uniform_box", "measure uniform_box", "expected 'key = value'", 5),
-        ("variables = x", "variables = x x", "variables must be distinct", 2),
-        ("1 - x^2 >= 0", "1 - x^2 >= 1", "must end in '>= 0'", 4),
-        ("box = -1 1", "box = -1", "each box range needs 'lo hi'", 6),
-        ("box = -1 1", "box = -1 one", "bad box bound in '-1 one'", 6),
-        ("orders = 1..2", "orders = 1..2..3", "bad orders value '1..2..3'", 7),
-        ("orders = 1..2", "orders = 1..2\ntol = abc", "bad tolerance 'abc'", 8),
+    @pytest.mark.parametrize("old, new, message, line, column", [
+        ("measure = uniform_box", "measure uniform_box", "expected 'key = value'", 5, None),
+        ("variables = x", "variables = x x", "variables must be distinct", 2, None),
+        ("1 - x^2 >= 0", "1 - x^2 >= 1", "must end in '>= 0'", 4, None),
+        ("box = -1 1", "box = -1", "each box range needs 'lo hi'", 6, None),
+        ("box = -1 1", "box = -1 one", "bad box bound in '-1 one'", 6, None),
+        ("orders = 1..2", "orders = 1..2..3", "bad orders value '1..2..3'", 7, None),
+        ("orders = 1..2", "orders = 1..2\ntol = abc", "bad tolerance 'abc'", 8, None),
+        ("objective = x", "objective = 1e999 x", "non-finite coefficient inf", 3, None),
+        ("objective = x", "objective = 1e200 1e200 x", "non-finite coefficient inf", 3, None),
+        ("objective = x", "objective = x $ 2", "unexpected character '\\$'", 3, 2),
+        ("objective = x", "objective =", "empty polynomial", 3, 0),
+        ("1 - x^2", "1 - x^", "expected integer exponent after '\\^'", 4, 5),
+        ("1 - x^2", "1 - x^1.5", "exponent must be a non-negative integer, got 1.5", 4, 6),
+        ("objective = x", "objective = x (1)", "unexpected token '\\('", 3, 2),
+        ("objective = x", "objective = x + *", "empty term", 3, 4),
     ], ids=["no_equals", "repeated_variable", "constraint_rhs", "one_box_bound",
-            "non_numeric_box_bound", "three_part_orders", "non_numeric_tol"])
-    def test_error_names_its_line(self, old, new, message, line):
+            "non_numeric_box_bound", "three_part_orders", "non_numeric_tol",
+            "infinite_coefficient", "overflowing_coefficient", "unexpected_character",
+            "empty_polynomial", "missing_exponent", "fractional_exponent",
+            "unexpected_token", "empty_term"])
+    def test_error_names_its_line(self, old, new, message, line, column):
+        # a polynomial's syntax error also names its column in the value
         text = UNIVARIATE.replace(old, new)
         assert text != UNIVARIATE
         with pytest.raises(ProblemFileError, match=message) as err:
             parse_problem(text)
-        assert err.value.line == line
-        assert str(err.value).endswith(f"(line {line})")
+        assert (err.value.line, err.value.column) == (line, column)
+        where = f"line {line}" + (f", column {column}" if column is not None else "")
+        assert str(err.value).endswith(f"({where})")
 
     def test_single_order(self):
         assert parse_problem(UNIVARIATE.replace("orders = 1..2", "orders = 3")).orders == (3, 3)

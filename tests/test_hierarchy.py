@@ -57,6 +57,10 @@ class TestLowerBound:
         with pytest.raises(ValueError, match="below minimum"):
             lower_bound(X * X * X * X, UNIT_INTERVAL, 1)
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 1"):
+            lower_bound(X1 * X2, UNIT_INTERVAL, 1)
+
     def test_certificate_residual(self):
         r = lower_bound(X, UNIT_INTERVAL, 1)
         assert r.certificate.residual() <= 1e-6
@@ -145,6 +149,12 @@ class TestUpperBound:
     def test_constant_density_order_zero(self):
         u = upper_bound(X, UNIT_MEASURE, 0)
         assert u.u == pytest.approx(0.0, abs=1e-12)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 1"):
+            upper_bound(X1 * X2, UNIT_MEASURE, 1)
+        with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+            upper_bound(X, UNIT_MEASURE, -1)
 
     def test_result_holds_its_basis(self):
         # the basis upper_bound built is stored, not its measure
@@ -256,7 +266,6 @@ class TestCertifyAndExtract:
         r = lower_bound(f, B, 2)
         ex = r.extraction
         assert ex.certified
-        assert ex.rank_high == 2
         points = sorted(xi[0] for xi, _ in ex.minimizers)
         assert points == pytest.approx([-1.0, 1.0], abs=1e-4)
         for xi, _ in ex.minimizers:

@@ -126,6 +126,19 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             Polynomial.variable(1, 0) + Polynomial.variable(2, 0)
 
+    @pytest.mark.parametrize("c", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_coefficient_rejected(self, c):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            Polynomial(1, {(1,): c})
+
+    def test_overflowing_arithmetic_rejected(self):
+        # every polynomial, parsed or computed, goes through the same check
+        x = Polynomial.variable(1, 0)
+        with pytest.raises(ValueError, match="non-finite coefficient inf at exponent"):
+            (1e200 * x) * (1e200 * x)
+        with pytest.raises(ValueError, match="non-finite coefficient inf at exponent"):
+            1.5e308 * x + 1.5e308 * x
+
     @given(st.integers(-5, 5), st.integers(-5, 5))
     @settings(max_examples=30)
     def test_eval_multiplicative(self, a, b):

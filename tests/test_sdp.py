@@ -17,11 +17,25 @@ from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, _lower_inv, 
                        _nt_scaling, _stack_cholesky, gen_eig_min, solve_sdp)
 
 
+def dense_block(const, coeffs):
+    """The pattern block of a (d, d) constant and (N, d, d) coefficients A_k,
+    both exactly symmetric, so the pattern is symmetric bit for bit."""
+    const, coeffs = np.asarray(const, dtype=float), np.asarray(coeffs, dtype=float)
+    assert np.array_equal(const, const.T)
+    assert np.array_equal(coeffs, coeffs.transpose(0, 2, 1))
+    k, a, b = np.nonzero(coeffs)
+    return SdpBlock(const, len(coeffs), k, a * len(const) + b, coeffs[k, a, b])
+
+
+def schur(blk, Winv):
+    """blk.schur in a fresh workspace of its own."""
+    return blk.schur(Winv, np.empty(blk.schur_floats))
+
+
 def single_block_problem(c, coeffs, const=None):
     coeffs = np.asarray(coeffs, dtype=float)
     d = coeffs.shape[1]
-    blk = SdpBlock.dense(const=np.zeros((d, d)) if const is None else const,
-                         coeffs=coeffs)
+    blk = dense_block(np.zeros((d, d)) if const is None else const, coeffs)
     return SdpProblem(c=np.asarray(c, dtype=float), blocks=[blk])
 
 
@@ -53,8 +67,8 @@ class TestSolveSdp:
         coeffs_l[1, 0, 0] = -1.0
         prob = SdpProblem(
             c=np.array([1.0, 0.0]),
-            blocks=[SdpBlock.dense(np.diag([1.0, 0.0]), coeffs_m),
-                    SdpBlock.dense(np.ones((1, 1)), coeffs_l)])
+            blocks=[dense_block(np.diag([1.0, 0.0]), coeffs_m),
+                    dense_block(np.ones((1, 1)), coeffs_l)])
         sol = solve_sdp(prob)
         assert sol.status is SdpStatus.OPTIMAL
 
@@ -73,9 +87,10 @@ class TestSolveSdp:
         assert sol.dual_objective <= sol.objective + 1e-7
 
     def test_solution_block_feasibility(self):
-        sol = solve_sdp(correlation_problem())
-        for S in sol.slack_blocks:
-            assert np.linalg.eigvalsh(S)[0] >= -10 * SdpOptions().tol
+        prob = correlation_problem()
+        sol = solve_sdp(prob)
+        for blk in prob.blocks:
+            assert np.linalg.eigvalsh(blk.at(sol.y))[0] >= -10 * SdpOptions().tol
 
     def test_determinism(self):
         coeffs = np.zeros((2, 2, 2))
@@ -84,7 +99,7 @@ class TestSolveSdp:
         def run():
             prob = SdpProblem(
                 c=np.array([1.0, 0.25]),
-                blocks=[SdpBlock.dense(np.diag([1.0, 0.0]), coeffs)])
+                blocks=[dense_block(np.diag([1.0, 0.0]), coeffs)])
             return solve_sdp(prob)
         a, b = run(), run()
         assert a.iterations == b.iterations
@@ -99,23 +114,21 @@ class TestSolveSdp:
         psol = solve_sdp(SdpProblem(c=c, blocks=[blocks[j] for j in perm]))
         assert sol.status is SdpStatus.OPTIMAL and psol.status is SdpStatus.OPTIMAL
         assert np.max(np.abs(sol.y - psol.y)) <= 1e-10
-        for got in (sol.dual_blocks, sol.slack_blocks):
-            assert [m.shape for m in got] == [(blk.dim, blk.dim) for blk in blocks]
+        assert [m.shape for m in sol.dual_blocks] == [(blk.dim, blk.dim) for blk in blocks]
         for i, j in enumerate(perm):
             assert np.max(np.abs(sol.dual_blocks[j] - psol.dual_blocks[i])) <= 1e-10
-            assert np.max(np.abs(sol.slack_blocks[j] - psol.slack_blocks[i])) <= 1e-10
 
     def test_infeasible_pair(self):
         # [y1 - 1] PSD and [-y1] PSD cannot both hold
-        blk1 = SdpBlock.dense(np.array([[-1.0]]), np.array([[[1.0]]]))
-        blk2 = SdpBlock.dense(np.array([[0.0]]), np.array([[[-1.0]]]))
+        blk1 = dense_block(np.array([[-1.0]]), np.array([[[1.0]]]))
+        blk2 = dense_block(np.array([[0.0]]), np.array([[[-1.0]]]))
         prob = SdpProblem(c=np.array([0.0]), blocks=[blk1, blk2])
         # the dual objective diverges while the primal residual stays put:
         # infeasible, not unbounded
         assert solve_sdp(prob).status is SdpStatus.INFEASIBLE
 
     def test_optimal_candidate_is_returned(self):
-        # the solver's own optimum passes, with iterations 0 and S_j = A_j(y)
+        # the solver's own optimum passes, with iterations 0, and is returned
         c, blocks = interleaved_problem()
         prob = SdpProblem(c=c, blocks=blocks)
         sol = solve_sdp(prob)
@@ -123,8 +136,9 @@ class TestSolveSdp:
         assert pair.status is SdpStatus.OPTIMAL and pair.iterations == 0
         assert pair.objective == sol.objective
         assert max(pair.primal_residual, pair.dual_residual, pair.gap) <= SdpOptions().tol
-        for S, blk in zip(pair.slack_blocks, blocks):
-            np.testing.assert_array_equal(S, blk.at(sol.y))
+        np.testing.assert_array_equal(pair.y, sol.y)
+        for Z, Zsol in zip(pair.dual_blocks, sol.dual_blocks):
+            np.testing.assert_array_equal(Z, Zsol)
 
     @pytest.mark.parametrize("dy, scale", [
         (-1e-6, 1.0),    # [[1, y], [y, 1]] is indefinite at y = -1 - 1e-6
@@ -153,6 +167,15 @@ class TestSolveSdp:
         with pytest.raises(ValueError, match="must be positive"):
             SdpOptions(tol=tol)
 
+    def test_problem_needs_a_block(self):
+        with pytest.raises(ValueError, match="at least one PSD block"):
+            SdpProblem(c=np.ones(2), blocks=[])
+
+    def test_problem_blocks_match_its_variables(self):
+        blk = correlation_problem().blocks[0]
+        with pytest.raises(ValueError, match="coefficient count != number of variables"):
+            SdpProblem(c=np.ones(2), blocks=[blk])
+
 
 def interleaved_problem():
     """A small SDP in three variables whose blocks have sides 3, 1, 3, 1.
@@ -167,10 +190,10 @@ def interleaved_problem():
         corr[k, a, b] = corr[k, b, a] = 1.0
     X = rng.standard_normal((3, 3, 3))
     return rng.standard_normal(3), [
-        SdpBlock.dense(np.eye(3), corr),
-        SdpBlock.dense([[0.5]], rng.standard_normal((3, 1, 1))),
-        SdpBlock.dense(np.eye(3), 0.5 * (X + X.transpose(0, 2, 1))),
-        SdpBlock.dense([[0.8]], rng.standard_normal((3, 1, 1)))]
+        dense_block(np.eye(3), corr),
+        dense_block([[0.5]], rng.standard_normal((3, 1, 1))),
+        dense_block(np.eye(3), 0.5 * (X + X.transpose(0, 2, 1))),
+        dense_block([[0.8]], rng.standard_normal((3, 1, 1)))]
 
 
 def dense_moments(gs, basis):
@@ -191,7 +214,7 @@ def dense_and_pattern_blocks(rng):
     N, d = 9, 5
     coeffs = rng.standard_normal((N, d, d)) * (rng.random((N, d, d)) < 0.4)
     coeffs = coeffs + coeffs.transpose(0, 2, 1)
-    yield SdpBlock.dense(np.zeros((d, d)), coeffs), np.zeros((d, d)), coeffs
+    yield dense_block(np.zeros((d, d)), coeffs), np.zeros((d, d)), coeffs
     # localizing block of g = 1.5 - 0.5 x1 + 2 x2^2 at order 1 in two
     # variables, y_0 = 1 substituted, so the entries at y_0 sit in the constant
     basis = enumerate_basis(2, 4)
@@ -228,7 +251,7 @@ class TestPatternOperators:
             self.assert_close(blk.adjoint(Z), np.einsum("kab,ab->k", coeffs, Z))
             ref = np.array([[np.trace(Winv @ Ak @ Winv @ Al) for Al in coeffs]
                             for Ak in coeffs])
-            self.assert_close(blk.schur(Winv), ref)
+            self.assert_close(schur(blk, Winv), ref)
 
     def test_stack_matches_members(self, rng):
         # moment and 2-term localizing blocks of one side, y_0 substituted
@@ -246,10 +269,10 @@ class TestPatternOperators:
         np.testing.assert_array_equal(stack.const, np.stack([c for c, _ in dense]))
         self.assert_close(stack.apply(y), np.stack([blk.apply(y) for blk in blocks]))
         self.assert_close(stack.adjoint(Z), sum(blk.adjoint(Zj) for blk, Zj in zip(blocks, Z)))
-        self.assert_close(stack.schur(Winv), sum(blk.schur(W) for blk, W in zip(blocks, Winv)))
+        self.assert_close(schur(stack, Winv), sum(schur(blk, W) for blk, W in zip(blocks, Winv)))
         ref = sum(np.array([[np.trace(W @ Ak @ W @ Al) for Al in coeffs] for Ak in coeffs])
                   for (_, coeffs), W in zip(dense, Winv))
-        self.assert_close(stack.schur(Winv), ref)
+        self.assert_close(schur(stack, Winv), ref)
         with pytest.raises(ValueError, match="one side"):
             SdpBlock.stack(blocks[:1] + _moment_blocks([(gs[0][0], 2)], basis))
 
@@ -257,16 +280,13 @@ class TestPatternOperators:
         # solve_sdp never symmetrizes S: the pattern lists (a, b) and (b, a)
         # with the same terms in the same order, so A(y) is symmetric bit
         # for bit; a moment block, a localizing block of a g with all ten
-        # terms of degree <= 2, a stack, and a dense block given symmetric
-        # only to roundoff, on y of widely spread scales
+        # terms of degree <= 2, and a stack, on y of widely spread scales
         basis = enumerate_basis(3, 6)
         g = random_polynomial(rng, 3, 2, density=1.0)
         assert len(g.terms) == 10
         blocks = _moment_blocks([(Polynomial.constant(3, 1.0), 3), (g, 2)], basis)
         xs = [Polynomial.variable(3, i) for i in range(3)]
         blocks.append(SdpBlock.stack(_moment_blocks([(1.0 - x * x, 2) for x in xs], basis)))
-        X = rng.standard_normal((9, 4, 4))
-        blocks.append(SdpBlock.dense(np.eye(4), X + X.transpose(0, 2, 1) + 1e-12 * X))
         for blk in blocks:
             for _ in range(5):
                 y = rng.standard_normal(blk.num_vars) * 10.0 ** rng.uniform(-6, 6, blk.num_vars)
@@ -282,7 +302,7 @@ class TestPatternOperators:
             # tr(A_k W A_l W) = vec(A_k)' (W kron W) vec(A_l) for symmetric W
             ref = sum(C @ np.kron(W, W) @ C.T for C, W in zip(
                 [coeffs.reshape(N, -1) for _, coeffs in dense_moments(gs, basis)], Winv))
-            self.assert_close(stack.schur(Winv), ref)
+            self.assert_close(schur(stack, Winv), ref)
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_schur_shared_workspace_is_exact(self, rng, first):
@@ -291,7 +311,7 @@ class TestPatternOperators:
         stacks = box_dense_stacks(rng)
         work = np.full(max(stack.schur_floats for stack, _, _ in stacks), np.nan)
         for stack, Winv, _ in stacks[first:] + stacks[:first]:
-            np.testing.assert_array_equal(stack.schur(Winv, work), stack.schur(Winv))
+            np.testing.assert_array_equal(stack.schur(Winv, work), schur(stack, Winv))
 
     def test_schur_with_workspace_allocates_little(self, rng):
         # numpy reports its buffers to tracemalloc: a call that passes the
