@@ -31,6 +31,16 @@ test "$status" -eq 2
 # a negative sample grid is rejected before any output, with exit code 2
 status=0; cdmos basis uniform_box 2 --grid -1 > /dev/null 2>&1 || status=$?
 test "$status" -eq 2
+# the degree cap is checked before the basis is built: 12 variables at
+# degree 9 would first enumerate C(21, 9) = 293,930 exponents
+status=0; cdmos basis uniform_box 9 --dim 12 > /dev/null 2>&1 || status=$?
+test "$status" -eq 2
+# an output path that cannot be written is rejected before any solve, with
+# exit code 2 and an error line, not a traceback after the solve
+status=0; cdmos solve problems/univariate_x.txt --json "$tmp/missing/r.json" 2> "$tmp/missing.err" || status=$?
+test "$status" -eq 2
+grep -q "^error: " "$tmp/missing.err"
+if grep -q Traceback "$tmp/missing.err"; then exit 1; fi
 # an infinite tolerance and a NaN box bound are rejected before any solve
 # or output, with exit code 2
 status=0; cdmos solve problems/univariate_x.txt --tol inf > /dev/null 2>&1 || status=$?

@@ -18,12 +18,15 @@ code 0 iff every row is ``ok`` (NotCertified is not a failure), 1 otherwise,
 and 2 when the file or an option is rejected before any solve: a parse error
 (a coefficient that is not finite among them), box bounds that are not finite
 with lo < hi, a tolerance that is not positive and finite, no order left to
-solve, or a negative density grid.
+solve, a negative density grid, or an output file (``--json``, and
+``--density-out`` with a grid) that cannot be opened for writing; both are
+opened, and so created, before the solve.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -396,46 +399,40 @@ def write_density_csv(samples: DensitySamples, fh: TextIO) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    try:
-        with open(args.file, "r") as fh:
-            pf = parse_problem(fh.read())
-        if args.density_grid < 0:
-            raise ValueError(f"--density-grid must be >= 0, got {args.density_grid}")
-        report = run(pf, max_order=args.max_order, tol=args.tol)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    payload = report.to_json()
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-    if args.density_grid:
+    with contextlib.ExitStack() as files:
         try:
-            samples = sample_density(report, args.density_grid)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-        else:
-            if args.density_out:
-                with open(args.density_out, "w") as fh:
-                    write_density_csv(samples, fh)
+            with open(args.file, "r") as fh:
+                pf = parse_problem(fh.read())
+            if args.density_grid < 0:
+                raise ValueError(f"--density-grid must be >= 0, got {args.density_grid}")
+            out, density_out = (files.enter_context(open(path, "w")) if path else sys.stdout
+                                for path in (args.json, args.density_grid and args.density_out))
+            report = run(pf, max_order=args.max_order, tol=args.tol)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        out.write(report.to_json())
+        if args.density_grid:
+            try:
+                samples = sample_density(report, args.density_grid)
+            except ValueError as exc:
+                print(exc, file=sys.stderr)
             else:
-                write_density_csv(samples, sys.stdout)
-    return 0 if report.all_solved else 1
+                write_density_csv(samples, density_out)
+        return 0 if report.all_solved else 1
 
 
 def _cmd_basis(args) -> int:
     try:
         measure = _named_measure(args.measure, args.dim,
                                  ((args.lo,) * args.dim, (args.hi,) * args.dim))
-        basis = build_basis(measure, args.t)
         if args.t > _COEFF_DEGREE_CAP:
             raise ValueError(f"degree {args.t} exceeds cap {_COEFF_DEGREE_CAP}; the monomial "
                              "coefficients of T_alpha grow with the degree, so float64 "
                              "evaluation loses accuracy beyond this")
         if args.grid < 0:
             raise ValueError(f"--grid must be >= 0, got {args.grid}")
+        basis = build_basis(measure, args.t)
     except (ValueError, BasisConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -62,21 +62,20 @@ class HierarchyError(RuntimeError):
 @dataclass
 class SosCertificate:
     """lam + sum_j psi_j g_j with psi_j = v' Q_j v from the dual Gram blocks
-    Q_j of ``problem``, the relaxation's SDP."""
+    Q_j of ``problem``, the relaxation's SDP, and the coefficients r of
+    f - lam - sum_j psi_j g_j past the constant."""
 
     lam: float
     multipliers: List[Tuple[Polynomial, int, np.ndarray]]  # (g_j, order, Gram Q_j)
     problem: SdpProblem
+    r: np.ndarray    # c - A*(Q): the solver's coefficient residual of its pair
 
     def residual(self) -> float:
-        """Max coefficient deviation of f - lam - sum psi_j g_j: the solver's
-        dual residual max |c - A*(Q)|, through ``SdpBlock.adjoint``.  The
-        constant coefficient is exact by construction, as lam = c_0 + the
-        dual objective."""
-        r = self.problem.c
-        for blk, (_, _, Q) in zip(self.problem.blocks, self.multipliers):
-            r = r - blk.adjoint(Q)
-        return float(np.max(np.abs(r)))
+        """Max coefficient deviation of f - lam - sum psi_j g_j: max |r|, read
+        off the solver's one measurement of the returned pair, whose dual
+        residual is max |r| / (1 + cost_scale).  The constant coefficient is
+        exact by construction, as lam = c_0 + the dual objective."""
+        return float(np.max(np.abs(self.r)))
 
 
 @dataclass
@@ -200,7 +199,7 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
     cert = SosCertificate(
         lam=float(c[0] + sol.dual_objective),
         multipliers=[(g, s, Q) for (g, s), Q in zip(gs, sol.dual_blocks)],
-        problem=prob)
+        problem=prob, r=sol.coeff_residual)
     result = LowerBoundResult(t=t, rho=rho, f=f, y=y, certificate=cert, solution=sol)
     result.extraction = certify_and_extract(result, B)
     if measure is not None:

@@ -54,6 +54,8 @@ Statuses: ``optimal`` when the stopping test passes; ``unbounded``, or else
 ``infeasible``, when the objective passes 1e12 * cost_scale (unbounded: c'y
 to -inf over primal-feasible iterates); ``numerical_failure`` when a Cholesky
 factorization fails even with jitter; else ``max_iter``.  A stall ends no run.
+Whatever the status, the returned pair is the last one measured, and its
+objectives, measures and coefficient residual come from that one measurement.
 
 Everything is deterministic: identical inputs and options give identical
 iterates within one build.
@@ -307,6 +309,10 @@ class SdpOptions:
 
 @dataclass
 class SdpSolution:
+    """The returned pair (y, [Z_j]) and ``solve_sdp``'s one measurement of
+    it, whatever the status: the objectives c'y and -<A0, Z>, the stopping
+    test's three measures, and the coefficient residual r = c - A*(Z), whose
+    max |r| / (1 + cost_scale) is ``dual_residual``."""
     y: np.ndarray
     objective: float
     dual_objective: float
@@ -316,6 +322,7 @@ class SdpSolution:
     primal_residual: float
     dual_residual: float
     gap: float
+    coeff_residual: np.ndarray
 
 
 _INV_LEAF = 48
@@ -414,7 +421,7 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 # fraction of the longest step that keeps S and Z PSD taken by each iteration
 _STEP_FRACTION = 0.98
-_MAX_ITER = 200   # solve_sdp stops with status max_iter after these iterations
+_MAX_ITER = 200   # solve_sdp returns its 200th iterate with status max_iter
 
 
 def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
@@ -432,22 +439,6 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
     N = prob.num_vars
     blocks = prob.blocks
     total_dim = sum(blk.dim for blk in blocks)
-
-    if candidate is not None:
-        y, Zs = candidate
-        if ([np.shape(y)] + [np.shape(Z) for Z in Zs]
-                != [(N,)] + [(blk.dim, blk.dim) for blk in blocks]):
-            raise ValueError("candidate does not match the problem's variables and blocks")
-        S = [blk.at(y) for blk in blocks]
-        pobj = float(c @ y)
-        dobj = -sum(float(np.sum(blk.const * Z)) for blk, Z in zip(blocks, Zs))
-        passed, measures = prob.stopping(
-            max(0.0, -min(float(np.linalg.eigvalsh(m)[0]) for m in S)),
-            c - sum(blk.adjoint(Z) for blk, Z in zip(blocks, Zs)), pobj, dobj,
-            sum(float(np.sum(m * Z)) for m, Z in zip(S, Zs)), opts.tol)
-        if passed:
-            return SdpSolution(y, pobj, dobj, list(Zs), SdpStatus.OPTIMAL, 0, *measures)
-
     # one stack per block side, in order of first appearance; every block
     # step below is one batched call per stack
     sides = {}
@@ -456,6 +447,32 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
     members = list(sides.values())
     stacks = [SdpBlock.stack([blocks[j] for j in js]) for js in members]
     ns = len(stacks)
+
+    def measure(y, S, Z, violation):
+        """rd = c - A*(Z), c'y, -<A0, Z>, mu = <S, Z> / total_dim and the
+        stopping verdict and measures of the pair (y, Z) with slacks S, for
+        the candidate and every iterate: the one place they are formed."""
+        rd = c
+        for s, blk in enumerate(stacks):
+            rd = rd - blk.adjoint(Z[s])
+        pobj = float(c @ y)
+        dobj = -sum(float(np.sum(blk.const * Z[s])) for s, blk in enumerate(stacks))
+        mu = sum(float(np.sum(S[s] * Z[s])) for s in range(ns)) / total_dim
+        return (rd, pobj, dobj, mu) + prob.stopping(violation, rd, pobj, dobj,
+                                                    mu * total_dim, opts.tol)
+
+    if candidate is not None:
+        y, Zs = candidate
+        if ([np.shape(y)] + [np.shape(Z) for Z in Zs]
+                != [(N,)] + [(blk.dim, blk.dim) for blk in blocks]):
+            raise ValueError("candidate does not match the problem's variables and blocks")
+        S = [blk.at(y) for blk in stacks]
+        rd, pobj, dobj, _, passed, measures = measure(
+            y, S, [np.stack([Zs[j] for j in js]) for js in members],
+            max(0.0, -min(float(np.linalg.eigvalsh(m)[..., 0].min()) for m in S)))
+        if passed:
+            return SdpSolution(y, pobj, dobj, list(Zs), SdpStatus.OPTIMAL, 0, *measures, rd)
+
     # one Schur workspace for every stack and iteration
     work = np.empty(max(blk.schur_floats for blk in stacks))
 
@@ -468,29 +485,20 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
     Z = [10.0 * cost_scale * np.broadcast_to(np.eye(blk.dim), blk.const.shape)
          for blk in stacks]
 
-    status = SdpStatus.MAX_ITER
     for it in range(1, _MAX_ITER + 1):
-        # residuals
         Rres = [blk.at(y) - S[s] for s, blk in enumerate(stacks)]
-        rd = c
-        for s, blk in enumerate(stacks):
-            rd = rd - blk.adjoint(Z[s])
-        mu = sum(float(np.sum(S[s] * Z[s])) for s in range(ns)) / total_dim
-
-        pobj = float(c @ y)
-        dobj = -sum(float(np.sum(blk.const * Z[s])) for s, blk in enumerate(stacks))
-        passed, (pres, dres, gap_rel) = prob.stopping(
-            max(float(np.max(np.abs(Rres[s]))) for s in range(ns)), rd, pobj, dobj,
-            mu * total_dim, opts.tol)
+        rd, pobj, dobj, mu, passed, (pres, dres, gap_rel) = measure(
+            y, S, Z, max(float(np.max(np.abs(Rres[s]))) for s in range(ns)))
         if passed:
             status = SdpStatus.OPTIMAL
             break
-
         if abs(dobj) > 1e12 * cost_scale or abs(pobj) > 1e12 * cost_scale:
             status = (SdpStatus.UNBOUNDED if pobj < -1e12 * cost_scale and pres <= opts.tol
                       else SdpStatus.INFEASIBLE)
             break
-
+        if it == _MAX_ITER:
+            status = SdpStatus.MAX_ITER
+            break
         try:
             Rinvs, lams = zip(*[_nt_scaling(S[s], Z[s]) for s in range(ns)])
 
@@ -553,16 +561,11 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
             S[s] = S[s] + ap * dS[s]
             Z[s] = _sym(Z[s] + ad * dZ[s])
 
-    pobj = float(c @ y)
-    dobj = -sum(float(np.sum(blk.const * Z[s])) for s, blk in enumerate(stacks))
     dual_blocks = [None] * len(blocks)
     for js, Zs in zip(members, Z):
         for j, Zj in zip(js, Zs):
             dual_blocks[j] = Zj.copy()
-    return SdpSolution(
-        y=y, objective=pobj, dual_objective=dobj,
-        dual_blocks=dual_blocks, status=status, iterations=it,
-        primal_residual=float(pres), dual_residual=float(dres), gap=float(gap_rel))
+    return SdpSolution(y, pobj, dobj, dual_blocks, status, it, pres, dres, gap_rel, rd)
 
 
 def gen_eig_min(A: np.ndarray, B: np.ndarray) -> Tuple[float, np.ndarray]:

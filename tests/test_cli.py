@@ -532,3 +532,32 @@ class TestCommandLine:
         assert main(["basis", "uniform_box", "2", "--grid", "-1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: --grid must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("argv", [["9"], ["2", "--grid", "-1"]],
+                             ids=["above_cap", "negative_grid"])
+    def test_basis_checks_input_before_building(self, capsys, monkeypatch, argv):
+        # the cap and the grid are checked first: t = 12 with --dim 9 would
+        # enumerate C(21, 9) exponents only to be rejected
+        def no_build(*args):
+            raise AssertionError("build_basis called on rejected input")
+
+        monkeypatch.setattr(cli, "build_basis", no_build)
+        assert main(["basis", "uniform_box"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--json", "--density-out"])
+    def test_unwritable_output_rejected_before_solve(self, tmp_path, capsys,
+                                                     monkeypatch, flag):
+        # both output files are opened before the sweep, so a missing
+        # directory is an option error (exit 2), not a traceback after it
+        def no_run(*args, **kwargs):
+            raise AssertionError("run called with an unwritable output path")
+
+        prob = tmp_path / "p.txt"
+        prob.write_text(UNIVARIATE)
+        monkeypatch.setattr(cli, "run", no_run)
+        assert main(["solve", str(prob), "--density-grid", "5",
+                     flag, str(tmp_path / "missing" / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "missing" in err

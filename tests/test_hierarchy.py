@@ -18,8 +18,8 @@ from cdmos.hierarchy import (HierarchyError, UpperBoundResult, certify_and_extra
 from cdmos.measures import CountingHypercube, MomentSequence, UniformBox, moments
 from cdmos.momentmat import SemialgebraicSet, localizing_matrix
 from cdmos.orthobasis import BasisConstructionError, OrthoBasis, build_basis
-from cdmos.polyring import Polynomial, enumerate_basis, monomial_values
-from cdmos.sdp import SdpOptions
+from cdmos.polyring import Polynomial, coeff_vector, enumerate_basis, monomial_values
+from cdmos.sdp import SdpBlock, SdpOptions, SdpProblem, SdpStatus, solve_sdp
 
 X = Polynomial.variable(1, 0)
 UNIT_INTERVAL = SemialgebraicSet(1, (1.0 - X * X,), box=((-1.0,), (1.0,)))
@@ -559,6 +559,59 @@ class TestClosedForm:
                               orders[1], t_min=orders[0])
         assert [row.t for row in rows if row.lower_error is None] == list(
             range(orders[0], orders[1] + 1))
+
+
+class TestOneMeasurement:
+    """``solve_sdp`` measures each pair once: the returned solution's status,
+    objectives, measures and coefficient residual r = c - A*(Z) all belong
+    to the pair it returns, and the certificate reads its residual off r."""
+
+    def test_max_iter_solution_describes_its_pair(self):
+        # f = x with no constraint at t = 3 ends max_iter: the solution
+        # describes the pair it returns even when no pair passed the test
+        t = 3
+        basis = enumerate_basis(1, 2 * t)
+        c = coeff_vector(X, basis)[1:]
+        prob = SdpProblem(c, hierarchy._moment_blocks([(Polynomial.constant(1, 1.0), t)], basis))
+        sol = solve_sdp(prob)
+        assert sol.status is SdpStatus.MAX_ITER
+        (blk,), (Z,) = prob.blocks, sol.dual_blocks
+        r = c - blk.adjoint(Z)
+        assert sol.dual_residual == float(np.max(np.abs(r))) / (1.0 + prob.cost_scale)
+        assert sol.objective == float(c @ sol.y)
+        assert sol.dual_objective == -float(np.sum(blk.const * Z))
+        np.testing.assert_array_equal(sol.coeff_residual, r)
+        assert max(sol.primal_residual, sol.dual_residual, sol.gap) > SdpOptions().tol
+
+    def test_certificate_residual_runs_no_adjoint(self, monkeypatch):
+        # at a solved order and at a closed-form one
+        r2 = lower_bound(X1 * X2, UNIT_SQUARE, 2)
+        r3 = lower_bound(X1 * X2, UNIT_SQUARE, 3, prev=r2)
+        assert r3.solution.iterations == 0
+
+        def no_adjoint(*args):
+            raise AssertionError("SdpBlock.adjoint called by the certificate")
+
+        monkeypatch.setattr(SdpBlock, "adjoint", no_adjoint)
+        for r in (r2, r3):
+            assert r.certificate.residual() == float(np.max(np.abs(r.solution.coeff_residual)))
+            assert r.certificate.residual() / (1.0 + r.certificate.problem.cost_scale) == \
+                r.solution.dual_residual
+
+    def test_closed_form_builds_no_schur_workspace(self, monkeypatch):
+        f = X1 * X2 + 0.5 * X1 - 0.3 * X2 + X1 * X1 * X1 * X1
+        prev = lower_bound(f, UNIT_SQUARE, 2)
+        assert prev.extraction.certified
+
+        @property
+        def no_workspace(self):
+            raise AssertionError("Schur workspace sized for a passing candidate")
+
+        monkeypatch.setattr(SdpBlock, "schur_floats", no_workspace)
+        monkeypatch.setattr(SdpBlock, "_schur_plan", no_workspace)
+        row = lower_bound(f, UNIT_SQUARE, 3, prev=prev)
+        assert row.solution.status is SdpStatus.OPTIMAL and row.solution.iterations == 0
+        assert row.extraction.certified
 
 
 @st.composite
