@@ -41,6 +41,11 @@ status=0; cdmos solve problems/univariate_x.txt --json "$tmp/missing/r.json" 2> 
 test "$status" -eq 2
 grep -q "^error: " "$tmp/missing.err"
 if grep -q Traceback "$tmp/missing.err"; then exit 1; fi
+# --density-out without --density-grid is rejected before any solve or
+# output, with exit code 2 and no file created
+status=0; cdmos solve problems/univariate_x.txt --density-out "$tmp/nogrid.csv" > /dev/null 2>&1 || status=$?
+test "$status" -eq 2
+test ! -e "$tmp/nogrid.csv"
 # an infinite tolerance and a NaN box bound are rejected before any solve
 # or output, with exit code 2
 status=0; cdmos solve problems/univariate_x.txt --tol inf > /dev/null 2>&1 || status=$?

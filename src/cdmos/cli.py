@@ -18,9 +18,10 @@ code 0 iff every row is ``ok`` (NotCertified is not a failure), 1 otherwise,
 and 2 when the file or an option is rejected before any solve: a parse error
 (a coefficient that is not finite among them), box bounds that are not finite
 with lo < hi, a tolerance that is not positive and finite, no order left to
-solve, a negative density grid, or an output file (``--json``, and
-``--density-out`` with a grid) that cannot be opened for writing; both are
-opened, and so created, before the solve.
+solve, a negative density grid, ``--density-out`` without a positive
+``--density-grid``, or an output file (``--json``, ``--density-out``) that
+cannot be opened for writing; both are opened, and so created, before the
+solve.
 """
 
 from __future__ import annotations
@@ -405,8 +406,10 @@ def _cmd_solve(args) -> int:
                 pf = parse_problem(fh.read())
             if args.density_grid < 0:
                 raise ValueError(f"--density-grid must be >= 0, got {args.density_grid}")
+            if args.density_out and not args.density_grid:
+                raise ValueError("--density-out needs a positive --density-grid")
             out, density_out = (files.enter_context(open(path, "w")) if path else sys.stdout
-                                for path in (args.json, args.density_grid and args.density_out))
+                                for path in (args.json, args.density_out))
             report = run(pf, max_order=args.max_order, tol=args.tol)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)

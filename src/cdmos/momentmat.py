@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,17 +21,31 @@ def localizing_pattern(basis: MonomialBasis, g: Polynomial, s: int):
     the terms in ``g.terms`` order but the constant last: an SDP block that
     holds it in its constant then adds it to entry (0, 0) last too, as
     ``localizing_matrix`` does.  var is one rank table of delta + gamma over
-    |delta| <= 2s, read at the ranks of alpha_a + alpha_b."""
+    |delta| <= 2s, read at the ranks of alpha_a + alpha_b (``_pair_ranks``)."""
     m = math.comb(basis.n + s, s)
     deltas = basis.array[:math.comb(basis.n + 2 * s, 2 * s)]
     terms = sorted(g.terms.items(), key=lambda term: not any(term[0]))
     gammas = np.array([gamma for gamma, _ in terms], dtype=np.intp).reshape(-1, basis.n)
     shifted = _grlex_rank(gammas[:, None, :] + deltas[None, :, :])
-    alphas = deltas[:m]
-    var = shifted[:, _grlex_rank(alphas[:, None, :] + alphas[None, :, :]).ravel()].ravel()
+    var = shifted[:, _pair_ranks(basis, s)].ravel()
     pos = np.tile(np.arange(m * m), len(gammas))
     val = np.repeat(np.array([c for _, c in terms], dtype=float), m * m)
     return var, pos, val
+
+
+_PAIR_RANKS: Dict[Tuple[int, int], np.ndarray] = {}
+
+
+def _pair_ranks(basis: MonomialBasis, s: int) -> np.ndarray:
+    """The graded-lex ranks of alpha_a + alpha_b over |alpha| <= s (s <=
+    basis.t), row-major in (a, b) and read-only: one table per (n, s), shared
+    by every block of order s."""
+    key = (basis.n, s)
+    if key not in _PAIR_RANKS:
+        alphas = basis.array[:math.comb(basis.n + s, s)]
+        _PAIR_RANKS[key] = _grlex_rank(alphas[:, None, :] + alphas[None, :, :]).ravel()
+        _PAIR_RANKS[key].flags.writeable = False
+    return _PAIR_RANKS[key]
 
 
 def localizing_matrix(y: MomentSequence, g: Polynomial, s: int) -> np.ndarray:

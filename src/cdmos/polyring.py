@@ -12,6 +12,7 @@ the two.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -77,11 +78,18 @@ def _grlex_rank(alphas: np.ndarray) -> np.ndarray:
     """
     n = alphas.shape[-1]
     tail = np.cumsum(alphas[..., ::-1], axis=-1)[..., ::-1]   # tail[i] = sum_{j>=i}
-    top = int(tail[..., 0].max(initial=0)) + n
-    binom = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(top)],
-                     dtype=np.intp)
+    binom = _binomials(int(tail[..., 0].max(initial=0)) + n, n)
     k = np.arange(n - 1, 0, -1)                                # k_i for i < n-1
     return binom[n + tail[..., 0] - 1, n] + binom[tail[..., 1:] + k - 1, k].sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _binomials(top: int, n: int) -> np.ndarray:
+    """The read-only table C(a, b) for a < top, b <= n."""
+    table = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(top)],
+                     dtype=np.intp)
+    table.flags.writeable = False
+    return table
 
 
 def enumerate_basis(n: int, t: int) -> MonomialBasis:

@@ -17,14 +17,17 @@ Each block stores its coefficient matrices A_kj as a sparse index pattern,
 which for the relaxations comes from ``momentmat.localizing_pattern``, never
 as a dense (N, d, d) tensor.  Before the first iteration the solver stacks
 the blocks of each side d into one ``SdpBlock`` with (g, d, d) data, so every
-per-block step (residuals, NT scaling, Newton directions, updates) is one
-batched numpy call per side; on a box, all the localizing blocks of
-1 - x_i^2 share one stack.  Each phase (predictor, corrector) takes its
-primal and dual step lengths from one eigvalsh per stack, of the scaled
-directions dS~ and dZ~ stacked as a pair.  The solver touches the patterns
-only through A(y) = sum_k y_k A_k and A*(Z) = (<A_k, Z>)_k, both one
-bincount over the stack, and through the Schur complement
-sum_j tr(A_kj W_j^-1 A_lj W_j^-1), built in O(N d^3) per block
+per-block factorization and product is one batched numpy call per side; on a
+box, all the localizing blocks of 1 - x_i^2 share one stack.  The stacks'
+matrices lie side by side in one flat vector (``_Layout``), so an elementwise
+step (a
+residual, a right-hand side, an update), a transpose (one gather) and
+A(y) = sum_k y_k A_k are one call for all stacks, and the stacks' adjoints
+A*(Z) = (<A_k, Z>)_k are one bincount with one row per stack.  Each phase
+(predictor, corrector) takes its primal and dual step lengths from one
+eigvalsh per stack, of the scaled directions dS~ and dZ~ stacked as a pair.
+The solver touches the patterns only through A(y), A*(Z) and the Schur
+complement sum_j tr(A_kj W_j^-1 A_lj W_j^-1), built in O(N d^3) per block
 from the pattern as in Fujisawa, Kojima and Nakata, "Exploiting sparsity in
 primal-dual interior-point methods for semidefinite programming" (Math. Prog.
 1997).  Its two sparse sums (rows of W^-1 scattered into A_l W^-1, products
@@ -49,6 +52,19 @@ recursion (``_lower_inv``); each of the iteration's four solves (predictor
 and corrector, each with one refinement step) is then two matrix-vector
 products.  The NT scaling reads its inverse factor off the SVD it already
 computes, so the module needs numpy alone.
+
+Cost of an iteration.  Per stack, an iteration makes one Cholesky
+factorization of the stacked pair (S, Z), one SVD for the NT scaling and two
+eigvalsh for the step lengths; per iteration, one Cholesky factorization of
+the Schur complement and one LAPACK inverse per leaf of its factor (one leaf
+up to N = 48).  On the relaxations' blocks, 1x1 to a few dozen rows, that
+LAPACK work is about a quarter of an iteration's time (cube_wide, N = 65);
+the rest is numpy dispatch, which is why the loop keeps its calls few.
+The adjoints and the inner products <., .> (objectives, mu) stay per stack,
+combined stack by stack in a fixed order, as floating-point sums depend on
+their order: one bincount of A*(Z) over all the stacks' entries changes the
+certificate residual max |c - A*(Z)| on 7 of the 16 cube_wide draws, by up
+to a factor 6 either way.
 
 Statuses: ``optimal`` when the stopping test passes; ``unbounded``, or else
 ``infeasible``, when the objective passes 1e12 * cost_scale (unbounded: c'y
@@ -94,8 +110,10 @@ class SdpBlock:
 
     ``SdpBlock(const, num_vars, var, pos, val)`` takes the pattern as it is
     (the relaxation's blocks come from ``momentmat.localizing_pattern``);
-    ``SdpBlock.stack`` concatenates blocks of one side.  The solver only uses
-    the three pattern operators ``apply``, ``adjoint`` and ``schur``.
+    ``SdpBlock.stack`` concatenates blocks of one side.  The solver calls
+    ``schur`` on each stack and applies A and A* to all its stacks at once,
+    through the stacks' patterns laid end to end, as ``apply`` and
+    ``adjoint`` would per stack.
     """
 
     def __init__(self, const, num_vars: int, var, pos, val):
@@ -223,12 +241,15 @@ class SdpBlock:
         B = B.reshape(g * d * d, N)
         M = work[:N * N].reshape(N, N)
         M.fill(0.0)
-        for pos, weight, layers in reduce:
+        for i, (pos, weight, layers) in enumerate(reduce):
             G = work[N * N:N * (N + len(pos))].reshape(-1, N)
             np.take(B, pos, axis=0, out=G, mode="clip")
             G *= weight[:, None]
             for s, k in layers:
-                M[k] += G[s]
+                if i or s.start:
+                    M[k] += G[s]
+                else:       # the first layer's rows are assigned, as in the scatter
+                    M[k] = G[s]
         return M
 
 
@@ -326,6 +347,7 @@ class SdpSolution:
 
 
 _INV_LEAF = 48
+_ABOVE = ~np.tri(_INV_LEAF, dtype=bool)    # a leaf's strict upper triangle
 
 
 def _lower_inv(L: np.ndarray) -> np.ndarray:
@@ -337,7 +359,9 @@ def _lower_inv(L: np.ndarray) -> np.ndarray:
     """
     n = L.shape[0]
     if n <= _INV_LEAF:
-        return np.tril(np.linalg.inv(L))
+        Linv = np.linalg.inv(L)
+        Linv[_ABOVE[:n, :n]] = 0.0
+        return Linv
     h = n // 2
     Ai = _lower_inv(L[:h, :h])
     Di = _lower_inv(L[h:, h:])
@@ -381,42 +405,77 @@ def _stack_cholesky(M: np.ndarray, floor: float) -> np.ndarray:
     return np.stack(factors).reshape(M.shape)
 
 
-def _nt_scaling(S: np.ndarray, Z: np.ndarray):
-    """NT scaling for a block or a stack: the inverse factors Rinv and the
-    scaled spectra.
+def _nt_scaling(SZ: np.ndarray):
+    """NT scaling for a block or a stack, given S and Z stacked on a leading
+    axis of 2: the inverse factors Rinv and the scaled spectra.
 
     With S = Ls Ls', Z = Lz Lz' and Lz' Ls = U diag(lam) V', the factor
     Rinv = diag(lam)^-1/2 U' Lz' (as in SDPT3) equals diag(lam)^1/2 V' Ls^-1,
     so W = R R' with W Z W = S, and both Rinv S Rinv' and R' Z R equal
     diag(lam).
     """
-    Ls, Lz = _stack_cholesky(np.stack((S, Z)), 1e-15)
-    U, lam, _ = np.linalg.svd(_t(Lz) @ Ls)
-    Rinv = _t(U / np.sqrt(lam)[..., None, :]) @ _t(Lz)
+    Ls, Lz = _stack_cholesky(SZ, 1e-15)
+    LzT = Lz.swapaxes(-1, -2)
+    U, lam, _ = np.linalg.svd(LzT @ Ls)
+    Rinv = (U / np.sqrt(lam)[..., None, :]).swapaxes(-1, -2) @ LzT
     return Rinv, lam
 
 
-def _max_step(lam: np.ndarray, dtS: np.ndarray, dtZ: np.ndarray) -> Tuple[float, float]:
-    """sup {a : diag(lam) + a*dt PSD} for dt = dtS and dt = dtZ over every member
-    of a stack: one eigvalsh of the Lam^{-1/2}-scaled pair."""
-    s = 1.0 / np.sqrt(lam)
-    w = np.linalg.eigvalsh(s[..., :, None] * np.stack((dtS, dtZ)) * s[..., None, :])
-    wmin = w[..., 0].reshape(2, -1).min(axis=1).tolist()
+def _max_step(pairs) -> Tuple[float, float]:
+    """sup {a : I + a*dt PSD} for dt = dt~S and dt = dt~Z over every member
+    of every stack, given each stack's Lam^{-1/2}-scaled pair (dt~S, dt~Z)
+    stacked on a leading axis of 2: one eigvalsh per stack."""
+    wmin = np.concatenate([np.linalg.eigvalsh(p)[..., 0].reshape(2, -1) for p in pairs],
+                          axis=1).min(axis=1).tolist()
     return tuple(np.inf if m >= 0.0 else -1.0 / m for m in wmin)
 
 
-def _diag(lam: np.ndarray) -> np.ndarray:
-    """diag(lam) for each row of a (g, d) stack of vectors."""
-    return lam[..., :, None] * np.eye(lam.shape[-1])
+class _Layout:
+    """The matrices of a solve's stacks side by side in one flat vector, stack
+    s at [lo[s], hi[s]), so an elementwise step, A(y) and the stacks'
+    adjoints are one call for all stacks.  The stacks' positions are
+    disjoint, so each entry of ``apply`` and of an ``adjoints`` row sums the
+    same terms in the same order as that stack's ``SdpBlock.apply`` and
+    ``adjoint``, and ``sums`` adds each stack's entries as np.sum of its
+    (g, d, d) array does."""
 
+    def __init__(self, stacks: Sequence[SdpBlock]):
+        self.stacks = stacks
+        self.hi = np.cumsum([blk.const.size for blk in stacks]).tolist()
+        self.lo = [0] + self.hi[:-1]
+        self.const, self.pos, self.var, self.val = (np.concatenate(parts) for parts in zip(*[
+            (blk.const.ravel(), blk.pos + a, blk.var, blk.val)
+            for a, blk in zip(self.lo, stacks)]))
+        # stack s's adjoint gathers into bins s*N .. s*N + N-1
+        self.bins = np.concatenate([blk.var + s * blk.num_vars for s, blk in enumerate(stacks)])
+        # per flat entry (j, a, b) of a stack: its transpose's position, and
+        # the positions of lam_a and lam_b in the stacks' spectra end to end
+        tables, at = [], 0
+        for a0, blk in zip(self.lo, stacks):
+            d = blk.dim
+            j, a, b = np.indices(blk.const.shape).reshape(3, -1)
+            tables.append((a0 + (j * d + b) * d + a, at + j * d + a, at + j * d + b))
+            at += blk.const.size // d
+        self.perm, self.row, self.col = map(np.concatenate, zip(*tables))
+        self.eye = (self.row == self.col).astype(float)
 
-def _t(m: np.ndarray) -> np.ndarray:
-    """The transpose of each matrix of a stack (ndarray.mT needs numpy 2)."""
-    return np.swapaxes(m, -1, -2)
+    def views(self, flat: np.ndarray) -> List[np.ndarray]:
+        """Each stack's (g, d, d) matrices in flat[..., lo[s]:hi[s]]."""
+        return [flat[..., a:b].reshape(flat.shape[:-1] + blk.const.shape)
+                for a, b, blk in zip(self.lo, self.hi, self.stacks)]
 
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """sum_k y_k A_k of every stack, flat."""
+        return np.bincount(self.pos, self.val * y[self.var], minlength=self.hi[-1])
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + _t(m))
+    def adjoints(self, Z: np.ndarray) -> np.ndarray:
+        """(<A_k, Z_s>)_k for each stack s, one row per stack."""
+        ns, N = len(self.stacks), self.stacks[0].num_vars
+        return np.bincount(self.bins, self.val * Z[self.pos], minlength=ns * N).reshape(ns, N)
+
+    def sums(self, x: np.ndarray) -> List[float]:
+        """The sum of each stack's entries of a flat vector."""
+        return [float(x[a:b].sum()) for a, b in zip(self.lo, self.hi)]
 
 
 # fraction of the longest step that keeps S and Z PSD taken by each iteration
@@ -439,25 +498,29 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
     N = prob.num_vars
     blocks = prob.blocks
     total_dim = sum(blk.dim for blk in blocks)
-    # one stack per block side, in order of first appearance; every block
-    # step below is one batched call per stack
+    # one stack per block side, in order of first appearance; every
+    # factorization and product below is one batched call per stack, and
+    # every elementwise step one call over the stacks' flat layout
     sides = {}
     for j, blk in enumerate(blocks):
         sides.setdefault(blk.dim, []).append(j)
     members = list(sides.values())
     stacks = [SdpBlock.stack([blocks[j] for j in js]) for js in members]
-    ns = len(stacks)
+    lay = _Layout(stacks)
+    const, perm, row, col, eye = lay.const, lay.perm, lay.row, lay.col, lay.eye
+    views, A, adjoints, sums = lay.views, lay.apply, lay.adjoints, lay.sums
+    total = len(const)
 
     def measure(y, S, Z, violation):
         """rd = c - A*(Z), c'y, -<A0, Z>, mu = <S, Z> / total_dim and the
         stopping verdict and measures of the pair (y, Z) with slacks S, for
         the candidate and every iterate: the one place they are formed."""
         rd = c
-        for s, blk in enumerate(stacks):
-            rd = rd - blk.adjoint(Z[s])
+        for a in adjoints(Z):
+            rd = rd - a
         pobj = float(c @ y)
-        dobj = -sum(float(np.sum(blk.const * Z[s])) for s, blk in enumerate(stacks))
-        mu = sum(float(np.sum(S[s] * Z[s])) for s in range(ns)) / total_dim
+        dobj = -sum(sums(const * Z))
+        mu = sum(sums(S * Z)) / total_dim
         return (rd, pobj, dobj, mu) + prob.stopping(violation, rd, pobj, dobj,
                                                     mu * total_dim, opts.tol)
 
@@ -466,29 +529,34 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
         if ([np.shape(y)] + [np.shape(Z) for Z in Zs]
                 != [(N,)] + [(blk.dim, blk.dim) for blk in blocks]):
             raise ValueError("candidate does not match the problem's variables and blocks")
-        S = [blk.at(y) for blk in stacks]
+        S = const + A(y)
         rd, pobj, dobj, _, passed, measures = measure(
-            y, S, [np.stack([Zs[j] for j in js]) for js in members],
-            max(0.0, -min(float(np.linalg.eigvalsh(m)[..., 0].min()) for m in S)))
+            y, S, np.concatenate([np.ravel(Zs[j]) for js in members for j in js]),
+            max(0.0, -min(float(np.linalg.eigvalsh(m)[..., 0].min()) for m in views(S))))
         if passed:
             return SdpSolution(y, pobj, dobj, list(Zs), SdpStatus.OPTIMAL, 0, *measures, rd)
 
-    # one Schur workspace for every stack and iteration
+    # one Schur workspace for every stack and iteration, and flat buffers
+    # for the per-stack products, written through their stacks' views:
+    # H = Rinv Rres Rinv', T = Rinv' (C - H) Rinv, DT = (dt~S, dt~Z), dZ and
+    # P = dt~S dt~Z of the predictor
     work = np.empty(max(blk.schur_floats for blk in stacks))
+    H, T, dZ, P = np.empty((4, total))
+    DT = np.empty((2, total))
+    Hv, Tv, dZv, Pv, dtSv, dtZv = map(views, (H, T, dZ, P, DT[0], DT[1]))
 
     data_scale, cost_scale = prob.data_scale, prob.cost_scale
     # "big identity" start: interior to the cones, though not feasible, as
-    # the iteration is infeasible-start
+    # the iteration is infeasible-start; S and Z are updated in place
     y = np.zeros(N)
-    S = [10.0 * data_scale * np.broadcast_to(np.eye(blk.dim), blk.const.shape)
-         for blk in stacks]
-    Z = [10.0 * cost_scale * np.broadcast_to(np.eye(blk.dim), blk.const.shape)
-         for blk in stacks]
+    SZ = np.stack((10.0 * data_scale * eye, 10.0 * cost_scale * eye))
+    S, Z = SZ
+    SZv = views(SZ)
 
     for it in range(1, _MAX_ITER + 1):
-        Rres = [blk.at(y) - S[s] for s, blk in enumerate(stacks)]
+        Rres = const + A(y) - S
         rd, pobj, dobj, mu, passed, (pres, dres, gap_rel) = measure(
-            y, S, Z, max(float(np.max(np.abs(Rres[s]))) for s in range(ns)))
+            y, S, Z, float(np.abs(Rres).max()))
         if passed:
             status = SdpStatus.OPTIMAL
             break
@@ -500,69 +568,82 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
             status = SdpStatus.MAX_ITER
             break
         try:
-            Rinvs, lams = zip(*[_nt_scaling(S[s], Z[s]) for s in range(ns)])
+            Rinvs, lams = zip(*map(_nt_scaling, SZv))
+            RinvTs = [R.swapaxes(-1, -2) for R in Rinvs]
 
             # Schur complement M_kl = sum_j tr(A_kj W_j^-1 A_lj W_j^-1)
             M = np.zeros((N, N))
-            for s, blk in enumerate(stacks):
-                M += blk.schur(_t(Rinvs[s]) @ Rinvs[s], work)
+            for blk, R, RT in zip(stacks, Rinvs, RinvTs):
+                M += blk.schur(RT @ R, work)
             M = 0.5 * (M + M.T)
             Linv = _chol_regularized(M)
-            Hres = [Rinvs[s] @ Rres[s] @ _t(Rinvs[s]) for s in range(ns)]
+            LinvT = Linv.T
+            for R, RT, m, out in zip(Rinvs, RinvTs, views(Rres), Hv):
+                np.matmul(R @ m, RT, out=out)
+            lam = np.concatenate([v.ravel() for v in lams])
+            lrow = lam[row]
+            lsum = lrow + lam[col]
+            lrow2 = lrow ** 2
+            s = 1.0 / np.sqrt(lam)
+            srow, scol = s[row], s[col]
 
-            def newton(Dmats):
-                Cs = []
-                h = -rd.copy()
-                for s in range(ns):
-                    Rinv, lam = Rinvs[s], lams[s]
-                    Cs.append(2.0 * Dmats[s] / (lam[..., :, None] + lam[..., None, :]))
-                    h += stacks[s].adjoint(_t(Rinv) @ (Cs[s] - Hres[s]) @ Rinv)
+            def newton(D, dual):
+                """dy, dS and the symmetrized (dt~S, dt~Z) stacked on a leading
+                axis of 2, for the right-hand side D; dZ into its buffer when
+                ``dual``."""
+                C = 2.0 * D / lsum
+                for R, RT, m, out in zip(Rinvs, RinvTs, views(C - H), Tv):
+                    np.matmul(RT @ m, R, out=out)
+                h = -rd
+                for a in adjoints(T):
+                    h += a
 
-                def directions(dy):
-                    dS = [Rres[s] + blk.apply(dy) for s, blk in enumerate(stacks)]
-                    dtS = [Rinvs[s] @ dS[s] @ _t(Rinvs[s]) for s in range(ns)]
-                    dZ = [_t(Rinvs[s]) @ (Cs[s] - dtS[s]) @ Rinvs[s] for s in range(ns)]
-                    return dS, dtS, dZ
+                def directions(dy, dual):
+                    dS = Rres + A(dy)
+                    for R, RT, m, out in zip(Rinvs, RinvTs, views(dS), dtSv):
+                        np.matmul(R @ m, RT, out=out)
+                    np.subtract(C, DT[0], out=DT[1])
+                    if dual:
+                        for R, RT, m, out in zip(Rinvs, RinvTs, dtZv, dZv):
+                            np.matmul(RT @ m, R, out=out)
+                    return dS
 
                 # M is built from W^-1, so its rounding errors grow like
                 # cond(W) as mu -> 0 and dZ stops satisfying the dual equation
                 # A*(dZ) = rd; one step of iterative refinement against that
                 # equation keeps the dual residual at rounding level.
-                dy = Linv.T @ (Linv @ h)
-                _, _, dZ = directions(dy)
-                err = rd - sum(blk.adjoint(dZ[s]) for s, blk in enumerate(stacks))
-                dy = dy - Linv.T @ (Linv @ err)
-                dS, dtS, dZ = directions(dy)
-                dtZ = [Cs[s] - dtS[s] for s in range(ns)]
-                return dy, dS, dZ, [_sym(m) for m in dtS], [_sym(m) for m in dtZ]
+                dy = LinvT @ (Linv @ h)
+                directions(dy, True)
+                err = rd - sum(adjoints(dZ))
+                dy = dy - LinvT @ (Linv @ err)
+                dS = directions(dy, dual)
+                return dy, dS, 0.5 * (DT + DT[:, perm])
 
             # predictor (affine scaling direction)
-            _, _, _, dtS_a, dtZ_a = newton([_diag(-lam ** 2) for lam in lams])
-
-            ap, ad = (min(1.0, *a) for a in zip(*map(_max_step, lams, dtS_a, dtZ_a)))
-            mu_aff = sum(float(np.sum((_diag(lams[s]) + ap * dtS_a[s]) *
-                                      _t(_diag(lams[s]) + ad * dtZ_a[s])))
-                         for s in range(ns)) / total_dim
+            _, _, dt = newton(-lrow2 * eye, False)
+            ap, ad = (min(1.0, a) for a in _max_step(views(srow * dt * scol)))
+            Lam = lrow * eye
+            mu_aff = sum(sums((Lam + ap * dt[0]) * (Lam + ad * dt[1])[perm])) / total_dim
             sigma = min(1.0, max(0.0, (mu_aff / mu))) ** 3
 
             # corrector
-            D_cor = [_diag(sigma * mu - lams[s] ** 2) - _sym(dtS_a[s] @ dtZ_a[s])
-                     for s in range(ns)]
-            dy, dS, dZ, dtS, dtZ = newton(D_cor)
+            for u, v, out in zip(views(dt[0]), views(dt[1]), Pv):
+                np.matmul(u, v, out=out)
+            dy, dS, dt = newton((sigma * mu - lrow2) * eye - 0.5 * (P + P[perm]), True)
         except np.linalg.LinAlgError:
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
-        ap, ad = (min(1.0, _STEP_FRACTION * min(a)) for a in zip(*map(_max_step, lams, dtS, dtZ)))
+        ap, ad = (min(1.0, _STEP_FRACTION * a) for a in _max_step(views(srow * dt * scol)))
 
-        # A(y) is symmetric bit for bit (see SdpBlock), so S needs no _sym
+        # A(y) is symmetric bit for bit (see SdpBlock), so S needs no symmetrizing
         y = y + ap * dy
-        for s in range(ns):
-            S[s] = S[s] + ap * dS[s]
-            Z[s] = _sym(Z[s] + ad * dZ[s])
+        S += ap * dS
+        Z += ad * dZ
+        np.multiply(0.5, Z + Z[perm], out=Z)
 
     dual_blocks = [None] * len(blocks)
-    for js, Zs in zip(members, Z):
+    for js, Zs in zip(members, views(Z)):
         for j, Zj in zip(js, Zs):
             dual_blocks[j] = Zj.copy()
     return SdpSolution(y, pobj, dobj, dual_blocks, status, it, pres, dres, gap_rel, rd)

@@ -561,3 +561,21 @@ class TestCommandLine:
                      flag, str(tmp_path / "missing" / "out")]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "missing" in err
+
+    @pytest.mark.parametrize("grid", [[], ["--density-grid", "0"]])
+    def test_density_out_without_grid_rejected_before_solve(self, tmp_path, capsys,
+                                                            monkeypatch, grid):
+        # a density table needs a grid: without one the option is an error
+        # (exit 2, no file created), not silently ignored
+        def no_run(*args, **kwargs):
+            raise AssertionError("run called with --density-out but no grid")
+
+        prob = tmp_path / "p.txt"
+        prob.write_text(UNIVARIATE)
+        monkeypatch.setattr(cli, "run", no_run)
+        density, report = tmp_path / "d.csv", tmp_path / "r.json"
+        assert main(["solve", str(prob), "--density-out", str(density),
+                     "--json", str(report)] + grid) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "--density-grid" in err
+        assert not density.exists() and not report.exists()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdmos.measures import UniformBox, moments
-from cdmos.momentmat import localizing_matrix, moment_matrix
+from cdmos.momentmat import _pair_ranks, localizing_matrix, moment_matrix
 from cdmos.polyring import Polynomial, enumerate_basis, monomial_values
 
 
@@ -104,3 +104,16 @@ class TestLocalizingMatrix:
         with pytest.raises(ValueError, match="too short"):
             moment_matrix(y, 2)
 
+    @pytest.mark.parametrize("n, s", [(1, 3), (2, 2), (4, 1)])
+    def test_pair_ranks_cached_read_only(self, n, s):
+        # one table per (n, s), shared by every block of that order: the
+        # ranks of alpha_a + alpha_b in the degree-2s basis, row-major
+        b = enumerate_basis(n, 2 * s)
+        ranks = _pair_ranks(b, s)
+        assert _pair_ranks(enumerate_basis(n, 2 * s + 1), s) is ranks
+        assert not ranks.flags.writeable
+        alphas = list(enumerate_basis(n, s))
+        assert ranks.tolist() == [b.position(tuple(x + y for x, y in zip(a, c)))
+                                  for a in alphas for c in alphas]
+        with pytest.raises(ValueError, match="read-only"):
+            ranks[0] = 1

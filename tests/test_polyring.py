@@ -7,8 +7,8 @@ from conftest import vector_to_poly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdmos.polyring import (PolyParseError, Polynomial, coeff_vector,
-                            enumerate_basis, grlex_key, monomial_values,
+from cdmos.polyring import (PolyParseError, Polynomial, _binomials, _grlex_rank,
+                            coeff_vector, enumerate_basis, grlex_key, monomial_values,
                             parse_polynomial)
 
 
@@ -40,6 +40,24 @@ class TestEnumerateBasis:
         b = enumerate_basis(3, 3)
         for i, alpha in enumerate(b):
             assert b.position(alpha) == i
+
+    # the benchmark workloads' moment bases: cube_wide (n = 10, 2t = 2),
+    # box_dense (4, 6) and box_deep (2, 12)
+    @pytest.mark.parametrize("n, t", [(10, 2), (4, 6), (2, 12)])
+    def test_rank_is_enumeration_position(self, n, t):
+        b = enumerate_basis(n, t)
+        for _ in range(2):      # the second pass reads the cached tables
+            np.testing.assert_array_equal(_grlex_rank(b.array), np.arange(len(b)))
+        assert [b.position(alpha) for alpha in b] == list(range(len(b)))
+
+    def test_binomial_table_is_cached_read_only(self):
+        # the table is shared by every later call, so no caller may write it
+        table = _binomials(9, 4)
+        assert _binomials(9, 4) is table
+        assert not table.flags.writeable
+        assert table.tolist() == [[math.comb(a, b) for b in range(5)] for a in range(9)]
+        with pytest.raises(ValueError, match="read-only"):
+            table[8, 4] = 0
 
     def test_position_bounds(self):
         b = enumerate_basis(2, 4)

@@ -12,9 +12,9 @@ import cdmos
 from cdmos.hierarchy import _moment_blocks
 from cdmos.measures import MomentSequence
 from cdmos.momentmat import localizing_pattern
-from cdmos.polyring import Polynomial, enumerate_basis
-from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, _lower_inv, _max_step,
-                       _nt_scaling, _stack_cholesky, gen_eig_min, solve_sdp)
+from cdmos.polyring import Polynomial, coeff_vector, enumerate_basis
+from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, _Layout, _lower_inv,
+                       _max_step, _nt_scaling, _stack_cholesky, gen_eig_min, solve_sdp)
 
 
 def dense_block(const, coeffs):
@@ -276,6 +276,29 @@ class TestPatternOperators:
         with pytest.raises(ValueError, match="one side"):
             SdpBlock.stack(blocks[:1] + _moment_blocks([(gs[0][0], 2)], basis))
 
+    def test_layout_matches_each_stack_bit_for_bit(self, rng):
+        # solve_sdp reads the stacks through one flat layout; each of its
+        # sums takes the same terms in the same order as the stack's own
+        # operator, so the iterates do not depend on the layout
+        stacks = [stack for stack, _, _ in box_dense_stacks(rng)]
+        lay = _Layout(stacks)
+        y = rng.standard_normal(stacks[0].num_vars)
+        Z = rng.standard_normal(lay.hi[-1])
+        assert lay.apply(y).tobytes() == b"".join(blk.apply(y).tobytes() for blk in stacks)
+        for got, blk, Zs in zip(lay.adjoints(Z), stacks, lay.views(Z)):
+            assert got.tobytes() == blk.adjoint(Zs).tobytes()
+        assert lay.sums(Z) == [float(np.sum(Zs)) for Zs in lay.views(Z)]
+        # the transposes, lam_a, lam_b and the identity, gathered
+        lams = [rng.uniform(1.0, 2.0, blk.const.shape[:2]) for blk in stacks]
+        lam = np.concatenate([v.ravel() for v in lams])
+        for s, (blk, v, Zs) in enumerate(zip(stacks, lams, lay.views(Z))):
+            shape = blk.const.shape
+            for got, ref in [(Z[lay.perm], np.swapaxes(Zs, -1, -2)),
+                             (lam[lay.row], np.broadcast_to(v[..., :, None], shape)),
+                             (lam[lay.col], np.broadcast_to(v[..., None, :], shape)),
+                             (lay.eye, np.broadcast_to(np.eye(blk.dim), shape))]:
+                np.testing.assert_array_equal(lay.views(got)[s], ref)
+
     def test_at_is_exactly_symmetric(self, rng):
         # solve_sdp never symmetrizes S: the pattern lists (a, b) and (b, a)
         # with the same terms in the same order, so A(y) is symmetric bit
@@ -362,7 +385,7 @@ class TestDenseKernels:
     @pytest.mark.parametrize("d", [1, 4, 12])
     def test_nt_scaling_identities(self, rng, d):
         S, Z = spd(rng, d), spd(rng, d)
-        Rinv, lam = _nt_scaling(S, Z)
+        Rinv, lam = _nt_scaling(np.stack((S, Z)))
         scale = np.linalg.norm(S) + np.linalg.norm(Z)
         assert np.linalg.norm(Rinv @ S @ Rinv.T - np.diag(lam)) <= 1e-12 * scale
         assert np.linalg.norm(Rinv.T @ np.diag(lam) @ Rinv - Z) <= 1e-12 * scale
@@ -383,10 +406,13 @@ class TestDenseKernels:
         sym = X + np.swapaxes(X, -1, -2)
         pd = X @ np.swapaxes(X, -1, -2) + np.eye(shape[-1])
         for dtS, dtZ in [(sym, -sym), (sym, pd), (pd, -pd), (pd, pd)]:
-            got = _max_step(lam, dtS, dtZ)
+            got = _max_step([s[..., :, None] * np.stack((dtS, dtZ)) * s[..., None, :]])
             assert got == (one_direction(dtS), one_direction(dtZ))
             if dtZ is pd:
                 assert got[1] == np.inf
+        # over several stacks, each direction's least length
+        pairs = [s[..., :, None] * np.stack(p) * s[..., None, :] for p in [(sym, pd), (pd, -sym)]]
+        assert _max_step(pairs) == tuple(map(min, zip(*(_max_step([p]) for p in pairs))))
 
     def test_cli_imports_numpy_only(self):
         # every `cdmos` run pays for what the package imports: beyond numpy
@@ -436,6 +462,36 @@ class TestDenseKernels:
         for Lj, Pj in zip(Lp.reshape(-1, 2, 2), pair.reshape(-1, 2, 2)):
             np.testing.assert_array_equal(
                 Lj, L if np.array_equal(Pj, m) else np.linalg.cholesky(Pj))
+
+
+class TestCostModel:
+    def test_linalg_calls_per_iteration(self, monkeypatch):
+        # order 2 of a quartic on [-1, 1]^2: a stack of one 6x6 moment block
+        # and a stack of two 3x3 localizing blocks, N = 14 free moments
+        xs = [Polynomial.variable(2, i) for i in range(2)]
+        basis = enumerate_basis(2, 4)
+        prob = SdpProblem(
+            c=coeff_vector(Polynomial(2, {(4, 0): 1.0, (0, 4): 1.0, (1, 1): -1.0,
+                                          (1, 0): 0.5}), basis)[1:],
+            blocks=_moment_blocks([(Polynomial.constant(2, 1.0), 2)] +
+                                  [(1.0 - x * x, 1) for x in xs], basis))
+        counts = dict.fromkeys(["cholesky", "svd", "eigvalsh", "inv"], 0)
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        sol = solve_sdp(prob)
+        assert sol.status is SdpStatus.OPTIMAL
+        # each iteration but the last measured one takes a step; a step
+        # factors, per stack, the (S, Z) pair in one Cholesky, takes one
+        # SVD for the NT scaling and one eigvalsh per phase for the step
+        # lengths, and factors the Schur complement in one Cholesky, whose
+        # inverse (N <= 48) is one leaf
+        steps = sol.iterations - 1
+        assert steps > 0
+        assert counts == {"cholesky": 3 * steps, "svd": 2 * steps,
+                          "eigvalsh": 4 * steps, "inv": steps}
 
 
 class TestGenEigMin:
