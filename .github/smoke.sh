@@ -46,12 +46,23 @@ if grep -q Traceback "$tmp/missing.err"; then exit 1; fi
 status=0; cdmos solve problems/univariate_x.txt --density-out "$tmp/nogrid.csv" > /dev/null 2>&1 || status=$?
 test "$status" -eq 2
 test ! -e "$tmp/nogrid.csv"
-# an infinite tolerance and a NaN box bound are rejected before any solve
-# or output, with exit code 2
-status=0; cdmos solve problems/univariate_x.txt --tol inf > /dev/null 2>&1 || status=$?
-test "$status" -eq 2
+# a NaN box bound is rejected before any output, with exit code 2
 status=0; cdmos basis uniform_box 2 --lo nan > /dev/null 2>&1 || status=$?
 test "$status" -eq 2
+# the solver has one tolerance: a problem file's tol line is an unknown key,
+# rejected at its line before any solve, with exit code 2 and no report
+cp problems/univariate_x.txt "$tmp/tol.txt"
+echo 'tol = 1e-8' >> "$tmp/tol.txt"
+line="$(wc -l < "$tmp/tol.txt")"
+status=0; cdmos solve "$tmp/tol.txt" > "$tmp/tol.out" 2> "$tmp/tol.err" || status=$?
+test "$status" -eq 2
+test ! -s "$tmp/tol.out"
+grep -q "unknown key 'tol' (line $line)" "$tmp/tol.err"
+# a '*' that does not sit between two factors is an error at its line and column
+printf 'variables = x\nobjective = x**2\norders = 1\n' > "$tmp/star.txt"
+status=0; cdmos solve "$tmp/star.txt" > /dev/null 2> "$tmp/star.err" || status=$?
+test "$status" -eq 2
+grep -q "(line 2, column 1)" "$tmp/star.err"
 # so is a coefficient that is not finite, at its line: exit code 2, no report
 printf 'variables = x\nobjective = 1e999 x\norders = 1\n' > "$tmp/inf.txt"
 status=0; cdmos solve "$tmp/inf.txt" > "$tmp/inf.out" 2> "$tmp/inf.err" || status=$?

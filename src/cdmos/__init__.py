@@ -10,7 +10,6 @@ from .orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
                          cd_kernel, christoffel, reproduce)
 from .polyring import (MonomialBasis, Polynomial, coeff_vector, enumerate_basis,
                        parse_polynomial)
-from .sdp import (SdpBlock, SdpOptions, SdpProblem, SdpSolution, SdpStatus,
-                  solve_sdp)
+from .sdp import SdpBlock, SdpProblem, SdpSolution, SdpStatus, solve_sdp
 
 __version__ = "0.1.0"

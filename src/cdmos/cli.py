@@ -9,7 +9,6 @@ Problem file format (`key = value` lines, `#` comments):
     measure    = uniform_box          # or counting_hypercube, or omitted
     box        = -1 1 ; -1 1          # per-variable bounds, required for uniform_box
     orders     = 1..3                 # or one order: orders = 3
-    tol        = 1e-8                 # optional solver tolerance override
 
 The JSON report has one row per requested order with the full column set;
 absent values are explicit nulls.  Each row's status is ``ok``, ``partial``
@@ -17,11 +16,10 @@ absent values are explicit nulls.  Each row's status is ``ok``, ``partial``
 code 0 iff every row is ``ok`` (NotCertified is not a failure), 1 otherwise,
 and 2 when the file or an option is rejected before any solve: a parse error
 (a coefficient that is not finite among them), box bounds that are not finite
-with lo < hi, a tolerance that is not positive and finite, no order left to
-solve, a negative density grid, ``--density-out`` without a positive
-``--density-grid``, or an output file (``--json``, ``--density-out``) that
-cannot be opened for writing; both are opened, and so created, before the
-solve.
+with lo < hi, no order left to solve, a negative density grid,
+``--density-out`` without a positive ``--density-grid``, or an output file
+(``--json``, ``--density-out``) that cannot be opened for writing; both are
+opened, and so created, before the solve.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from .measures import CountingHypercube, ReferenceMeasure, UniformBox
 from .momentmat import SemialgebraicSet
 from .orthobasis import BasisConstructionError, OrthoBasis, build_basis
 from .polyring import PolyParseError, Polynomial, parse_polynomial
-from .sdp import SdpOptions
 
 # the density readout evaluates T and writes the CSV on chunks of grid points
 # of about this many floats, so its memory does not grow with the grid
@@ -69,7 +66,6 @@ class ProblemFile:
     measure: Optional[ReferenceMeasure]
     box: Optional[Tuple[Tuple[float, ...], Tuple[float, ...]]]
     orders: Tuple[int, int]
-    tol: Optional[float] = None
 
     @property
     def n(self) -> int:
@@ -79,7 +75,7 @@ class ProblemFile:
         return SemialgebraicSet(self.n, tuple(self.constraints), box=self.box)
 
 
-_SCALAR_KEYS = {"variables", "objective", "measure", "box", "orders", "tol"}
+_SCALAR_KEYS = {"variables", "objective", "measure", "box", "orders"}
 
 
 def _named_measure(kind: str, n: int, box: Optional[tuple]) -> ReferenceMeasure:
@@ -189,18 +185,9 @@ def parse_problem(text: str) -> ProblemFile:
     if orders[0] < 1 or orders[1] < orders[0]:
         raise ProblemFileError("orders must satisfy 1 <= a <= b", oline)
 
-    tol = None
-    if "tol" in raw:
-        ttext, tline = raw["tol"]
-        try:
-            tol = float(ttext)
-        except ValueError:
-            raise ProblemFileError(f"bad tolerance {ttext!r}", tline)
-        _at_line(tline, SdpOptions, tol)
-
     return ProblemFile(var_names=var_names, objective=objective,
                        constraints=constraints, measure=measure,
-                       box=box, orders=orders, tol=tol)
+                       box=box, orders=orders)
 
 
 # ---------------------------------------------------------------------------
@@ -294,30 +281,20 @@ def _pick_density_order(rows: Sequence[SweepRow]) -> Optional[int]:
     return with_density[-1].t
 
 
-def run(pf: ProblemFile, max_order: Optional[int] = None,
-        tol: Optional[float] = None) -> RunReport:
+def run(pf: ProblemFile) -> RunReport:
     """Run the sandwich sweep over the requested orders and build the report.
 
-    Raises ValueError, before any solve, for a tolerance that is not
-    positive and finite or when no requested order is left to solve.
+    Raises ValueError, before any solve, when no requested order is left to
+    solve.
     """
     B = pf.semialgebraic_set()
     f = pf.objective
     t_lo, t_hi = pf.orders
-    if max_order is not None:
-        if max_order < t_lo:
-            raise ValueError(f"--max-order {max_order} is below the first requested "
-                             f"order {t_lo}")
-        t_hi = min(t_hi, max_order)
     t_min = min_relaxation_order(f, B)
     if t_hi < t_min:
         raise ValueError(f"orders {t_lo}..{t_hi} lie below the minimum relaxation "
                          f"order {t_min}")
-    t_lo = max(t_lo, t_min)
-    eff_tol = tol if tol is not None else pf.tol
-    opts = SdpOptions(tol=eff_tol) if eff_tol is not None else None
-
-    rows = sandwich_sweep(f, B, pf.measure, t_hi, t_min=t_lo, opts=opts)
+    rows = sandwich_sweep(f, B, pf.measure, t_hi, t_min=max(t_lo, t_min))
     return RunReport(problem=pf, rows=rows,
                      density_order=_pick_density_order(rows))
 
@@ -410,7 +387,7 @@ def _cmd_solve(args) -> int:
                 raise ValueError("--density-out needs a positive --density-grid")
             out, density_out = (files.enter_context(open(path, "w")) if path else sys.stdout
                                 for path in (args.json, args.density_out))
-            report = run(pf, max_order=args.max_order, tol=args.tol)
+            report = run(pf)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -477,8 +454,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_solve.add_argument("--density-grid", type=int, default=0, metavar="N",
                          help="sample the signed density on an N-point grid per axis")
     p_solve.add_argument("--density-out", help="write the density CSV here")
-    p_solve.add_argument("--tol", type=float, help="solver tolerance override")
-    p_solve.add_argument("--max-order", type=int, help="cap the relaxation order")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_basis = sub.add_parser("basis", help="print an orthonormal basis table")

@@ -42,8 +42,7 @@ from .orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
                          christoffel, multiplication)
 from .polyring import (MonomialBasis, Polynomial, _grlex_rank, coeff_vector,
                        enumerate_basis, monomial_values)
-from .sdp import (SdpBlock, SdpOptions, SdpProblem, SdpSolution, SdpStatus,
-                  solve_sdp)
+from .sdp import SdpBlock, SdpProblem, SdpSolution, SdpStatus, solve_sdp
 
 RANK_TOL = 1e-6
 FEASIBILITY_TOL = 1e-6
@@ -167,7 +166,6 @@ def _closed_form(prev: LowerBoundResult, prob: SdpProblem, basis2t: MonomialBasi
 
 def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
                 measure: Optional[ReferenceMeasure] = None,
-                opts: Optional[SdpOptions] = None,
                 prev: Optional[LowerBoundResult] = None) -> LowerBoundResult:
     """Order-t moment relaxation; returns rho_t, y*, SOS certificate, and the
     signed density coefficients when a reference measure is declared.
@@ -189,7 +187,7 @@ def lower_bound(f: Polynomial, B: SemialgebraicSet, t: int,
     candidate = None
     if prev is not None and prev.t < t and prev.extraction.certified:
         candidate = _closed_form(prev, prob, basis2t)
-    sol = solve_sdp(prob, opts, candidate)
+    sol = solve_sdp(prob, candidate)
     if sol.status is not SdpStatus.OPTIMAL:
         raise HierarchyError(t, f"SDP solver returned {sol.status.value} after "
                              f"{sol.iterations} iterations (primal {sol.primal_residual:.1e}, "
@@ -327,8 +325,7 @@ class SweepRow:
 
 def sandwich_sweep(f: Polynomial, B: SemialgebraicSet,
                    measure: Optional[ReferenceMeasure], t_max: int,
-                   t_min: Optional[int] = None,
-                   opts: Optional[SdpOptions] = None) -> List[SweepRow]:
+                   t_min: Optional[int] = None) -> List[SweepRow]:
     """Run both hierarchies for t = t_min..t_max; individual-order failures are
     recorded in the row and the sweep continues."""
     if t_min is None:
@@ -337,7 +334,7 @@ def sandwich_sweep(f: Polynomial, B: SemialgebraicSet,
     for t in range(t_min, t_max + 1):
         row = SweepRow(t=t)
         try:
-            row.lower = lower_bound(f, B, t, measure=measure, opts=opts,
+            row.lower = lower_bound(f, B, t, measure=measure,
                                     prev=rows[-1].lower if rows else None)
         except Exception as exc:  # per-order isolation is the contract here
             row.lower_error = str(exc)

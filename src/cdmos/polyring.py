@@ -225,11 +225,14 @@ class Polynomial:
                 names[i] if a == 1 else f"{names[i]}^{a}"
                 for i, a in enumerate(alpha) if a
             )
+            # %g when it reads back as the same float, else repr's exact digits
+            mag = f"{abs(c):g}"
+            if float(mag) != abs(c):
+                mag = repr(abs(c))
             if mono:
-                mag = "" if abs(c) == 1.0 else f"{abs(c):g} "
-                body = f"{mag}{mono}"
+                body = mono if abs(c) == 1.0 else f"{mag} {mono}"
             else:
-                body = f"{abs(c):g}"
+                body = mag
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -304,7 +307,8 @@ def parse_polynomial(text: str, var_names: Sequence[str]) -> Polynomial:
     """Parse polynomial text against an ordered list of variable names.
 
     Grammar: sum of signed terms; a term is a product of a numeric
-    coefficient and powers `name[^k]`, with `*` optional between factors.
+    coefficient and powers `name[^k]`, with `*` optional between factors and
+    allowed nowhere else.
     """
     n = len(var_names)
     index = {name: i for i, name in enumerate(var_names)}
@@ -353,15 +357,15 @@ def parse_polynomial(text: str, var_names: Sequence[str]) -> Polynomial:
                 exps[index[val]] += power
                 factors += 1
             elif kind == "op" and val == "*":
+                if not factors:
+                    raise PolyParseError("empty term before '*'", col)
+                if i + 1 == len(tokens) or tokens[i + 1][0] not in ("num", "name"):
+                    raise PolyParseError("expected a factor after '*'", col)
                 i += 1
-                continue
             elif kind == "op" and val in "+-":
                 break
             else:
                 raise PolyParseError(f"unexpected token {val!r}", col)
-        if factors == 0:
-            col = tokens[i][2] if i < len(tokens) else (tokens[-1][2] if tokens else 0)
-            raise PolyParseError("empty term", col)
         alpha = tuple(exps)
         total = terms.get(alpha, 0.0) + coeff
         if total == 0.0:

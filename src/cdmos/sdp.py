@@ -66,15 +66,17 @@ their order: one bincount of A*(Z) over all the stacks' entries changes the
 certificate residual max |c - A*(Z)| on 7 of the 16 cube_wide draws, by up
 to a factor 6 either way.
 
-Statuses: ``optimal`` when the stopping test passes; ``unbounded``, or else
+Statuses: ``optimal`` when the stopping test passes, each of its three
+relative measures (primal violation, coefficient residual, gap) being at most
+the solver's one tolerance, ``_TOL`` = 1e-8; ``unbounded``, or else
 ``infeasible``, when the objective passes 1e12 * cost_scale (unbounded: c'y
 to -inf over primal-feasible iterates); ``numerical_failure`` when a Cholesky
 factorization fails even with jitter; else ``max_iter``.  A stall ends no run.
 Whatever the status, the returned pair is the last one measured, and its
 objectives, measures and coefficient residual come from that one measurement.
 
-Everything is deterministic: identical inputs and options give identical
-iterates within one build.
+Everything is deterministic: identical inputs give identical iterates within
+one build.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -308,24 +310,15 @@ class SdpProblem:
         return max(1.0, float(np.max(np.abs(self.c), initial=0.0)))
 
     def stopping(self, violation: float, rd: np.ndarray, pobj: float, dobj: float,
-                 gap: float, tol: float) -> Tuple[bool, Tuple[float, float, float]]:
+                 gap: float) -> Tuple[bool, Tuple[float, float, float]]:
         """``solve_sdp``'s stopping test and its three relative measures: the
         primal violation over 1 + data_scale, max |c - A*(Z)| (rd) over
         1 + cost_scale, and the gap <S, Z> over 1 + |pobj| + |dobj|.  It
-        passes when all three are <= tol."""
+        passes when all three are <= _TOL = 1e-8."""
         measures = (violation / (1.0 + self.data_scale),
                     float(np.max(np.abs(rd), initial=0.0)) / (1.0 + self.cost_scale),
                     abs(gap) / (1.0 + abs(pobj) + abs(dobj)))
-        return all(m <= tol for m in measures), measures
-
-
-@dataclass
-class SdpOptions:
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 < self.tol < float("inf"):
-            raise ValueError(f"solver tolerance must be positive and finite, got {self.tol}")
+        return all(m <= _TOL for m in measures), measures
 
 
 @dataclass
@@ -481,10 +474,10 @@ class _Layout:
 # fraction of the longest step that keeps S and Z PSD taken by each iteration
 _STEP_FRACTION = 0.98
 _MAX_ITER = 200   # solve_sdp returns its 200th iterate with status max_iter
+_TOL = 1e-8       # the stopping test's bound on each of its three measures
 
 
-def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
-              candidate=None) -> SdpSolution:
+def solve_sdp(prob: SdpProblem, candidate=None) -> SdpSolution:
     """Primal-dual predictor-corrector path following; see module docstring.
 
     ``candidate = (y, [Z_j])``, PSD Z_j in the order of ``prob.blocks``, is
@@ -493,7 +486,6 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
     or 0.  Otherwise the iteration runs from its default start, as without a
     candidate: the candidate is never iterated from.
     """
-    opts = opts or SdpOptions()
     c = prob.c
     N = prob.num_vars
     blocks = prob.blocks
@@ -522,7 +514,7 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
         dobj = -sum(sums(const * Z))
         mu = sum(sums(S * Z)) / total_dim
         return (rd, pobj, dobj, mu) + prob.stopping(violation, rd, pobj, dobj,
-                                                    mu * total_dim, opts.tol)
+                                                    mu * total_dim)
 
     if candidate is not None:
         y, Zs = candidate
@@ -561,7 +553,7 @@ def solve_sdp(prob: SdpProblem, opts: Optional[SdpOptions] = None,
             status = SdpStatus.OPTIMAL
             break
         if abs(dobj) > 1e12 * cost_scale or abs(pobj) > 1e12 * cost_scale:
-            status = (SdpStatus.UNBOUNDED if pobj < -1e12 * cost_scale and pres <= opts.tol
+            status = (SdpStatus.UNBOUNDED if pobj < -1e12 * cost_scale and pres <= _TOL
                       else SdpStatus.INFEASIBLE)
             break
         if it == _MAX_ITER:

@@ -13,6 +13,7 @@ from cdmos.cli import (ProblemFileError, main, parse_problem, run,
                        sample_density, write_density_csv)
 from cdmos.measures import CountingHypercube, UniformBox
 from cdmos.orthobasis import build_basis
+from cdmos.polyring import parse_polynomial
 
 UNIVARIATE = """\
 # minimize x over [-1, 1]
@@ -89,7 +90,6 @@ class TestParseProblem:
         assert isinstance(pf.measure, UniformBox)
         assert pf.box == ((-1.0,), (1.0,))
         assert pf.orders == (1, 2)
-        assert pf.tol is None
 
     def test_undeclared_variable(self):
         bad = UNIVARIATE.replace("objective = x", "objective = x3")
@@ -143,11 +143,9 @@ class TestParseProblem:
     def test_bad_orders_and_tol(self):
         with pytest.raises(ProblemFileError, match="orders"):
             parse_problem(UNIVARIATE.replace("orders = 1..2", "orders = 3..2"))
-        with pytest.raises(ProblemFileError, match="tolerance"):
-            parse_problem(UNIVARIATE + "tol = -1e-8\n")
-        # SdpOptions' rule, at the tol line (line 8)
-        with pytest.raises(ProblemFileError, match="positive and finite") as err:
-            parse_problem(UNIVARIATE + "tol = inf\n")
+        # the solver has one tolerance, so a file cannot set it
+        with pytest.raises(ProblemFileError, match="unknown key 'tol'") as err:
+            parse_problem(UNIVARIATE + "tol = 1e-8\n")
         assert err.value.line == 8
 
     @pytest.mark.parametrize("bounds", ["nan 1", "-inf inf", "-1e308 1e308", "1 -1"])
@@ -166,7 +164,6 @@ class TestParseProblem:
         ("box = -1 1", "box = -1", "each box range needs 'lo hi'", 6, None),
         ("box = -1 1", "box = -1 one", "bad box bound in '-1 one'", 6, None),
         ("orders = 1..2", "orders = 1..2..3", "bad orders value '1..2..3'", 7, None),
-        ("orders = 1..2", "orders = 1..2\ntol = abc", "bad tolerance 'abc'", 8, None),
         ("objective = x", "objective = 1e999 x", "non-finite coefficient inf", 3, None),
         ("objective = x", "objective = 1e200 1e200 x", "non-finite coefficient inf", 3, None),
         ("objective = x", "objective = x $ 2", "unexpected character '\\$'", 3, 2),
@@ -175,11 +172,19 @@ class TestParseProblem:
         ("1 - x^2", "1 - x^1.5", "exponent must be a non-negative integer, got 1.5", 4, 6),
         ("objective = x", "objective = x (1)", "unexpected token '\\('", 3, 2),
         ("objective = x", "objective = x + *", "empty term", 3, 4),
+        # a '*' that does not sit between two factors is an error at its column
+        ("objective = x", "objective = x**2", "expected a factor after '\\*'", 3, 1),
+        ("objective = x", "objective = x*-1", "expected a factor after '\\*'", 3, 1),
+        ("objective = x", "objective = 2*-x", "expected a factor after '\\*'", 3, 1),
+        ("objective = x", "objective = x*", "expected a factor after '\\*'", 3, 1),
+        ("objective = x", "objective = *x", "empty term before '\\*'", 3, 0),
+        ("objective = x", "objective = x*+1", "expected a factor after '\\*'", 3, 1),
     ], ids=["no_equals", "repeated_variable", "constraint_rhs", "one_box_bound",
-            "non_numeric_box_bound", "three_part_orders", "non_numeric_tol",
+            "non_numeric_box_bound", "three_part_orders",
             "infinite_coefficient", "overflowing_coefficient", "unexpected_character",
             "empty_polynomial", "missing_exponent", "fractional_exponent",
-            "unexpected_token", "empty_term"])
+            "unexpected_token", "empty_term", "double_star", "star_minus",
+            "number_star_minus", "trailing_star", "leading_star", "star_plus"])
     def test_error_names_its_line(self, old, new, message, line, column):
         # a polynomial's syntax error also names its column in the value
         text = UNIVARIATE.replace(old, new)
@@ -267,11 +272,17 @@ class TestRunReport:
         assert "unbounded" in second["lower_error"]
         assert "only 2 points" in second["upper_error"]
 
-    def test_tol_override_tightens(self):
-        pf = parse_problem(UNIVARIATE + "tol = 1e-6\n")
-        assert pf.tol == 1e-6
-        report = run(pf, tol=1e-10)
-        assert report.all_solved
+    def test_report_polynomials_parse_back(self):
+        # the report prints every coefficient as the float that was solved:
+        # %g's six digits where they read back exactly, repr's otherwise
+        text = (UNIVARIATE.replace("objective = x", "objective = 0.1234567 x^2 + 1234567.5 x")
+                .replace("1 - x^2 >= 0", "1 - 0.1 x - 0.30000000000000004 x^2 >= 0"))
+        pf = parse_problem(text)
+        problem = run(pf).to_dict()["problem"]
+        assert problem["objective"] == "1234567.5 x + 0.1234567 x^2"
+        assert parse_polynomial(problem["objective"], pf.var_names) == pf.objective
+        assert [parse_polynomial(g.removesuffix(" >= 0"), pf.var_names)
+                for g in problem["constraints"]] == pf.constraints
 
 
 class TestDensitySampling:
@@ -405,31 +416,6 @@ class TestCommandLine:
 
     def test_solve_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/p.txt"]) == 2
-
-    def test_max_order_cap(self, tmp_path):
-        prob = tmp_path / "p.txt"
-        prob.write_text(UNIVARIATE)
-        out = tmp_path / "r.json"
-        assert main(["solve", str(prob), "--json", str(out),
-                     "--max-order", "1"]) == 0
-        doc = json.loads(out.read_text())
-        assert [r["t"] for r in doc["rows"]] == [1]
-
-    @pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])
-    def test_tol_not_positive_exit_code(self, tmp_path, capsys, tol):
-        # as `tol = 0` in the file is; it used to run every order to "infeasible"
-        prob = tmp_path / "p.txt"
-        prob.write_text(UNIVARIATE)
-        assert main(["solve", str(prob), "--tol", tol]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ") and "must be positive" in err
-
-    def test_max_order_below_first_order_exit_code(self, tmp_path, capsys):
-        prob = tmp_path / "p.txt"
-        prob.write_text(UNIVARIATE.replace("orders = 1..2", "orders = 2..3"))
-        assert main(["solve", str(prob), "--max-order", "1"]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "below the first requested order 2" in err
 
     def test_orders_below_minimum_relaxation_order_exit_code(self, tmp_path, capsys):
         prob = tmp_path / "p.txt"

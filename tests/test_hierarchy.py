@@ -19,7 +19,7 @@ from cdmos.measures import CountingHypercube, MomentSequence, UniformBox, moment
 from cdmos.momentmat import SemialgebraicSet, localizing_matrix
 from cdmos.orthobasis import BasisConstructionError, OrthoBasis, build_basis
 from cdmos.polyring import Polynomial, coeff_vector, enumerate_basis, monomial_values
-from cdmos.sdp import SdpBlock, SdpOptions, SdpProblem, SdpStatus, solve_sdp
+from cdmos.sdp import _TOL, SdpBlock, SdpProblem, SdpStatus, solve_sdp
 
 X = Polynomial.variable(1, 0)
 UNIT_INTERVAL = SemialgebraicSet(1, (1.0 - X * X,), box=((-1.0,), (1.0,)))
@@ -512,8 +512,8 @@ class TestClosedForm:
         V = monomial_values(prev.y.basis, np.array([xi for xi, _ in moved]))
         assert (np.linalg.lstsq(V.T, prev.y.values, rcond=None)[0] < 0.0).any()
         candidates, solve = [], hierarchy.solve_sdp
-        monkeypatch.setattr(hierarchy, "solve_sdp", lambda prob, opts, candidate:
-                            candidates.append(candidate) or solve(prob, opts, candidate))
+        monkeypatch.setattr(hierarchy, "solve_sdp", lambda prob, candidate:
+                            candidates.append(candidate) or solve(prob, candidate))
         row = lower_bound(X, UNIT_INTERVAL, 2, measure=UNIT_MEASURE, prev=prev)
         lone = lower_bound(X, UNIT_INTERVAL, 2, measure=UNIT_MEASURE)
         assert candidates == [None, None]
@@ -581,7 +581,7 @@ class TestOneMeasurement:
         assert sol.objective == float(c @ sol.y)
         assert sol.dual_objective == -float(np.sum(blk.const * Z))
         np.testing.assert_array_equal(sol.coeff_residual, r)
-        assert max(sol.primal_residual, sol.dual_residual, sol.gap) > SdpOptions().tol
+        assert max(sol.primal_residual, sol.dual_residual, sol.gap) > _TOL
 
     def test_certificate_residual_runs_no_adjoint(self, monkeypatch):
         # at a solved order and at a closed-form one
@@ -685,7 +685,7 @@ class TestSweepInvariants:
             # rho_t, a primal objective, lies above order t's optimum by at
             # most the absolute gap the stopping test allows
             sol = a.lower.solution
-            slack = SdpOptions().tol * (1.0 + abs(sol.objective) + abs(sol.dual_objective))
+            slack = _TOL * (1.0 + abs(sol.objective) + abs(sol.dual_objective))
             assert b.rho >= a.rho - slack
             # u_t, an eigenvalue over nested spaces, moves only by rounding
             assert b.u <= a.u + 1e-12 * (1.0 + abs(a.u))

@@ -13,7 +13,7 @@ from cdmos.hierarchy import _moment_blocks
 from cdmos.measures import MomentSequence
 from cdmos.momentmat import localizing_pattern
 from cdmos.polyring import Polynomial, coeff_vector, enumerate_basis
-from cdmos.sdp import (SdpBlock, SdpOptions, SdpProblem, SdpStatus, _Layout, _lower_inv,
+from cdmos.sdp import (_TOL, SdpBlock, SdpProblem, SdpStatus, _Layout, _lower_inv,
                        _max_step, _nt_scaling, _stack_cholesky, gen_eig_min, solve_sdp)
 
 
@@ -90,7 +90,7 @@ class TestSolveSdp:
         prob = correlation_problem()
         sol = solve_sdp(prob)
         for blk in prob.blocks:
-            assert np.linalg.eigvalsh(blk.at(sol.y))[0] >= -10 * SdpOptions().tol
+            assert np.linalg.eigvalsh(blk.at(sol.y))[0] >= -10 * _TOL
 
     def test_determinism(self):
         coeffs = np.zeros((2, 2, 2))
@@ -135,7 +135,7 @@ class TestSolveSdp:
         pair = solve_sdp(prob, candidate=(sol.y, sol.dual_blocks))
         assert pair.status is SdpStatus.OPTIMAL and pair.iterations == 0
         assert pair.objective == sol.objective
-        assert max(pair.primal_residual, pair.dual_residual, pair.gap) <= SdpOptions().tol
+        assert max(pair.primal_residual, pair.dual_residual, pair.gap) <= _TOL
         np.testing.assert_array_equal(pair.y, sol.y)
         for Z, Zsol in zip(pair.dual_blocks, sol.dual_blocks):
             np.testing.assert_array_equal(Z, Zsol)
@@ -161,11 +161,6 @@ class TestSolveSdp:
     def test_malformed_candidate_rejected(self, y, Zs):
         with pytest.raises(ValueError, match="candidate does not match"):
             solve_sdp(correlation_problem(), candidate=(y, Zs))
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-    def test_tolerance_must_be_positive(self, tol):
-        with pytest.raises(ValueError, match="must be positive"):
-            SdpOptions(tol=tol)
 
     def test_problem_needs_a_block(self):
         with pytest.raises(ValueError, match="at least one PSD block"):
