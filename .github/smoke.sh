@@ -63,6 +63,13 @@ printf 'variables = x\nobjective = x**2\norders = 1\n' > "$tmp/star.txt"
 status=0; cdmos solve "$tmp/star.txt" > /dev/null 2> "$tmp/star.err" || status=$?
 test "$status" -eq 2
 grep -q "(line 2, column 1)" "$tmp/star.err"
+# so is a variable name that the polynomial grammar cannot read, at the
+# variables line: exit code 2, no report
+printf 'variables = x 2\nobjective = x\norders = 1\n' > "$tmp/name.txt"
+status=0; cdmos solve "$tmp/name.txt" > "$tmp/name.out" 2> "$tmp/name.err" || status=$?
+test "$status" -eq 2
+test ! -s "$tmp/name.out"
+grep -q "bad variable name '2'.* (line 1)" "$tmp/name.err"
 # so is a coefficient that is not finite, at its line: exit code 2, no report
 printf 'variables = x\nobjective = 1e999 x\norders = 1\n' > "$tmp/inf.txt"
 status=0; cdmos solve "$tmp/inf.txt" > "$tmp/inf.out" 2> "$tmp/inf.err" || status=$?

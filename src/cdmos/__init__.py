@@ -5,9 +5,9 @@ from .hierarchy import (Extraction, HierarchyError, LowerBoundResult, SweepRow,
                         UpperBoundResult, certify_and_extract, lower_bound,
                         sandwich_sweep, upper_bound)
 from .measures import CountingHypercube, MomentSequence, UniformBox, moments
-from .momentmat import SemialgebraicSet, localizing_matrix, moment_matrix
+from .momentmat import SemialgebraicSet, localizing_matrix
 from .orthobasis import (BasisConstructionError, OrthoBasis, build_basis,
-                         cd_kernel, christoffel, reproduce)
+                         cd_kernel, christoffel)
 from .polyring import (MonomialBasis, Polynomial, coeff_vector, enumerate_basis,
                        parse_polynomial)
 from .sdp import SdpBlock, SdpProblem, SdpSolution, SdpStatus, solve_sdp

@@ -15,7 +15,8 @@ absent values are explicit nulls.  Each row's status is ``ok``, ``partial``
 (one of the two hierarchies failed at that order) or ``failed`` (both).  Exit
 code 0 iff every row is ``ok`` (NotCertified is not a failure), 1 otherwise,
 and 2 when the file or an option is rejected before any solve: a parse error
-(a coefficient that is not finite among them), box bounds that are not finite
+(a coefficient that is not finite and a variable name that the polynomial
+grammar cannot read among them), box bounds that are not finite
 with lo < hi, no order left to solve, a negative density grid,
 ``--density-out`` without a positive ``--density-grid``, or an output file
 (``--json``, ``--density-out``) that cannot be opened for writing; both are
@@ -39,7 +40,7 @@ from .hierarchy import SweepRow, min_relaxation_order, sandwich_sweep
 from .measures import CountingHypercube, ReferenceMeasure, UniformBox
 from .momentmat import SemialgebraicSet
 from .orthobasis import BasisConstructionError, OrthoBasis, build_basis
-from .polyring import PolyParseError, Polynomial, parse_polynomial
+from .polyring import VARIABLE_NAME, PolyParseError, Polynomial, parse_polynomial
 
 # the density readout evaluates T and writes the CSV on chunks of grid points
 # of about this many floats, so its memory does not grow with the grid
@@ -97,7 +98,7 @@ def _at_line(lineno: int, make, *args):
     try:
         return make(*args)
     except PolyParseError as exc:
-        raise ProblemFileError(str(exc).rsplit(" (column", 1)[0], lineno, exc.column) from None
+        raise ProblemFileError(exc.message, lineno, exc.column) from None
     except ValueError as exc:
         raise ProblemFileError(str(exc), lineno) from None
 
@@ -130,6 +131,10 @@ def parse_problem(text: str) -> ProblemFile:
     if not var_names or len(set(var_names)) != len(var_names):
         raise ProblemFileError("variables must be distinct non-empty names",
                                raw["variables"][1])
+    for name in var_names:
+        if not VARIABLE_NAME.fullmatch(name):
+            raise ProblemFileError(f"bad variable name {name!r}: a name is a letter or '_' "
+                                   "and then letters, digits or '_'", raw["variables"][1])
     n = len(var_names)
 
     if "objective" not in raw:
@@ -329,10 +334,6 @@ class DensitySamples:
     axes: List[np.ndarray]
     sigma: np.ndarray
     kernel_diag: np.ndarray
-
-    @property
-    def points(self) -> np.ndarray:
-        return _grid_points(self.axes)
 
 
 def _x_labels(axes: Sequence[np.ndarray], sep: str) -> Iterator[str]:

@@ -79,8 +79,12 @@ class SosCertificate:
 
 @dataclass
 class Extraction:
-    certified: bool
     minimizers: List[Tuple[Tuple[float, ...], float]] = field(default_factory=list)
+
+    @property
+    def certified(self) -> bool:
+        """A certified order is one with an extracted minimizer."""
+        return bool(self.minimizers)
 
 
 @dataclass
@@ -91,7 +95,7 @@ class LowerBoundResult:
     y: MomentSequence
     certificate: SosCertificate
     solution: SdpSolution
-    extraction: Extraction = field(default_factory=lambda: Extraction(certified=False))
+    extraction: Extraction = field(default_factory=Extraction)
     sigma: Optional[np.ndarray] = None      # L_y*(T_alpha), when a measure is declared
     density_basis: Optional[OrthoBasis] = None   # T on y.basis, sigma's index
     density_error: Optional[str] = None
@@ -109,9 +113,8 @@ class LowerBoundResult:
 
     def christoffel_at(self) -> Dict[Tuple[float, ...], float]:
         """The Christoffel function 1 / K_2t(xi, xi) at each certified minimizer xi."""
-        B, ex = self._require_density(), self.extraction
-        minimizers = ex.minimizers if ex.certified else []
-        return {xi: christoffel(B, xi) for xi, _ in minimizers}
+        B = self._require_density()
+        return {xi: christoffel(B, xi) for xi, _ in self.extraction.minimizers}
 
 
 @dataclass
@@ -228,7 +231,7 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet) -> Extraction:
     multiplication operators on the column space of the moment matrix.
 
     Every returned point is re-checked by direct evaluation: g_j(xi) >= -1e-6
-    and |f(xi) - rho| <= 1e-6.  A failed rank test is an honest NotCertified.
+    and |f(xi) - rho| <= 1e-6.  A failed rank test or no passing point is NotCertified.
     """
     y, t, n = r.y, r.t, r.y.n
     # M_t(y) is the relaxation's own moment block at y; M_{t-1}(y) is its
@@ -240,7 +243,7 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet) -> Extraction:
     w, Q = np.linalg.eigh(Mlow)
     rank = _numerical_rank(w)
     if _numerical_rank(np.linalg.eigvalsh(Mt)) != rank:
-        return Extraction(certified=False)
+        return Extraction()
 
     U = Q[:, -rank:]
     G = U.T @ Mlow @ U
@@ -256,7 +259,7 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet) -> Extraction:
     try:
         Tinv = np.linalg.inv(T)
     except np.linalg.LinAlgError:
-        return Extraction(certified=False)
+        return Extraction()
     candidates = []
     for col in range(rank):
         xi = tuple(float(np.real((Tinv[col] @ Ni @ T[:, col]))) for Ni in Ns)
@@ -274,10 +277,8 @@ def certify_and_extract(r: LowerBoundResult, B: SemialgebraicSet) -> Extraction:
                for prev, _ in accepted):
             continue
         accepted.append((xi, fval))
-    if not accepted:
-        return Extraction(certified=False)
     accepted.sort(key=lambda p: p[0])
-    return Extraction(certified=True, minimizers=accepted)
+    return Extraction(accepted)
 
 
 # ---------------------------------------------------------------------------

@@ -65,11 +65,6 @@ def localizing_matrix(y: MomentSequence, g: Polynomial, s: int) -> np.ndarray:
     return np.bincount(pos, val * y.values[var], minlength=m * m).reshape(m, m)
 
 
-def moment_matrix(y: MomentSequence, s: int) -> np.ndarray:
-    """The g == 1 special case of the localizing matrix."""
-    return localizing_matrix(y, Polynomial.constant(y.n, 1.0), s)
-
-
 def half_degree(g: Polynomial) -> int:
     """d = ceil(deg g / 2); the zero polynomial contributes 0."""
     return math.ceil(g.degree / 2)

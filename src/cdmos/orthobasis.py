@@ -143,16 +143,6 @@ def cd_kernel(B: OrthoBasis, x: Sequence[float], y: Sequence[float]) -> float:
     return float(B.eval_all(x) @ B.eval_all(y))
 
 
-def reproduce(B: OrthoBasis, p: Polynomial, x: Sequence[float]) -> float:
-    """int p(y) K_t(x, y) dmu(y); equals p(x).  Column 0 of the multiplication
-    operator is (int p T_alpha dmu)_alpha, as T_0 = 1."""
-    if p.n != B.n:
-        raise ValueError(f"dimension mismatch: {p.n} vs {B.n}")
-    if p.degree > B.t:
-        raise ValueError(f"degree {p.degree} exceeds kernel degree {B.t}")
-    return float(B.eval_all(x) @ multiplication(B, p)[:, 0])
-
-
 def christoffel(B: OrthoBasis, x: Sequence[float]) -> float:
     """The Christoffel function 1 / K_t(x, x); in (0, 1] under probability mu."""
     T = B.eval_all(x)

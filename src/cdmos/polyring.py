@@ -49,20 +49,11 @@ class MonomialBasis:
         self.array: np.ndarray = np.concatenate(blocks)
         self.array.flags.writeable = False
 
-    def position(self, alpha: Exponent) -> int:
-        if alpha not in self:
-            raise ValueError(f"monomial {alpha} not in basis (n={self.n}, t={self.t})")
-        return int(_grlex_rank(np.asarray(alpha, dtype=np.intp)))
-
     def __len__(self) -> int:
         return len(self.array)
 
     def __iter__(self) -> Iterator[Exponent]:
         return map(tuple, self.array.tolist())
-
-    def __contains__(self, alpha) -> bool:
-        alpha = tuple(alpha)
-        return len(alpha) == self.n and min(alpha) >= 0 and sum(alpha) <= self.t
 
     def __repr__(self) -> str:
         return f"MonomialBasis(n={self.n}, t={self.t}, size={len(self)})"
@@ -124,10 +115,6 @@ class Polynomial:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int) -> "Polynomial":
-        return cls(n, {})
-
-    @classmethod
     def constant(cls, n: int, c: float) -> "Polynomial":
         return cls(n, {(0,) * n: c})
 
@@ -139,10 +126,6 @@ class Polynomial:
         e = [0] * n
         e[i] = 1
         return cls(n, {tuple(e): 1.0})
-
-    @classmethod
-    def monomial(cls, n: int, alpha: Exponent, c: float = 1.0) -> "Polynomial":
-        return cls(n, {tuple(alpha): c})
 
     # -- structure ----------------------------------------------------------
 
@@ -277,12 +260,16 @@ class PolyParseError(ValueError):
 
     def __init__(self, message: str, column: int):
         super().__init__(f"{message} (column {column})")
+        self.message = message
         self.column = column
 
 
+# the variable names the grammar reads
+VARIABLE_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<name>{VARIABLE_NAME.pattern})"
     r"|(?P<op>[-+*^()]))"
 )
 

@@ -107,15 +107,13 @@ class SdpBlock:
     symmetric: it lists (a, b) and (b, a) with the same values in the same
     order, so A(y) is symmetric bit for bit.  A stack has a (g, d, d)
     constant and member j's entries sit at pos = j*d^2 + a*d + b, so apply
-    returns (g, d, d), adjoint takes (g, d, d) and sums over the members, and
-    schur sums the members' Schur complements.
+    returns (g, d, d), and schur sums the members' Schur complements.
 
     ``SdpBlock(const, num_vars, var, pos, val)`` takes the pattern as it is
     (the relaxation's blocks come from ``momentmat.localizing_pattern``);
     ``SdpBlock.stack`` concatenates blocks of one side.  The solver calls
     ``schur`` on each stack and applies A and A* to all its stacks at once,
-    through the stacks' patterns laid end to end, as ``apply`` and
-    ``adjoint`` would per stack.
+    through the stacks' patterns laid end to end (``_Layout``).
     """
 
     def __init__(self, const, num_vars: int, var, pos, val):
@@ -149,10 +147,6 @@ class SdpBlock:
 
     def at(self, y: np.ndarray) -> np.ndarray:
         return self.const + self.apply(y)
-
-    def adjoint(self, Z: np.ndarray) -> np.ndarray:
-        """The vector (<A_k, Z>)_k, summed over the stack's members."""
-        return np.bincount(self.var, self.val * Z.ravel()[self.pos], minlength=self.num_vars)
 
     @functools.cached_property
     def _schur_plan(self):
@@ -428,9 +422,9 @@ class _Layout:
     s at [lo[s], hi[s]), so an elementwise step, A(y) and the stacks'
     adjoints are one call for all stacks.  The stacks' positions are
     disjoint, so each entry of ``apply`` and of an ``adjoints`` row sums the
-    same terms in the same order as that stack's ``SdpBlock.apply`` and
-    ``adjoint``, and ``sums`` adds each stack's entries as np.sum of its
-    (g, d, d) array does."""
+    same terms in the same order as that stack's pattern alone would, and
+    ``sums`` adds each stack's entries as np.sum of its (g, d, d) array
+    does."""
 
     def __init__(self, stacks: Sequence[SdpBlock]):
         self.stacks = stacks

@@ -4,7 +4,8 @@ orthonormal polynomials from their recurrences run on coefficient rows, the
 orthonormal polynomials, their values and their expansions through these
 coefficients, the SOS multipliers expanded as polynomials, the per-row
 density table formatter, the localizing matrix summed one index table per
-term, the upper bound as the smallest eigenvalue of the monomial moment
+term, the moment matrix, the kernel's reproducing integral, an SDP block's
+adjoint, the upper bound as the smallest eigenvalue of the monomial moment
 pencil, the moments of a Dirac measure, and helpers, among them the
 benchmark's box_deep problem file.
 
@@ -24,8 +25,9 @@ import numpy as np
 import pytest
 
 from cdmos.measures import MomentSequence, moments
-from cdmos.momentmat import localizing_matrix, moment_matrix
-from cdmos.polyring import (Polynomial, coeff_vector, enumerate_basis,
+from cdmos.momentmat import localizing_matrix
+from cdmos.orthobasis import multiplication
+from cdmos.polyring import (Polynomial, _grlex_rank, coeff_vector, enumerate_basis,
                             monomial_values)
 from cdmos.sdp import gen_eig_min
 
@@ -62,7 +64,7 @@ def make_moment_sequence(n, t, values):
 
 def moment_value(y, alpha):
     """The entry y_alpha of a moment sequence, looked up by its exponent."""
-    return float(y.values[y.basis.position(alpha)])
+    return float(y.values[_grlex_rank(np.asarray(alpha))])
 
 
 def vector_to_poly(v, basis):
@@ -104,7 +106,7 @@ def ortho_expansion_poly(sigma, B):
 
 def ortho_polynomial(B, alpha):
     """T_alpha of an orthonormal basis as a polynomial: row alpha of D."""
-    return vector_to_poly(tensor_basis(B.measure, B.basis)[B.basis.position(alpha)],
+    return vector_to_poly(tensor_basis(B.measure, B.basis)[_grlex_rank(np.asarray(alpha))],
                           B.basis)
 
 
@@ -168,6 +170,22 @@ def localizing_matrix_per_term(y, g, s):
     return M
 
 
+def moment_matrix(y, s):
+    """M_s(y), the localizing matrix of g = 1."""
+    return localizing_matrix(y, Polynomial.constant(y.n, 1.0), s)
+
+
+def reproduce(B, p, x):
+    """int p(y) K_t(x, y) dmu(y), which is p(x) when deg p <= t: column 0 of
+    p's multiplication operator is (int p T_alpha dmu)_alpha, as T_0 = 1."""
+    return float(B.eval_all(x) @ multiplication(B, p)[:, 0])
+
+
+def adjoint(blk, Z):
+    """The vector (<A_k, Z>)_k of an SdpBlock, summed over a stack's members."""
+    return np.bincount(blk.var, blk.val * Z.ravel()[blk.pos], minlength=blk.num_vars)
+
+
 def pencil_upper_bound(f, measure, t):
     """u_t as the smallest eigenvalue of the monomial pencil
     (M_t(f y_mu), M_t(y_mu)), built from the exact moments of mu."""
@@ -192,12 +210,12 @@ def multiplier_poly(cert, j):
     Gram entry at a time into a polynomial."""
     g, s, Q = cert.multipliers[j]
     basis = enumerate_basis(g.n, s)
-    psi = Polynomial.zero(g.n)
+    psi = Polynomial(g.n)
     for a in range(len(basis)):
         for b in range(len(basis)):
             if Q[a, b] != 0.0:
                 e = tuple(basis.array[a] + basis.array[b])
-                psi = psi + Polynomial.monomial(g.n, e, Q[a, b])
+                psi = psi + Polynomial(g.n, {e: Q[a, b]})
     return psi
 
 

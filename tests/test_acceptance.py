@@ -8,7 +8,7 @@ import json
 import time
 
 import numpy as np
-from conftest import (box_quadrature, ortho_polynomial, random_polynomial,
+from conftest import (box_quadrature, ortho_polynomial, random_polynomial, reproduce,
                       smoothed_objective)
 
 from cdmos.cli import main
@@ -16,7 +16,7 @@ from cdmos.hierarchy import (certify_and_extract, lower_bound, sandwich_sweep,
                              upper_bound)
 from cdmos.measures import CountingHypercube, UniformBox, moments
 from cdmos.momentmat import SemialgebraicSet
-from cdmos.orthobasis import build_basis, christoffel, reproduce
+from cdmos.orthobasis import build_basis, christoffel
 from cdmos.polyring import Polynomial, enumerate_basis
 
 X = Polynomial.variable(1, 0)

@@ -9,7 +9,7 @@ import pytest
 from conftest import box_deep_problem, box_grid, density_csv_per_row
 
 from cdmos import cli
-from cdmos.cli import (ProblemFileError, main, parse_problem, run,
+from cdmos.cli import (ProblemFileError, _grid_points, main, parse_problem, run,
                        sample_density, write_density_csv)
 from cdmos.measures import CountingHypercube, UniformBox
 from cdmos.orthobasis import build_basis
@@ -160,6 +160,9 @@ class TestParseProblem:
     @pytest.mark.parametrize("old, new, message, line, column", [
         ("measure = uniform_box", "measure uniform_box", "expected 'key = value'", 5, None),
         ("variables = x", "variables = x x", "variables must be distinct", 2, None),
+        # a name the polynomial grammar cannot read could be named by no line
+        ("variables = x", "variables = x 2", "bad variable name '2'", 2, None),
+        ("variables = x", "variables = x y-z", "bad variable name 'y-z'", 2, None),
         ("1 - x^2 >= 0", "1 - x^2 >= 1", "must end in '>= 0'", 4, None),
         ("box = -1 1", "box = -1", "each box range needs 'lo hi'", 6, None),
         ("box = -1 1", "box = -1 one", "bad box bound in '-1 one'", 6, None),
@@ -179,7 +182,8 @@ class TestParseProblem:
         ("objective = x", "objective = x*", "expected a factor after '\\*'", 3, 1),
         ("objective = x", "objective = *x", "empty term before '\\*'", 3, 0),
         ("objective = x", "objective = x*+1", "expected a factor after '\\*'", 3, 1),
-    ], ids=["no_equals", "repeated_variable", "constraint_rhs", "one_box_bound",
+    ], ids=["no_equals", "repeated_variable", "numeric_variable_name",
+            "unreadable_variable_name", "constraint_rhs", "one_box_bound",
             "non_numeric_box_bound", "three_part_orders",
             "infinite_coefficient", "overflowing_coefficient", "unexpected_character",
             "empty_polynomial", "missing_exponent", "fractional_exponent",
@@ -290,7 +294,7 @@ class TestDensitySampling:
         report = run(parse_problem(UNIVARIATE))
         samples = sample_density(report, 5)
         assert samples.sigma.shape == samples.kernel_diag.shape == (5,)
-        assert samples.points[0].tolist() == [-1.0]
+        assert _grid_points(samples.axes)[0].tolist() == [-1.0]
         # at the minimizer the kernel section peaks at K(-1,-1)
         assert samples.sigma[0] == pytest.approx(samples.kernel_diag[0], abs=1e-4)
         # signed density: negative somewhere in the interior
@@ -302,7 +306,7 @@ class TestDensitySampling:
         B = build_basis(UniformBox((-1.0,), (1.0,)),
                         2 * report.density_order)
         samples = sample_density(report, 7)
-        for x, kd in zip(samples.points.tolist(), samples.kernel_diag.tolist()):
+        for x, kd in zip(_grid_points(samples.axes).tolist(), samples.kernel_diag.tolist()):
             x = tuple(x)
             assert kd == pytest.approx(cd_kernel(B, x, x), rel=1e-12)
 
@@ -327,7 +331,7 @@ class TestDensitySampling:
         pf = parse_problem(text)
         samples = sample_density(run(pf), k)
         points = box_grid(*pf.box, k)
-        np.testing.assert_array_equal(samples.points, points)
+        np.testing.assert_array_equal(_grid_points(samples.axes), points)
         assert csv_text(samples) == density_csv_per_row(
             points, samples.sigma, samples.kernel_diag)
 

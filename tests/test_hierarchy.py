@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import (box_deep_problem, moment_value, multiplier_poly,
+from conftest import (adjoint, box_deep_problem, moment_value, multiplier_poly,
                       ortho_expansion_poly, pencil_upper_bound, random_polynomial,
                       smoothed_objective)
 
@@ -19,7 +19,7 @@ from cdmos.measures import CountingHypercube, MomentSequence, UniformBox, moment
 from cdmos.momentmat import SemialgebraicSet, localizing_matrix
 from cdmos.orthobasis import BasisConstructionError, OrthoBasis, build_basis
 from cdmos.polyring import Polynomial, coeff_vector, enumerate_basis, monomial_values
-from cdmos.sdp import _TOL, SdpBlock, SdpProblem, SdpStatus, solve_sdp
+from cdmos.sdp import _TOL, SdpBlock, SdpProblem, SdpStatus, _Layout, solve_sdp
 
 X = Polynomial.variable(1, 0)
 UNIT_INTERVAL = SemialgebraicSet(1, (1.0 - X * X,), box=((-1.0,), (1.0,)))
@@ -114,7 +114,7 @@ def cube_wide_problem(variant):
     n = 10
     x = [Polynomial.variable(n, i) for i in range(n)]
     rng = np.random.default_rng([3, variant])
-    f = Polynomial.zero(n)
+    f = Polynomial(n)
     for i, j in itertools.combinations(range(n), 2):
         f = f + float(rng.choice((-1.0, 1.0))) * x[i] * x[j]
     return f, SemialgebraicSet(n, tuple(1.0 - v * v for v in x))
@@ -280,8 +280,8 @@ class TestCertifyAndExtract:
 
     def test_reads_the_relaxations_moment_block(self, monkeypatch):
         # M_t(y*) is certificate.problem.blocks[0] at y*, assembled once; the
-        # readout localizing_matrix (and moment_matrix through it) is off the
-        # solve path, at a solved order and at a closed-form one
+        # readout localizing_matrix is off the solve path, at a solved order
+        # and at a closed-form one
         expected = [lower_bound(X1 * X2, UNIT_SQUARE, 2)]
         expected.append(lower_bound(X1 * X2, UNIT_SQUARE, 3, prev=expected[0]))
 
@@ -416,7 +416,7 @@ class TestHypercube:
         B = SemialgebraicSet(n, tuple(1.0 - v * v for v in x))
         for seed in range(8):
             signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(n, n))
-            f = Polynomial.zero(n)
+            f = Polynomial(n)
             for i in range(n):
                 for j in range(i + 1, n):
                     f = f + signs[i, j] * x[i] * x[j]
@@ -576,7 +576,7 @@ class TestOneMeasurement:
         sol = solve_sdp(prob)
         assert sol.status is SdpStatus.MAX_ITER
         (blk,), (Z,) = prob.blocks, sol.dual_blocks
-        r = c - blk.adjoint(Z)
+        r = c - adjoint(blk, Z)
         assert sol.dual_residual == float(np.max(np.abs(r))) / (1.0 + prob.cost_scale)
         assert sol.objective == float(c @ sol.y)
         assert sol.dual_objective == -float(np.sum(blk.const * Z))
@@ -590,9 +590,9 @@ class TestOneMeasurement:
         assert r3.solution.iterations == 0
 
         def no_adjoint(*args):
-            raise AssertionError("SdpBlock.adjoint called by the certificate")
+            raise AssertionError("A*(Z) formed again by the certificate")
 
-        monkeypatch.setattr(SdpBlock, "adjoint", no_adjoint)
+        monkeypatch.setattr(_Layout, "adjoints", no_adjoint)
         for r in (r2, r3):
             assert r.certificate.residual() == float(np.max(np.abs(r.solution.coeff_residual)))
             assert r.certificate.residual() / (1.0 + r.certificate.problem.cost_scale) == \
